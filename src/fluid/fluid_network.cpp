@@ -36,10 +36,31 @@ FluidNetwork::FluidNetwork(const topo::Topology& topo,
                            double cliqueCapacityPps,
                            std::vector<topo::Link> extraLinks)
     : flows_{std::move(flows)}, capacity_{cliqueCapacityPps} {
+  std::set<topo::Link> linkSet{extraLinks.begin(), extraLinks.end()};
+  const std::vector<topo::Link> routed = routeFlows(topo);
+  linkSet.insert(routed.begin(), routed.end());
+  contention_ = gmp::ContentionStructure::build(
+      topo, {linkSet.begin(), linkSet.end()});
+  buildIncidence();
+}
+
+FluidNetwork::FluidNetwork(const topo::Topology& topo,
+                           std::vector<net::FlowSpec> flows,
+                           double cliqueCapacityPps,
+                           gmp::ContentionStructure contention)
+    : flows_{std::move(flows)},
+      contention_{std::move(contention)},
+      capacity_{cliqueCapacityPps} {
+  MAXMIN_CHECK_MSG(routeFlows(topo) == contention_.links,
+                   "contention structure links differ from the flows' "
+                   "link set");
+  buildIncidence();
+}
+
+std::vector<topo::Link> FluidNetwork::routeFlows(const topo::Topology& topo) {
   MAXMIN_CHECK(capacity_ > 0.0);
   net::validateFlows(flows_, topo.numNodes());
-
-  std::set<topo::Link> linkSet{extraLinks.begin(), extraLinks.end()};
+  std::set<topo::Link> linkSet;
   for (const net::FlowSpec& f : flows_) {
     const auto tree = topo::RoutingTree::shortestPaths(topo, f.dst);
     MAXMIN_CHECK_MSG(tree.reaches(f.src), "flow " << f.id << " unroutable");
@@ -49,9 +70,10 @@ FluidNetwork::FluidNetwork(const topo::Topology& topo,
       linkSet.insert(topo::Link{paths_.back()[i], paths_.back()[i + 1]});
     }
   }
-  contention_ = gmp::ContentionStructure::build(
-      topo, {linkSet.begin(), linkSet.end()});
+  return {linkSet.begin(), linkSet.end()};
+}
 
+void FluidNetwork::buildIncidence() {
   // Hop -> contention link index, then the three CSR incidence views.
   pathLinks_.resize(paths_.size());
   std::map<std::pair<std::int32_t, std::int32_t>, std::int32_t> cliqueFlow;

@@ -79,6 +79,12 @@ class FluidNetwork {
                double cliqueCapacityPps,
                std::vector<topo::Link> extraLinks = {});
 
+  /// Reuse a contention structure built elsewhere instead of enumerating
+  /// the cliques again. Its links must be exactly the links the flows'
+  /// routes cross.
+  FluidNetwork(const topo::Topology& topo, std::vector<net::FlowSpec> flows,
+               double cliqueCapacityPps, gmp::ContentionStructure contention);
+
   /// Steady state under the current rate limits and external occupancy.
   [[nodiscard]] FluidState evaluate() const;
 
@@ -101,6 +107,12 @@ class FluidNetwork {
   [[nodiscard]] double cliqueCapacity() const { return capacity_; }
 
  private:
+  /// Route every flow (fills paths_ and limits_); returns the links the
+  /// routes cross, sorted and distinct.
+  std::vector<topo::Link> routeFlows(const topo::Topology& topo);
+  /// CSR incidence and external-occupancy arrays over contention_.
+  void buildIncidence();
+
   std::vector<net::FlowSpec> flows_;
   std::vector<std::vector<topo::NodeId>> paths_;
   std::map<net::FlowId, std::optional<double>> limits_;

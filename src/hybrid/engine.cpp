@@ -114,7 +114,14 @@ Engine::Engine(net::Network& net, gmp::Controller& controller,
 
 void Engine::fastForward() {
   if (!cfg_.fastForward) return;
-  fluid::FluidNetwork all{net_.topology(), allFlows_, capacityPps_};
+  // The all-flow contention structure is already built: bgFluid_ spans the
+  // background routes plus the foreground links, and without background
+  // mode the controller's links are every flow's links. FluidNetwork
+  // checks that the links match the routes of allFlows_.
+  const gmp::ContentionStructure& contention =
+      bgFluid_ ? bgFluid_->contention() : controller_.contention();
+  fluid::FluidNetwork all{net_.topology(), allFlows_, capacityPps_,
+                          contention};
   fluid::FluidGmpHarness harness{all, gmpParams_};
   const fluid::FixedPointResult fp =
       harness.runToFixedPoint(cfg_.ffTol, cfg_.ffMaxPeriods);

@@ -8,6 +8,7 @@
 // (phys::Medium's corruption scan intersects a row with its pending-
 // reception bitset). Rows are contiguous, so scanning a row at N = 800 is
 // 13 sequential words, not 800 pointer-chased distance computations.
+// ConflictGraph reuses the same layout indexed by link instead of node.
 #pragma once
 
 #include <bit>

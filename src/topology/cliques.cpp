@@ -1,6 +1,8 @@
 #include "topology/cliques.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 
 #include "util/check.hpp"
@@ -8,80 +10,101 @@
 namespace maxmin::topo {
 namespace {
 
-/// Classic Bron-Kerbosch with pivot selection. Vertex sets are plain
-/// sorted vectors. The per-vertex conflict neighbor lists are built once
-/// up front (cliques are enumerated per 2-hop LocalView, so a vertex's
-/// neighbors are asked for many times during the recursion — recomputing
-/// them was an O(links) scan per query).
+/// Bron-Kerbosch with pivoting, run directly on the packed conflict rows.
+/// P and X are word arrays: recursion level d owns the d-th (P, X) pair of
+/// one arena sized up front. A clique has at most maxDegree + 1 members,
+/// so the recursion never goes deeper than maxDegree + 2 levels. R is a
+/// stack of link indices, sorted when a clique is recorded.
 class BronKerbosch {
  public:
-  explicit BronKerbosch(const ConflictGraph& graph) : graph_{graph} {
-    const auto n = static_cast<std::size_t>(graph.numLinks());
-    neighbors_.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      for (std::size_t u = 0; u < n; ++u) {
-        if (u != v && graph.conflicts(static_cast<int>(v),
-                                      static_cast<int>(u))) {
-          neighbors_[v].push_back(static_cast<int>(u));
-        }
-      }
+  explicit BronKerbosch(const ConflictGraph& graph)
+      : graph_{graph}, words_{graph.wordsPerRow()} {
+    int maxDegree = 0;
+    for (int v = 0; v < graph.numLinks(); ++v) {
+      maxDegree = std::max(maxDegree, countCommon(graph.row(v), graph.row(v)));
     }
+    const std::size_t levels = static_cast<std::size_t>(maxDegree) + 2;
+    arena_.assign(levels * 2 * words_, 0);
   }
 
   std::vector<std::vector<int>> run() {
-    std::vector<int> all(static_cast<std::size_t>(graph_.numLinks()));
-    for (int i = 0; i < graph_.numLinks(); ++i)
-      all[static_cast<std::size_t>(i)] = i;
-    expand({}, all, {});
+    std::uint64_t* p = setP(0);
+    for (int v = 0; v < graph_.numLinks(); ++v) {
+      p[static_cast<std::size_t>(v) / 64] |= bitOf(v);
+    }
+    expand(0);
     return std::move(found_);
   }
 
  private:
-  const std::vector<int>& neighborsOf(int v) const {
-    return neighbors_.at(static_cast<std::size_t>(v));
+  static std::uint64_t bitOf(int v) {
+    return std::uint64_t{1} << (static_cast<std::size_t>(v) % 64);
   }
 
-  static std::vector<int> intersect(const std::vector<int>& a,
-                                    const std::vector<int>& b) {
-    std::vector<int> out;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(out));
-    return out;
+  std::uint64_t* setP(std::size_t depth) {
+    return arena_.data() + depth * 2 * words_;
+  }
+  std::uint64_t* setX(std::size_t depth) { return setP(depth) + words_; }
+
+  [[nodiscard]] int countCommon(const std::uint64_t* a,
+                                const std::uint64_t* b) const {
+    int n = 0;
+    for (std::size_t w = 0; w < words_; ++w) n += std::popcount(a[w] & b[w]);
+    return n;
   }
 
-  void expand(std::vector<int> r, std::vector<int> p, std::vector<int> x) {
-    if (p.empty() && x.empty()) {
-      found_.push_back(std::move(r));
-      return;
-    }
+  void expand(std::size_t depth) {
+    std::uint64_t* p = setP(depth);
+    std::uint64_t* x = setX(depth);
     // Pivot: vertex of P∪X with the most neighbors in P minimizes branching.
+    const int pSize = countCommon(p, p);
     int pivot = -1;
-    std::size_t best = 0;
-    for (const auto* set : {&p, &x}) {
-      for (int v : *set) {
-        const std::size_t k = intersect(p, neighborsOf(v)).size();
-        if (pivot == -1 || k > best) {
-          pivot = v;
+    int best = -1;
+    for (std::size_t w = 0; w < words_ && best < pSize; ++w) {
+      std::uint64_t word = p[w] | x[w];
+      while (word != 0 && best < pSize) {
+        const int u = static_cast<int>(w * 64) + std::countr_zero(word);
+        word &= word - 1;
+        const int k = countCommon(p, graph_.row(u));
+        if (k > best) {
+          pivot = u;
           best = k;
         }
       }
     }
-    const std::vector<int>& pivotNeighbors = neighborsOf(pivot);
-    std::vector<int> candidates;
-    std::set_difference(p.begin(), p.end(), pivotNeighbors.begin(),
-                        pivotNeighbors.end(), std::back_inserter(candidates));
-    for (int v : candidates) {
-      const std::vector<int>& nv = neighborsOf(v);
-      std::vector<int> r2 = r;
-      r2.insert(std::lower_bound(r2.begin(), r2.end(), v), v);
-      expand(std::move(r2), intersect(p, nv), intersect(x, nv));
-      p.erase(std::lower_bound(p.begin(), p.end(), v));
-      x.insert(std::lower_bound(x.begin(), x.end(), v), v);
+    if (pivot < 0) {  // P and X both empty: R is maximal
+      found_.push_back(r_);
+      std::sort(found_.back().begin(), found_.back().end());
+      return;
+    }
+    const std::uint64_t* pivotRow = graph_.row(pivot);
+    // Candidates P \ N(pivot), taken one word at a time: moving v from P
+    // to X only touches bits already visited.
+    for (std::size_t w = 0; w < words_; ++w) {
+      std::uint64_t candidates = p[w] & ~pivotRow[w];
+      while (candidates != 0) {
+        const int v = static_cast<int>(w * 64) + std::countr_zero(candidates);
+        candidates &= candidates - 1;
+        const std::uint64_t* nv = graph_.row(v);
+        std::uint64_t* childP = setP(depth + 1);
+        std::uint64_t* childX = setX(depth + 1);
+        for (std::size_t i = 0; i < words_; ++i) {
+          childP[i] = p[i] & nv[i];
+          childX[i] = x[i] & nv[i];
+        }
+        r_.push_back(v);
+        expand(depth + 1);
+        r_.pop_back();
+        p[w] &= ~bitOf(v);
+        x[w] |= bitOf(v);
+      }
     }
   }
 
   const ConflictGraph& graph_;
-  std::vector<std::vector<int>> neighbors_;
+  std::size_t words_;
+  std::vector<std::uint64_t> arena_;  ///< (P, X) word arrays per level
+  std::vector<int> r_;
   std::vector<std::vector<int>> found_;
 };
 
@@ -98,8 +121,8 @@ NodeId smallestNode(const ConflictGraph& graph, const std::vector<int>& clique) 
 }  // namespace
 
 std::vector<Clique> enumerateMaximalCliques(const ConflictGraph& graph) {
-  std::vector<std::vector<int>> raw = BronKerbosch{graph}.run();
   if (graph.numLinks() == 0) return {};
+  std::vector<std::vector<int>> raw = BronKerbosch{graph}.run();
 
   // Deterministic order: by owning (smallest) node, then by member list.
   std::map<NodeId, std::vector<std::vector<int>>> byOwner;

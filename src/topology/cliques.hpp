@@ -3,8 +3,8 @@
 // The paper's bandwidth-saturated condition is evaluated per proper
 // contention clique: a set of mutually contending links whose combined
 // airtime is bounded by the channel. We enumerate all maximal cliques with
-// Bron-Kerbosch (with pivoting); conflict graphs of geometric radio
-// networks are small and sparse enough that this is fast.
+// Bron-Kerbosch (with pivoting) over the conflict graph's packed rows, so
+// every set intersection and pivot probe is a word-wise AND + popcount.
 #pragma once
 
 #include <compare>

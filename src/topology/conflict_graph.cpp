@@ -16,13 +16,28 @@ ConflictGraph::ConflictGraph(const Topology& topo, std::vector<Link> links)
     MAXMIN_CHECK_MSG(topo.areNeighbors(l.from, l.to),
                      "link " << l << " endpoints are not neighbors");
   }
-  const std::size_t n = links_.size();
-  adjacency_.assign(n, std::vector<bool>(n, false));
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      if (linksConflict(topo, links_[a], links_[b])) {
-        adjacency_[a][b] = adjacency_[b][a] = true;
+  const int n = numLinks();
+  adjacency_ = AdjacencyMatrix{n};
+  // linksConflict(a, b) holds exactly when an endpoint of b is an endpoint
+  // of a or in carrier-sense range of one, so each link only visits the
+  // links incident to those nodes instead of testing all L^2 pairs.
+  std::vector<std::vector<int>> linksAt(
+      static_cast<std::size_t>(topo.numNodes()));
+  for (int i = 0; i < n; ++i) {
+    const Link& l = links_[static_cast<std::size_t>(i)];
+    linksAt[static_cast<std::size_t>(l.from)].push_back(i);
+    linksAt[static_cast<std::size_t>(l.to)].push_back(i);
+  }
+  for (int a = 0; a < n; ++a) {
+    const auto markLinksAt = [&](NodeId node) {
+      for (int b : linksAt[static_cast<std::size_t>(node)]) {
+        if (b != a) adjacency_.set(a, b);
       }
+    };
+    const Link& l = links_[static_cast<std::size_t>(a)];
+    for (const NodeId end : {l.from, l.to}) {
+      markLinksAt(end);
+      for (const NodeId heard : topo.csNeighbors(end)) markLinksAt(heard);
     }
   }
 }

@@ -8,10 +8,17 @@
 // any endpoint of the other. This matches the medium model in
 // src/phys, so cliques computed here are exactly the airtime constraints
 // the MAC enforces.
+//
+// The relation is stored as packed rows (AdjacencyMatrix indexed by link,
+// ceil(L/64) words per link), so clique enumeration intersects vertex
+// sets word by word.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "topology/adjacency.hpp"
 #include "topology/link.hpp"
 #include "topology/topology.hpp"
 
@@ -29,8 +36,17 @@ class ConflictGraph {
   [[nodiscard]] int numLinks() const { return static_cast<int>(links_.size()); }
 
   [[nodiscard]] bool conflicts(int a, int b) const {
-    return adjacency_.at(static_cast<std::size_t>(a))
-        .at(static_cast<std::size_t>(b));
+    MAXMIN_CHECK_MSG(b >= 0 && b < numLinks(), "bad link index " << b);
+    return adjacency_.test(a, b);
+  }
+
+  /// Packed conflict row of link `a`: wordsPerRow() words, bit b set when
+  /// a and b conflict (never the diagonal).
+  [[nodiscard]] const std::uint64_t* row(int a) const {
+    return adjacency_.row(a);
+  }
+  [[nodiscard]] std::size_t wordsPerRow() const {
+    return adjacency_.wordsPerRow();
   }
 
   /// Index of a link in links(), or -1 if absent.
@@ -38,7 +54,7 @@ class ConflictGraph {
 
  private:
   std::vector<Link> links_;
-  std::vector<std::vector<bool>> adjacency_;
+  AdjacencyMatrix adjacency_;  ///< indexed by link, symmetric
 };
 
 }  // namespace maxmin::topo

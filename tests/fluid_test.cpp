@@ -79,6 +79,24 @@ TEST(FluidNetwork, CliqueLoadsAreFeasibleAfterScaling) {
   EXPECT_TRUE(analysis::isFeasible(model, state.rates, 1e-3));
 }
 
+// Reusing another network's contention structure (the hybrid engine's
+// fast-forward) must solve exactly like building it afresh, and a
+// structure over a different link set is refused.
+TEST(FluidNetwork, ReusedContentionStructureMatchesFreshBuild) {
+  const auto sc = scenarios::fig4();
+  const FluidNetwork fresh{sc.topology, sc.flows, kCapacity};
+  const FluidNetwork reused{sc.topology, sc.flows, kCapacity,
+                            fresh.contention()};
+  EXPECT_EQ(reused.contention().links, fresh.contention().links);
+  EXPECT_EQ(reused.evaluate().rates, fresh.evaluate().rates);
+
+  const std::vector<net::FlowSpec> fewer{sc.flows.begin(),
+                                         sc.flows.begin() + 2};
+  EXPECT_THROW(
+      (FluidNetwork{sc.topology, fewer, kCapacity, fresh.contention()}),
+      InvariantViolation);
+}
+
 // --- FluidGmpHarness ---------------------------------------------------------
 
 TEST(FluidGmp, ConvergesToEqualityOnFig3) {

@@ -22,7 +22,8 @@ FlowSpec makeFlow(FlowId id, topo::NodeId src, topo::NodeId dst,
   f.dst = dst;
   f.weight = weight;
   f.desiredRate = PacketRate::perSecond(rate);
-  f.name = "f" + std::to_string(id);
+  f.name = "f";  // appended, not "f" + ...: GCC 12 -O3 -Werror=restrict
+  f.name += std::to_string(id);
   return f;
 }
 

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <span>
 
+#include "scenarios/scenarios.hpp"
 #include "topology/cliques.hpp"
 #include "topology/conflict_graph.hpp"
 #include "topology/dominating_set.hpp"
 #include "topology/routing.hpp"
 #include "topology/spatial_grid.hpp"
 #include "topology/topology.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace maxmin::topo {
@@ -240,6 +244,147 @@ TEST_P(CliquePropertyTest, MatchesBruteForceOnRandomTopologies) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CliquePropertyTest,
                          ::testing::Range(1, 21));
+
+/// Reference oracle: classic Bron-Kerbosch with pivoting over sorted
+/// vertex vectors. Conflict lists come straight from the pairwise
+/// predicate, so the oracle shares nothing with the packed rows.
+class SortedVectorBronKerbosch {
+ public:
+  SortedVectorBronKerbosch(const Topology& topo, const ConflictGraph& graph) {
+    const std::vector<Link>& links = graph.links();
+    neighbors_.resize(links.size());
+    for (std::size_t v = 0; v < links.size(); ++v) {
+      for (std::size_t u = 0; u < links.size(); ++u) {
+        if (u != v && ConflictGraph::linksConflict(topo, links[v], links[u])) {
+          neighbors_[v].push_back(static_cast<int>(u));
+        }
+      }
+    }
+  }
+
+  std::vector<std::vector<int>> run() {
+    std::vector<int> all(neighbors_.size());
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+    expand({}, all, {});
+    return std::move(found_);
+  }
+
+ private:
+  static std::vector<int> intersect(const std::vector<int>& a,
+                                    const std::vector<int>& b) {
+    std::vector<int> out;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(out));
+    return out;
+  }
+
+  void expand(std::vector<int> r, std::vector<int> p, std::vector<int> x) {
+    if (p.empty() && x.empty()) {
+      found_.push_back(std::move(r));
+      return;
+    }
+    int pivot = -1;
+    std::size_t best = 0;
+    for (const auto* set : {&p, &x}) {
+      for (int v : *set) {
+        const std::size_t k =
+            intersect(p, neighbors_[static_cast<std::size_t>(v)]).size();
+        if (pivot == -1 || k > best) {
+          pivot = v;
+          best = k;
+        }
+      }
+    }
+    const auto& pivotNeighbors = neighbors_[static_cast<std::size_t>(pivot)];
+    std::vector<int> candidates;
+    std::set_difference(p.begin(), p.end(), pivotNeighbors.begin(),
+                        pivotNeighbors.end(), std::back_inserter(candidates));
+    for (int v : candidates) {
+      const auto& nv = neighbors_[static_cast<std::size_t>(v)];
+      std::vector<int> r2 = r;
+      r2.insert(std::lower_bound(r2.begin(), r2.end(), v), v);
+      expand(std::move(r2), intersect(p, nv), intersect(x, nv));
+      p.erase(std::lower_bound(p.begin(), p.end(), v));
+      x.insert(std::lower_bound(x.begin(), x.end(), v), v);
+    }
+  }
+
+  std::vector<std::vector<int>> neighbors_;
+  std::vector<std::vector<int>> found_;
+};
+
+// The packed rows span several words once a graph has more than 64 links;
+// the bitset enumeration must find exactly the oracle's maximal cliques
+// with two- and three-word rows.
+class MultiWordCliqueTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MultiWordCliqueTest, MatchesSortedVectorOracle) {
+  Rng rng{static_cast<std::uint64_t>(GetParam()) * 104729 + 3};
+  std::vector<Point> pts;
+  for (int i = 0; i < 80; ++i) {
+    pts.push_back({rng.uniformReal(0, 2000), rng.uniformReal(0, 2000)});
+  }
+  const Topology t = Topology::fromPositions(std::move(pts));
+  std::vector<Link> all;
+  for (NodeId a = 0; a < t.numNodes(); ++a) {
+    for (NodeId b : t.neighbors(a)) all.push_back(Link{a, b});
+  }
+  // Random subsets: 65..128 links (two words) and 129..192 (three).
+  for (const std::size_t words : {2u, 3u}) {
+    const auto size = static_cast<std::size_t>(
+        rng.uniformInt(static_cast<std::int64_t>(64 * words - 63),
+                       static_cast<std::int64_t>(64 * words)));
+    ASSERT_GE(all.size(), size);
+    for (std::size_t i = 0; i < size; ++i) {
+      const auto j = static_cast<std::size_t>(rng.uniformInt(
+          static_cast<std::int64_t>(i),
+          static_cast<std::int64_t>(all.size()) - 1));
+      std::swap(all[i], all[j]);
+    }
+    const ConflictGraph g{
+        t, {all.begin(), all.begin() + static_cast<std::ptrdiff_t>(size)}};
+    ASSERT_EQ(g.wordsPerRow(), words);
+
+    std::set<std::vector<int>> enumerated;
+    for (const Clique& c : enumerateMaximalCliques(g)) {
+      EXPECT_TRUE(enumerated.insert(c.linkIndices).second) << "duplicate";
+    }
+    const auto oracle = SortedVectorBronKerbosch{t, g}.run();
+    const std::set<std::vector<int>> expected{oracle.begin(), oracle.end()};
+    EXPECT_EQ(oracle.size(), expected.size());
+    EXPECT_EQ(enumerated, expected) << size << " links";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MultiWordCliqueTest, ::testing::Range(1, 9));
+
+// Byte-identity pin: the all-flow contention links of one fixed dense
+// scenario (the dense800_hybrid benchmark's first topology) give this
+// exact canonical clique list.
+TEST(Cliques, DenseMeshAllFlowCliquesArePinned) {
+  const scenarios::Scenario sc = scenarios::denseMesh(1, 800, 100);
+  std::set<Link> linkSet;
+  for (const auto& f : sc.flows) {
+    const auto path = RoutingTree::shortestPaths(sc.topology, f.dst)
+                          .pathFrom(f.src);
+    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+      linkSet.insert(Link{path[h], path[h + 1]});
+    }
+  }
+  const ConflictGraph g{sc.topology, {linkSet.begin(), linkSet.end()}};
+  const auto cliques = enumerateMaximalCliques(g);
+  std::uint64_t h = 0;
+  for (const Clique& c : cliques) {
+    h = mix64(h ^ static_cast<std::uint64_t>(c.id.owner));
+    h = mix64(h ^ static_cast<std::uint64_t>(c.id.sequence));
+    for (int idx : c.linkIndices) {
+      h = mix64(h ^ static_cast<std::uint64_t>(idx));
+    }
+  }
+  EXPECT_EQ(g.numLinks(), 673);
+  EXPECT_EQ(cliques.size(), 1536u);
+  EXPECT_EQ(h, 0xb6e19d95ee52c643ull) << std::hex << h;
+}
 
 // --- dominating sets ---------------------------------------------------------
 

@@ -11,6 +11,7 @@
 //   maxmin_sim --scenario fig3 --faults outage.faults --ge 0.05:0.25:1
 //       --impair-scope control
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -124,6 +125,20 @@ struct Options {
   std::exit(2);
 }
 
+/// The whole of `text` as a number of type T; anything else (empty,
+/// trailing characters, out of range) is a usage error naming `flag`.
+template <typename T>
+T parseNumber(const std::string& flag, const std::string& text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
+    std::cerr << flag << " expects a number, got '" << text << "'\n";
+    std::exit(2);
+  }
+  return v;
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -137,31 +152,31 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--protocol") {
       o.protocol = value();
     } else if (arg == "--duration") {
-      o.durationSeconds = std::stod(value());
+      o.durationSeconds = parseNumber<double>(arg, value());
     } else if (arg == "--warmup") {
-      o.warmupSeconds = std::stod(value());
+      o.warmupSeconds = parseNumber<double>(arg, value());
     } else if (arg == "--seed") {
-      o.seed = std::stoull(value());
+      o.seed = parseNumber<std::uint64_t>(arg, value());
     } else if (arg == "--nodes") {
-      o.nodes = std::stoi(value());
+      o.nodes = parseNumber<int>(arg, value());
     } else if (arg == "--flows") {
-      o.flows = std::stoi(value());
+      o.flows = parseNumber<int>(arg, value());
     } else if (arg == "--area") {
-      o.area = std::stod(value());
+      o.area = parseNumber<double>(arg, value());
     } else if (arg == "--csv") {
       o.csv = true;
     } else if (arg == "--sweep") {
       o.sweep = true;
     } else if (arg == "--runs") {
-      o.runs = std::stoi(value());
+      o.runs = parseNumber<int>(arg, value());
     } else if (arg == "--jobs") {
-      o.jobs = std::stoi(value());
+      o.jobs = parseNumber<int>(arg, value());
     } else if (arg == "--json") {
       o.json = value();
     } else if (arg == "--faults") {
       o.faults = value();
     } else if (arg == "--per") {
-      o.per = std::stod(value());
+      o.per = parseNumber<double>(arg, value());
     } else if (arg == "--ge") {
       o.ge = value();
     } else if (arg == "--impair-scope") {
@@ -171,11 +186,11 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--trace-level") {
       o.traceLevel = value();
     } else if (arg == "--shards") {
-      o.shards = std::stoi(value());
+      o.shards = parseNumber<int>(arg, value());
     } else if (arg == "--fast-forward") {
       o.fastForward = true;
     } else if (arg == "--ff-tol") {
-      o.ffTol = std::stod(value());
+      o.ffTol = parseNumber<double>(arg, value());
     } else if (arg == "--hybrid") {
       o.hybrid = true;
     } else if (arg == "--foreground") {
@@ -185,13 +200,13 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--metrics") {
       o.metrics = true;
     } else if (arg == "--chaos") {
-      o.chaos = std::stoi(value());
+      o.chaos = parseNumber<int>(arg, value());
     } else if (arg == "--chaos-horizon") {
-      o.chaosHorizon = std::stod(value());
+      o.chaosHorizon = parseNumber<double>(arg, value());
     } else if (arg == "--chaos-heal") {
-      o.chaosHeal = std::stod(value());
+      o.chaosHeal = parseNumber<double>(arg, value());
     } else if (arg == "--chaos-tail-ieq") {
-      o.chaosTailIeq = std::stod(value());
+      o.chaosTailIeq = parseNumber<double>(arg, value());
     } else if (arg == "--chaos-canary") {
       o.chaosCanary = true;
     } else {
@@ -306,11 +321,19 @@ scenarios::Scenario pickScenario(const Options& o) {
   if (o.scenario == "fig3") return scenarios::fig3();
   if (o.scenario == "fig4") return scenarios::fig4();
   if (o.scenario == "chain") return scenarios::chain(5);
-  if (o.scenario == "mesh") {
-    return scenarios::randomMesh(o.seed, o.nodes, o.area, o.flows);
-  }
-  if (o.scenario == "dense") {
-    return scenarios::denseMesh(o.seed, o.nodes, o.flows);
+  // The generators check their command-line parameters (--nodes 0, ...);
+  // a rejected value is a usage error.
+  try {
+    if (o.scenario == "mesh") {
+      return scenarios::randomMesh(o.seed, o.nodes, o.area, o.flows);
+    }
+    if (o.scenario == "dense") {
+      return scenarios::denseMesh(o.seed, o.nodes, o.flows);
+    }
+  } catch (const std::exception& e) {
+    std::cerr << "bad --scenario " << o.scenario
+              << " parameters: " << e.what() << '\n';
+    std::exit(2);
   }
   std::cerr << "unknown scenario '" << o.scenario << "'\n";
   std::exit(2);
