@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <utility>
 
 namespace maxmin {
@@ -20,6 +21,17 @@ constexpr std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+/// 64-bit FNV-1a over a byte string: stable across platforms and runs,
+/// for fingerprinting text output (traces, golden files).
+constexpr std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 /// Hash for pairs of integral ids (NodeId, FlowId, ...) up to 32 bits
