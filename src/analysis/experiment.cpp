@@ -1,5 +1,10 @@
 #include "analysis/experiment.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <sstream>
+#include <stdexcept>
+
 #include "baselines/configs.hpp"
 #include "baselines/two_phase.hpp"
 #include "gmp/controller.hpp"
@@ -26,12 +31,80 @@ double RunResult::rateOf(net::FlowId id) const {
   return 0.0;
 }
 
+std::vector<std::string> validate(const RunConfig& config,
+                                  const scenarios::Scenario& scenario) {
+  std::vector<std::string> errors;
+  const auto fail = [&errors](auto&&... parts) {
+    std::ostringstream os;
+    (os << ... << parts);
+    errors.push_back(os.str());
+  };
+  const auto isProbability = [](double p) { return p >= 0.0 && p <= 1.0; };
+
+  if (config.warmup < Duration::zero() || config.warmup >= config.duration) {
+    fail("warmup must be >= 0 and shorter than duration (warmup ",
+         config.warmup.asSeconds(), " s, duration ",
+         config.duration.asSeconds(), " s)");
+  }
+
+  const phys::ImpairmentConfig& imp = config.netBase.impairments;
+  if (!isProbability(imp.per)) {
+    fail("per-frame loss probability must be in [0, 1], got ", imp.per);
+  }
+  const phys::GilbertElliottParams& ge = imp.gilbert;
+  for (const double p :
+       {ge.pGoodToBad, ge.pBadToGood, ge.lossGood, ge.lossBad}) {
+    if (!isProbability(p)) {
+      fail("Gilbert-Elliott probabilities must be in [0, 1], got ", p);
+      break;
+    }
+  }
+  if (ge.enabled() && !(ge.pBadToGood > 0.0)) {
+    fail("Gilbert-Elliott pBadToGood must be > 0 (a bad state with no exit "
+         "absorbs the link forever)");
+  }
+
+  const hybrid::HybridConfig& hy = config.hybrid;
+  if (hy.enabled() && config.protocol != Protocol::kGmp) {
+    fail("--fast-forward/--hybrid drive the GMP controller; use --protocol "
+         "gmp");
+  }
+  if (!(std::isfinite(hy.ffTol) && hy.ffTol > 0.0)) {
+    fail("--ff-tol must be finite and > 0, got ", hy.ffTol);
+  }
+  if (!hy.background) {
+    if (!hy.foreground.empty()) {
+      fail("--foreground only means something with --hybrid");
+    }
+    return errors;
+  }
+  if (hy.foreground.empty()) {
+    fail("--hybrid needs --foreground (e.g. --foreground 0,1 or "
+         "--foreground auto:2)");
+  }
+  for (const net::FlowId id : hy.foreground) {
+    if (std::ranges::none_of(scenario.flows, [id](const net::FlowSpec& f) {
+          return f.id == id;
+        })) {
+      fail("--foreground: scenario '", scenario.name, "' has no flow ", id);
+    }
+  }
+  if (hybrid::Engine::backgroundFlows(scenario.flows, hy).empty()) {
+    fail("--foreground covers every flow; nothing left to background (drop "
+         "--hybrid for a pure-packet run)");
+  }
+  if (!config.faults.empty() || imp.enabled()) {
+    fail("--hybrid is incompatible with --faults/--per/--ge (the fluid "
+         "background model knows nothing about faults or losses)");
+  }
+  return errors;
+}
+
 RunResult runScenario(const scenarios::Scenario& scenario,
                       const RunConfig& config) {
-  MAXMIN_CHECK(config.warmup < config.duration);
-  MAXMIN_CHECK_MSG(!config.hybrid.enabled() ||
-                       config.protocol == Protocol::kGmp,
-                   "hybrid modes drive the GMP controller; use --protocol gmp");
+  if (const auto errors = validate(config, scenario); !errors.empty()) {
+    throw std::invalid_argument(errors.front());
+  }
 
   net::NetworkConfig nc = config.netBase;
   nc.seed = config.seed;

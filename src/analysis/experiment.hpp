@@ -93,6 +93,17 @@ struct RunResult {
   [[nodiscard]] double rateOf(net::FlowId id) const;
 };
 
+/// Every rule `config` breaks for `scenario`, one message each; empty
+/// when the run is well-formed. Covers the cross-field rules: warmup in
+/// [0, duration); hybrid modes only under GMP; background mode needs a
+/// foreground list naming scenario flows and leaving at least one flow in
+/// the background, and excludes faults and channel impairments; a finite
+/// positive fast-forward tolerance; loss probabilities in [0, 1].
+std::vector<std::string> validate(const RunConfig& config,
+                                  const scenarios::Scenario& scenario);
+
+/// Build, run and summarize one scenario. Throws std::invalid_argument
+/// with the first validate() message if `config` is not well-formed.
 RunResult runScenario(const scenarios::Scenario& scenario,
                       const RunConfig& config);
 

@@ -30,8 +30,6 @@ BackgroundLoad::BackgroundLoad(net::Network& net, Duration perPacket,
     : net_{net}, perPacket_{perPacket}, batch_{batch} {
   MAXMIN_CHECK(perPacket_ > Duration::zero());
   MAXMIN_CHECK(batch_ >= 1);
-  MAXMIN_CHECK_MSG(!net.sharded(),
-                   "background load needs the serial event loop");
 }
 
 void BackgroundLoad::addSender(topo::NodeId node) {

@@ -48,26 +48,9 @@ Engine::Engine(net::Network& net, gmp::Controller& controller,
       capacityPps_{baselines::nominalLinkCapacityPps(net.config().mac,
                                                      net.config().packetSize)} {
   MAXMIN_CHECK(cfg_.enabled());
-  MAXMIN_CHECK_MSG(!net_.sharded(),
-                   "hybrid engine needs the serial event loop (no --shards)");
-  if (cfg_.background) {
-    MAXMIN_CHECK_MSG(net_.faultPlane() == nullptr,
-                     "fluid background load is incompatible with faults");
-    MAXMIN_CHECK_MSG(net_.impairments() == nullptr,
-                     "fluid background load is incompatible with impairments");
-    MAXMIN_CHECK_MSG(!cfg_.foreground.empty(),
-                     "background mode needs a foreground flow list");
-    for (const net::FlowId id : cfg_.foreground) {
-      MAXMIN_CHECK_MSG(
-          std::ranges::any_of(allFlows_,
-                              [&](const net::FlowSpec& f) { return f.id == id; }),
-          "foreground flow " << id << " is not in the scenario");
-    }
-    bgFlows_ = backgroundFlows(allFlows_, cfg_);
-    MAXMIN_CHECK_MSG(!bgFlows_.empty(),
-                     "background mode with every flow foreground is a "
-                     "pure-packet run");
-  }
+  // Flag combinations (faults, impairments, foreground list) are checked
+  // by analysis::validate before a run is built.
+  if (cfg_.background) bgFlows_ = backgroundFlows(allFlows_, cfg_);
   // The packet network must hold exactly the foreground subset.
   {
     std::set<net::FlowId> want;

@@ -21,11 +21,10 @@
 //    rates are radiated back into the MACs as deterministic phantom
 //    reservations (BackgroundLoad) the foreground DCF defers to.
 //
-// The engine runs entirely on the network's serial control clock, so
-// fixed-seed hybrid runs are bit-reproducible. Sharded runs, fault
-// scripts, and channel impairments are refused: phantom occupancy
-// bypasses the lane-ownership protocol and the fluid model knows nothing
-// about faults.
+// The engine runs entirely on the network's event clock, so fixed-seed
+// hybrid runs are bit-reproducible. analysis::validate refuses fault
+// scripts and channel impairments with background mode: the fluid model
+// knows nothing about faults or losses.
 #pragma once
 
 #include <cstdint>

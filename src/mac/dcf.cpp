@@ -25,14 +25,10 @@ Dcf::Dcf(sim::Simulator& sim, phys::Medium& medium, topo::NodeId self,
   medium_.attachRadio(self_, this);
 }
 
-void Dcf::notifyTrafficPending() {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
-  tryAccess();
-}
+void Dcf::notifyTrafficPending() { tryAccess(); }
 
 void Dcf::enqueueBroadcast(std::shared_ptr<const phys::ControlMessage> message,
                            DataSize sizeBytes) {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
   MAXMIN_CHECK(message != nullptr);
   MAXMIN_CHECK(sizeBytes.asBytes() > 0);
   broadcasts_.emplace_back(std::move(message), sizeBytes);
@@ -52,7 +48,6 @@ void Dcf::accrueOccupancy(topo::NodeId nextHop, Duration airtime) {
 }
 
 void Dcf::occupyChannel(Duration busyFor) {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
   MAXMIN_CHECK(busyFor > Duration::zero());
   navEnd_ = std::max(navEnd_, sim_.now() + busyFor);
   // Lazy wake: if a wake is already pending it was armed for an earlier
@@ -112,19 +107,8 @@ void Dcf::freezeBackoff() {
   }
 }
 
-// Radio callbacks and the traffic notification above are the points where
-// another node's event (a transmission start/end, an upper-layer push)
-// calls into this state machine synchronously; the owner scope attributes
-// everything scheduled beneath them to this node so the event keys are
-// identical under any lane partition (canonical order, DESIGN.md §15).
-void Dcf::onChannelBusy() {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
-  refreshChannelState();
-}
-void Dcf::onChannelIdle() {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
-  refreshChannelState();
-}
+void Dcf::onChannelBusy() { refreshChannelState(); }
+void Dcf::onChannelIdle() { refreshChannelState(); }
 
 // ---------------------------------------------------------------------------
 // Contention
@@ -319,7 +303,6 @@ void Dcf::finishCurrent(bool success) {
 // ---------------------------------------------------------------------------
 
 void Dcf::onFrameReceived(const phys::Frame& frame) {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
   client_.onFrameDecoded(frame);
   if (frame.kind == phys::FrameKind::kControl) {
     client_.onControlReceived(frame);
@@ -336,7 +319,6 @@ void Dcf::onFrameReceived(const phys::Frame& frame) {
 }
 
 void Dcf::onFrameCorrupted(const phys::Frame&) {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
   // Could not decode: defer EIFS so the (inaudible) ACK of the collided
   // exchange is protected. This is where hidden-terminal unfairness bites.
   MAXMIN_COUNT("mac.eifs_deferrals", 1);

@@ -52,16 +52,6 @@ struct NetworkConfig {
   /// not perturb the MAC or source randomness of a seeded run.
   phys::ImpairmentConfig impairments;
 
-  /// Spatial sharding (DESIGN.md §15). Zero runs the original serial
-  /// event loop. K >= 1 partitions the topology into at most K
-  /// cs-range-sided strips, gives each its own simulator + medium on a
-  /// worker thread, and synchronizes them conservatively with
-  /// lookahead = SIFS. Any K (including 1) produces bit-identical
-  /// results to any other K; K = 0 differs only in end-of-run boundary
-  /// semantics. Incompatible with channel impairments and in-band
-  /// control dissemination (both share serial RNG/state across nodes).
-  int shards = 0;
-
   /// Dead-neighbor detection: when positive, a next hop whose unicast
   /// transmissions have failed continuously for this long is declared
   /// dead; packets routed through it are dropped (and counted) instead

@@ -1,10 +1,7 @@
 #include "net/network.hpp"
 
-#include <algorithm>
 #include <set>
-#include <string>
 
-#include "obs/registry.hpp"
 #include "util/check.hpp"
 
 namespace maxmin::net {
@@ -16,10 +13,6 @@ Network::Network(topo::Topology topology, NetworkConfig config,
       flows_{std::move(flows)},
       medium_{sim_, topo_} {
   validateFlows(flows_, topo_.numNodes());
-  MAXMIN_CHECK_MSG(config_.shards >= 0, "shards must be non-negative");
-  MAXMIN_CHECK_MSG(config_.shards == 0 || !config_.impairments.enabled(),
-                   "channel impairments draw from one serial RNG stream and "
-                   "cannot run sharded");
 
   // Routing first: sources start generating as soon as flows are added.
   for (const FlowSpec& f : flows_) {
@@ -36,19 +29,12 @@ Network::Network(topo::Topology topology, NetworkConfig config,
     medium_.setImpairments(&*impairments_);
   }
 
-  // Lanes must exist before the stacks: each stack/MAC binds to its
-  // node's lane simulator and medium at construction.
-  if (config_.shards > 0) setupShards();
-
   Rng root{config_.seed};
   stacks_.reserve(static_cast<std::size_t>(topo_.numNodes()));
   macs_.reserve(static_cast<std::size_t>(topo_.numNodes()));
   for (topo::NodeId n = 0; n < topo_.numNodes(); ++n) {
-    phys::Medium& medium =
-        sharded() ? lanes_[static_cast<std::size_t>(plan_.shard(n))]->medium
-                  : medium_;
     stacks_.push_back(std::make_unique<NodeStack>(*this, n, root.fork()));
-    macs_.push_back(std::make_unique<mac::Dcf>(simulatorFor(n), medium, n,
+    macs_.push_back(std::make_unique<mac::Dcf>(sim_, medium_, n,
                                                *stacks_.back(), config_.mac,
                                                root.fork()));
     stacks_.back()->attachMac(macs_.back().get());
@@ -57,168 +43,8 @@ Network::Network(topo::Topology topology, NetworkConfig config,
   for (const FlowSpec& f : flows_) {
     stacks_[static_cast<std::size_t>(f.src)]->addLocalFlow(f);
     delivered_[f.id] = 0;
-    // Pre-inserted so sharded delivery recording never rehashes: each
-    // flow's entry is written by exactly one lane worker (its sink's).
     latencySeconds_[f.id];
   }
-}
-
-void Network::setupShards() {
-  plan_ = topo::makeShardPlan(topo_, config_.shards);
-  const auto n = static_cast<std::size_t>(topo_.numNodes());
-  lanes_.reserve(static_cast<std::size_t>(plan_.numShards));
-  for (int i = 0; i < plan_.numShards; ++i) {
-    auto lane = std::make_unique<ShardLane>(topo_);
-    lane->sim.enableCanonicalOrder(static_cast<std::uint32_t>(n));
-    lane->owned.assign(n, 0);
-    for (const topo::NodeId id : plan_.members[static_cast<std::size_t>(i)]) {
-      lane->owned[static_cast<std::size_t>(id)] = 1;
-      // Cut nodes are the only possible exporters; tracking them gives
-      // the runtime the exact lower bound on future exports.
-      if (plan_.isCut(id)) lane->sim.trackOwner(static_cast<std::uint32_t>(id));
-    }
-    lanes_.push_back(std::move(lane));
-  }
-
-  std::vector<sim::ShardedRuntime<BoundaryTx>::LaneSetup> setups;
-  setups.reserve(lanes_.size());
-  for (auto& lane : lanes_) {
-    setups.push_back(
-        {&lane->sim,
-         [medium = &lane->medium](const BoundaryTx& tx, sim::EventKey) {
-           medium->applyImportedStart(tx.frame, tx.finish);
-         }});
-  }
-  // Lookahead = SIFS: every cross-node reaction in the MAC goes through
-  // a timer of at least one SIFS (DESIGN.md §15).
-  runtime_ = std::make_unique<sim::ShardedRuntime<BoundaryTx>>(
-      std::move(setups), config_.mac.sifs);
-
-  for (int i = 0; i < plan_.numShards; ++i) {
-    ShardLane& lane = *lanes_[static_cast<std::size_t>(i)];
-    lane.medium.bindShard(phys::Medium::ShardBinding{
-        lane.owned.data(), plan_.cut.data(),
-        [this, i](const phys::Frame& frame, sim::EventKey start,
-                  sim::EventKey finish) { onExport(i, frame, start, finish); }});
-  }
-}
-
-void Network::onExport(int lane, const phys::Frame& frame, sim::EventKey start,
-                       sim::EventKey finish) {
-  if (inWindow_) {
-    runtime_->exportFrom(lane, BoundaryTx{frame, finish}, start);
-    return;
-  }
-  // Control-barrier transmission (e.g. a broadcast triggered by a serial
-  // control call finding the channel idle): every lane clock already sits
-  // at the barrier time, so apply the import on the adjacent lanes right
-  // now, in control-call order — exactly as the exporting lane just
-  // applied its own half. The synthetic key only stamps the clock/owner
-  // context; the finish event still lands at the exporting lane's
-  // canonical key, which is valid under any shard count.
-  const TimePoint at = lanes_[static_cast<std::size_t>(lane)]->sim.now();
-  for (const int nb : {lane - 1, lane + 1}) {
-    if (nb < 0 || nb >= static_cast<int>(lanes_.size())) continue;
-    ShardLane& other = *lanes_[static_cast<std::size_t>(nb)];
-    other.sim.beginExternalEvent(sim::EventKey{at, 0});
-    other.medium.applyImportedStart(frame, finish);
-  }
-}
-
-void Network::run(Duration d) {
-  if (!sharded()) {
-    sim_.runUntil(sim_.now() + d);
-    return;
-  }
-  const TimePoint target = sim_.now() + d;
-  for (;;) {
-    // One window per control-plane event: lanes run in parallel strictly
-    // below the next serial barrier, then the barrier runs serially with
-    // every lane clock parked at it.
-    sim::EventKey ck;
-    const bool hasControl = sim_.nextEventKey(ck);
-    const TimePoint w = hasControl && ck.when < target ? ck.when : target;
-    inWindow_ = true;
-    runtime_->runWindow(w);
-    inWindow_ = false;
-    sim_.runUntil(w);
-    if (w >= target) break;
-  }
-  for (auto& lane : lanes_) lane->sim.flushMetrics();
-  publishShardCounters();
-}
-
-void Network::publishShardCounters() {
-  if (!obs::Registry::enabled()) return;
-  std::uint64_t events = 0;
-  std::uint64_t imports = 0;
-  for (int i = 0; i < plan_.numShards; ++i) {
-    const std::uint64_t e = runtime_->localEvents(i);
-    const std::uint64_t m = runtime_->importedEvents(i);
-    events += e;
-    imports += m;
-    const std::string prefix = "sim.shard." + std::to_string(i);
-    obs::Registry::global()
-        .gauge(prefix + ".events")
-        .set(static_cast<std::int64_t>(e));
-    obs::Registry::global()
-        .gauge(prefix + ".imported")
-        .set(static_cast<std::int64_t>(m));
-  }
-  MAXMIN_COUNT("sim.shard.events",
-               static_cast<std::int64_t>(events - publishedLaneEvents_));
-  MAXMIN_COUNT("sim.shard.imported",
-               static_cast<std::int64_t>(imports - publishedLaneImports_));
-  publishedLaneEvents_ = events;
-  publishedLaneImports_ = imports;
-}
-
-sim::Simulator& Network::simulatorFor(topo::NodeId node) {
-  if (!sharded()) return sim_;
-  return lanes_[static_cast<std::size_t>(plan_.shard(node))]->sim;
-}
-
-std::uint64_t Network::laneLocalEvents(int lane) const {
-  MAXMIN_CHECK(sharded());
-  return runtime_->localEvents(lane);
-}
-
-std::uint64_t Network::laneImportedEvents(int lane) const {
-  MAXMIN_CHECK(sharded());
-  return runtime_->importedEvents(lane);
-}
-
-std::uint64_t Network::laneExportedEvents(int lane) const {
-  MAXMIN_CHECK(sharded());
-  return runtime_->exportedEvents(lane);
-}
-
-std::uint64_t Network::framesDelivered() const {
-  if (!sharded()) return medium_.framesDelivered();
-  std::uint64_t total = 0;
-  for (const auto& lane : lanes_) total += lane->medium.framesDelivered();
-  return total;
-}
-
-std::uint64_t Network::framesCorrupted() const {
-  if (!sharded()) return medium_.framesCorrupted();
-  std::uint64_t total = 0;
-  for (const auto& lane : lanes_) total += lane->medium.framesCorrupted();
-  return total;
-}
-
-std::uint64_t Network::framesImpaired() const {
-  if (!sharded()) return medium_.framesImpaired();
-  std::uint64_t total = 0;
-  for (const auto& lane : lanes_) total += lane->medium.framesImpaired();
-  return total;
-}
-
-std::uint64_t Network::framesSuppressed() const {
-  if (!sharded()) return medium_.framesSuppressed();
-  std::uint64_t total = 0;
-  for (const auto& lane : lanes_) total += lane->medium.framesSuppressed();
-  return total;
 }
 
 Network::~Network() = default;
@@ -229,9 +55,6 @@ sim::FaultPlane& Network::enableFaults(const sim::FaultScript& script) {
       sim_, topo_.numNodes(), script, Rng{config_.seed}.stream("faults"));
   faultPlane_->addListener(this);
   medium_.setFaultPlane(faultPlane_.get());
-  // Lane mediums gate on the same plane: its state only changes inside
-  // serial control barriers, so lane workers read it race-free.
-  for (auto& lane : lanes_) lane->medium.setFaultPlane(faultPlane_.get());
   faultPlane_->start();
   return *faultPlane_;
 }
@@ -249,9 +72,6 @@ topo::NodeId Network::nextHop(topo::NodeId from, topo::NodeId dest) {
 }
 
 void Network::recordDelivery(const Packet& packet, TimePoint at) {
-  // May run on a lane worker. Both maps were pre-populated per flow at
-  // construction (no rehash) and a flow's sink lives on exactly one lane,
-  // so each entry has a single writer.
   ++delivered_.at(packet.flow);
   latencySeconds_.at(packet.flow).add((at - packet.created).asSeconds());
 }

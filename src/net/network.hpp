@@ -18,10 +18,8 @@
 #include "phys/impairment.hpp"
 #include "phys/medium.hpp"
 #include "sim/fault_plane.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "topology/link.hpp"
-#include "topology/shard_map.hpp"
 #include "util/hash.hpp"
 #include "util/stats.hpp"
 #include "topology/routing.hpp"
@@ -39,11 +37,7 @@ class Network final : public NetContext, public sim::FaultListener {
   Network& operator=(const Network&) = delete;
 
   // --- NetContext ----------------------------------------------------------
-  /// The control-plane simulator. In a sharded run this clock only hosts
-  /// serial subsystems (controller, fault plane); node events live on the
-  /// lane simulators returned by simulatorFor().
   sim::Simulator& simulator() override { return sim_; }
-  sim::Simulator& simulatorFor(topo::NodeId node) override;
   const NetworkConfig& config() const override { return config_; }
   topo::NodeId nextHop(topo::NodeId from, topo::NodeId dest) override;
   void recordDelivery(const Packet& packet, TimePoint at) override;
@@ -54,29 +48,22 @@ class Network final : public NetContext, public sim::FaultListener {
   const FlowSpec& flow(FlowId id) const;
   NodeStack& stack(topo::NodeId node);
   mac::Dcf& macOf(topo::NodeId node);
-  /// The single shared medium of an unsharded run. Sharded runs have one
-  /// medium per lane; use the frames*() aggregates instead.
   phys::Medium& medium() { return medium_; }
   const topo::RoutingTree& routeTo(topo::NodeId dest) const;
 
-  // --- spatial sharding (DESIGN.md §15) -------------------------------------
-  [[nodiscard]] bool sharded() const { return !lanes_.empty(); }
-  /// Effective worker count: min(config.shards, strip columns available).
-  [[nodiscard]] int shardCount() const {
-    return sharded() ? plan_.numShards : 0;
+  /// Medium frame counters (see phys::Medium).
+  [[nodiscard]] std::uint64_t framesDelivered() const {
+    return medium_.framesDelivered();
   }
-  [[nodiscard]] const topo::ShardPlan& shardPlan() const { return plan_; }
-  /// Per-lane event diagnostics (sharded runs only).
-  [[nodiscard]] std::uint64_t laneLocalEvents(int lane) const;
-  [[nodiscard]] std::uint64_t laneImportedEvents(int lane) const;
-  [[nodiscard]] std::uint64_t laneExportedEvents(int lane) const;
-
-  /// Medium counters summed across lanes (== medium().counters when
-  /// unsharded). These are what experiments and reports should read.
-  [[nodiscard]] std::uint64_t framesDelivered() const;
-  [[nodiscard]] std::uint64_t framesCorrupted() const;
-  [[nodiscard]] std::uint64_t framesImpaired() const;
-  [[nodiscard]] std::uint64_t framesSuppressed() const;
+  [[nodiscard]] std::uint64_t framesCorrupted() const {
+    return medium_.framesCorrupted();
+  }
+  [[nodiscard]] std::uint64_t framesImpaired() const {
+    return medium_.framesImpaired();
+  }
+  [[nodiscard]] std::uint64_t framesSuppressed() const {
+    return medium_.framesSuppressed();
+  }
 
   /// The flow's full routing path, source to destination inclusive.
   std::vector<topo::NodeId> pathOf(FlowId id) const;
@@ -86,10 +73,8 @@ class Network final : public NetContext, public sim::FaultListener {
   std::vector<topo::Link> activeLinks() const;
 
   // --- execution -------------------------------------------------------------
-  /// Advance the whole network by `d`. Unsharded: one serial event loop.
-  /// Sharded: alternates parallel lane windows (bounded by the next
-  /// control-plane event) with serial control barriers.
-  void run(Duration d);
+  /// Advance the whole network by `d`.
+  void run(Duration d) { sim_.runUntil(sim_.now() + d); }
   TimePoint now() const { return sim_.now(); }
 
   // --- fault injection --------------------------------------------------------
@@ -148,31 +133,6 @@ class Network final : public NetContext, public sim::FaultListener {
   Duration takeLinkOccupancy(topo::NodeId from, topo::NodeId to);
 
  private:
-  /// A cut transmission crossing a strip boundary: the frame plus the
-  /// exporting lane's canonical finish key, replayed verbatim by the
-  /// importing lane so deliveries land in the global event order.
-  struct BoundaryTx {
-    phys::Frame frame;
-    sim::EventKey finish;
-  };
-
-  /// One shard lane: its own simulator and full-topology medium
-  /// restricted (via Medium::bindShard) to the lane's node strip.
-  struct ShardLane {
-    sim::Simulator sim;
-    phys::Medium medium;
-    std::vector<std::uint8_t> owned;  ///< per node: 1 = this lane's
-    explicit ShardLane(const topo::Topology& topo) : medium{sim, topo} {}
-  };
-
-  void setupShards();
-  /// Medium export hook for lane `lane`. Windowed exports ride the SPSC
-  /// channels; serial-phase (control barrier) transmissions are applied
-  /// to the adjacent lanes synchronously, in control-call order.
-  void onExport(int lane, const phys::Frame& frame, sim::EventKey start,
-                sim::EventKey finish);
-  void publishShardCounters();
-
   sim::Simulator sim_;
   topo::Topology topo_;
   NetworkConfig config_;
@@ -180,14 +140,6 @@ class Network final : public NetContext, public sim::FaultListener {
   phys::Medium medium_;
   std::optional<phys::ChannelImpairments> impairments_;
   std::unique_ptr<sim::FaultPlane> faultPlane_;
-  topo::ShardPlan plan_;
-  std::vector<std::unique_ptr<ShardLane>> lanes_;
-  std::unique_ptr<sim::ShardedRuntime<BoundaryTx>> runtime_;
-  /// True while lane workers run a window (set/cleared around the spawn/
-  /// join in run(), so workers observe it without synchronization).
-  bool inWindow_ = false;
-  std::uint64_t publishedLaneEvents_ = 0;
-  std::uint64_t publishedLaneImports_ = 0;
   std::vector<std::unique_ptr<NodeStack>> stacks_;
   std::vector<std::unique_ptr<mac::Dcf>> macs_;
   // Hashed: nextHop() runs per forwarded packet, recordDelivery() per

@@ -37,7 +37,7 @@ void validateFlows(const std::vector<FlowSpec>& flows, int numNodes) {
 
 NodeStack::NodeStack(NetContext& ctx, topo::NodeId self, Rng rng)
     : ctx_{ctx},
-      sim_{ctx.simulatorFor(self)},
+      sim_{ctx.simulator()},
       self_{self},
       rng_{rng},
       holdRetryTimer_{sim_},
@@ -112,7 +112,6 @@ void NodeStack::enqueue(PacketPtr p) {
 }
 
 void NodeStack::seedPacket(PacketPtr p) {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
   MAXMIN_CHECK(operational_);
   MAXMIN_CHECK(p != nullptr);
   PacketQueue& q = queueFor(keyFor(*p));
@@ -126,7 +125,6 @@ void NodeStack::seedPacket(PacketPtr p) {
 // ---------------------------------------------------------------------------
 
 void NodeStack::addLocalFlow(const FlowSpec& spec) {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
   MAXMIN_CHECK_MSG(spec.src == self_, "flow source is a different node");
   MAXMIN_CHECK(!sources_.contains(spec.id));
   auto [it, inserted] = sources_.emplace(spec.id, SourceState{});
@@ -190,7 +188,6 @@ void NodeStack::generate(SourceState& s) {
 }
 
 void NodeStack::setRateLimit(FlowId flow, std::optional<double> pps) {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
   auto it = sources_.find(flow);
   MAXMIN_CHECK_MSG(it != sources_.end(), "no local flow " << flow);
   if (pps) MAXMIN_CHECK(*pps > 0.0);
@@ -207,7 +204,6 @@ std::optional<double> NodeStack::rateLimit(FlowId flow) const {
 }
 
 void NodeStack::setSourceMu(FlowId flow, double mu) {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
   auto it = sources_.find(flow);
   MAXMIN_CHECK(it != sources_.end());
   it->second.mu = mu;
@@ -238,7 +234,6 @@ std::vector<FlowId> NodeStack::localFlows() const {
 // ---------------------------------------------------------------------------
 
 void NodeStack::setOperational(bool up) {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
   if (operational_ == up) return;
   operational_ = up;
   if (!up) {
@@ -479,9 +474,6 @@ std::vector<phys::BufferStateAd> NodeStack::currentBufferState() {
 
 void NodeStack::setControlHandler(
     std::function<void(const phys::Frame&)> handler) {
-  MAXMIN_CHECK_MSG(ctx_.config().shards == 0,
-                   "in-band control handlers mutate cross-node state from "
-                   "receive events and cannot run sharded");
   controlHandler_ = std::move(handler);
 }
 
@@ -515,7 +507,6 @@ VirtualLinkSample NodeStack::toSample(const LinkAccumulator& acc) {
 }
 
 NodePeriodMeasurement NodeStack::closeMeasurementWindow() {
-  const sim::OwnerScope scope{sim_, static_cast<std::uint32_t>(self_)};
   NodePeriodMeasurement m;
   m.node = self_;
   const TimePoint end = now();

@@ -27,18 +27,10 @@ class NetContext {
  public:
   virtual ~NetContext() = default;
   virtual sim::Simulator& simulator() = 0;
-  /// The simulator that hosts `node`'s events. Identical to simulator()
-  /// except in sharded runs (DESIGN.md §15), where each node lives on its
-  /// shard lane's simulator while simulator() is the serial control clock.
-  virtual sim::Simulator& simulatorFor(topo::NodeId node) {
-    (void)node;
-    return simulator();
-  }
   virtual const NetworkConfig& config() const = 0;
   /// Next hop from `from` toward `dest` (routing); kNoNode if none.
   virtual topo::NodeId nextHop(topo::NodeId from, topo::NodeId dest) = 0;
-  /// An end-to-end delivery reached its destination at time `at` (the
-  /// destination node's clock — its lane clock in sharded runs).
+  /// An end-to-end delivery reached its destination at time `at`.
   virtual void recordDelivery(const Packet& packet, TimePoint at) = 0;
 };
 
@@ -115,9 +107,7 @@ class NodeStack final : public mac::FrameClient {
   std::int64_t dropsAtCrash() const { return dropsAtCrash_; }
 
   /// Route decoded broadcast control frames to a control-plane module
-  /// (e.g. gmp::LinkStateDissemination). At most one handler. Refused in
-  /// sharded runs: handlers mutate cross-node state from receive events,
-  /// which only the serial event loop can order.
+  /// (e.g. gmp::LinkStateDissemination). At most one handler.
   void setControlHandler(std::function<void(const phys::Frame&)> handler);
 
   // --- mac::FrameClient ------------------------------------------------------
@@ -178,10 +168,7 @@ class NodeStack final : public mac::FrameClient {
   TimePoint now() const;
 
   NetContext& ctx_;
-  /// This node's event host: ctx.simulatorFor(self). Every timer and
-  /// clock read goes through this, never ctx_.simulator(), so the stack
-  /// runs unchanged on a shard lane.
-  sim::Simulator& sim_;
+  sim::Simulator& sim_;  ///< ctx.simulator(), cached off the virtual call
   const topo::NodeId self_;
   Rng rng_;
   mac::Dcf* mac_ = nullptr;

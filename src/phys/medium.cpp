@@ -53,12 +53,6 @@ void Medium::attachRadio(topo::NodeId id, RadioListener* listener) {
   slot = listener;
 }
 
-void Medium::bindShard(ShardBinding binding) {
-  MAXMIN_CHECK(binding.owned != nullptr && binding.cut != nullptr);
-  MAXMIN_CHECK(static_cast<bool>(binding.exportTx));
-  shard_ = std::move(binding);
-}
-
 void Medium::raiseEnergy(topo::NodeId at) {
   auto& e = energy_[static_cast<std::size_t>(at)];
   if (++e == 1) {
@@ -167,21 +161,33 @@ void Medium::startTransmission(const Frame& frame) {
     return;
   }
 
-  applyStartEffects(slot, sender);
+  // Pending receptions: every node in decode range, corrupted on arrival
+  // if the receiver already senses other energy or is itself transmitting.
+  const std::span<const topo::NodeId> txNb = topo_.neighbors(sender);
+  PendingRx* rxs =
+      acquireRxStorage(tx, static_cast<std::uint32_t>(txNb.size()));
+  std::uint32_t count = 0;
+  for (const topo::NodeId r : txNb) {
+    const bool corrupted = transmitting_[static_cast<std::size_t>(r)] != 0 ||
+                           energy_[static_cast<std::size_t>(r)] > 0;
+    rxs[count++] = PendingRx{r, corrupted};
+  }
+  tx.rxCount = count;
+
+  corruptReceptionsSensing(sender);
+
+  // A node beginning to transmit loses anything it was receiving.
+  for (const RxRef& ref : rxAt_[static_cast<std::size_t>(sender)]) {
+    receptions(active_[ref.slot])[ref.index].corrupted = true;
+  }
+
+  for (const topo::NodeId nb : topo_.csNeighbors(sender)) raiseEnergy(nb);
+
+  indexReceptions(slot);
 
   if (observer_ != nullptr) observer_->onTransmissionStart(frame, sim_.now());
   // Fire-and-forget: completion is unconditional (see above).
   sim_.post(frame.duration, [this, slot] { finishTransmission(slot); });
-
-  // A cut sender's radiation reaches nodes owned by adjacent lanes: ship
-  // the frame with the exact keys of this (start) event and the finish
-  // event just posted, so the importing lane replays both at their
-  // canonical positions. Non-cut senders are invisible off-strip by
-  // construction (strips are >= csRange wide) — nothing to export.
-  if (shard_.cut != nullptr &&
-      shard_.cut[static_cast<std::size_t>(sender)] != 0) {
-    shard_.exportTx(frame, sim_.currentEventKey(), sim_.lastScheduledKey());
-  }
 }
 
 void Medium::corruptReceptionsSensing(topo::NodeId sender) {
@@ -190,8 +196,7 @@ void Medium::corruptReceptionsSensing(topo::NodeId sender) {
   // list. Dense topologies intersect the sender's packed carrier-sense
   // row with the pending-reception bitset (word-wise AND); sparse ones
   // (no n²-bit matrices) probe one pending bit per cs CSR neighbor,
-  // O(cs-degree) regardless of N. In sharded mode the pending bitset
-  // only ever holds owned nodes' bits, so no ownership filter is needed.
+  // O(cs-degree) regardless of N.
   if (topo_.hasDenseAdjacency()) {
     const std::uint64_t* csRow = topo_.csAdjacency().row(sender);
     for (std::size_t w = 0; w < rxPendingBits_.size(); ++w) {
@@ -218,68 +223,6 @@ void Medium::corruptReceptionsSensing(topo::NodeId sender) {
   }
 }
 
-void Medium::applyStartEffects(std::uint32_t slot, topo::NodeId sender) {
-  ActiveTx& tx = active_[slot];
-
-  // Pending receptions: every owned node in decode range. Corrupt on
-  // arrival if the receiver already senses other energy or is itself
-  // transmitting. Receivers owned by other lanes are filled in by those
-  // lanes' imports of this same transmission.
-  const std::span<const topo::NodeId> txNb = topo_.neighbors(sender);
-  PendingRx* rxs =
-      acquireRxStorage(tx, static_cast<std::uint32_t>(txNb.size()));
-  std::uint32_t count = 0;
-  for (const topo::NodeId r : txNb) {
-    if (!ownsNode(r)) continue;
-    const bool corrupted = transmitting_[static_cast<std::size_t>(r)] != 0 ||
-                           energy_[static_cast<std::size_t>(r)] > 0;
-    rxs[count++] = PendingRx{r, corrupted};
-  }
-  tx.rxCount = count;
-
-  corruptReceptionsSensing(sender);
-
-  // A node beginning to transmit loses anything it was receiving (empty
-  // for a foreign sender: its receptions live in the exporting lane).
-  for (const RxRef& ref : rxAt_[static_cast<std::size_t>(sender)]) {
-    receptions(active_[ref.slot])[ref.index].corrupted = true;
-  }
-
-  for (const topo::NodeId nb : topo_.csNeighbors(sender)) {
-    if (ownsNode(nb)) raiseEnergy(nb);
-  }
-
-  indexReceptions(slot);
-}
-
-void Medium::applyImportedStart(const Frame& frame, sim::EventKey finishKey) {
-  MAXMIN_CHECK(shard_.owned != nullptr);
-  const topo::NodeId sender = frame.transmitter;
-  MAXMIN_CHECK(sender >= 0 && sender < topo_.numNodes());
-  MAXMIN_CHECK_MSG(!ownsNode(sender), "imported frame from an owned sender");
-  MAXMIN_CHECK(frame.duration > Duration::zero());
-
-  // The foreign sender's busy flag is kept for state symmetry with the
-  // exporting lane (nothing in this lane reads it: a foreign node is
-  // never a local receiver and never transmits locally).
-  transmitting_[static_cast<std::size_t>(sender)] = 1;
-
-  const std::uint32_t slot = acquireSlot();
-  ActiveTx& tx = active_[slot];
-  tx.frame = frame;
-  tx.end = sim_.now() + frame.duration;
-  tx.rxCount = 0;
-  tx.spillBlock = kNoBlock;
-  tx.silent = false;  // silent (crashed-sender) transmissions never export
-
-  applyStartEffects(slot, sender);
-
-  // Finish at the exported key: deliveries at owned receivers interleave
-  // with local events exactly as the unsharded total order dictates.
-  static_cast<void>(sim_.scheduleImported(
-      finishKey, [this, slot] { finishTransmission(slot); }));
-}
-
 void Medium::finishTransmission(std::size_t slot) {
   ActiveTx& tx = active_[slot];
   const topo::NodeId sender = tx.frame.transmitter;
@@ -303,9 +246,7 @@ void Medium::finishTransmission(std::size_t slot) {
 
   if (silent) return;  // nothing was radiated
 
-  for (const topo::NodeId nb : topo_.csNeighbors(sender)) {
-    if (ownsNode(nb)) lowerEnergy(nb);
-  }
+  for (const topo::NodeId nb : topo_.csNeighbors(sender)) lowerEnergy(nb);
 
   for (const PendingRx& rx : finishScratch_) {
     auto* radio = radios_[static_cast<std::size_t>(rx.receiver)];

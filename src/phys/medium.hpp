@@ -31,7 +31,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "phys/frame.hpp"
@@ -94,30 +93,6 @@ class Medium {
   /// `frame.duration`. The sender must not already be transmitting.
   void startTransmission(const Frame& frame);
 
-  // --- sharded PDES binding (DESIGN.md §15) ------------------------------
-  /// In a sharded run each lane owns a strip of nodes and holds its own
-  /// Medium over the full topology. The binding restricts every
-  /// state-mutating loop (receptions, energy, callbacks) to owned nodes,
-  /// and routes transmissions by *cut* senders — the only ones whose
-  /// radiation crosses a strip boundary — to `exportTx` along with the
-  /// exact event keys at which the transmission starts and finishes.
-  struct ShardBinding {
-    const std::uint8_t* owned = nullptr;  ///< per node: 1 = this lane's
-    const std::uint8_t* cut = nullptr;    ///< per node: 1 = radiates across
-    std::function<void(const Frame&, sim::EventKey start, sim::EventKey finish)>
-        exportTx;
-  };
-  void bindShard(ShardBinding binding);
-
-  /// Receiver-side replay of a foreign cut transmission: apply exactly the
-  /// owned-node effects (pending receptions, corruption of overlapping
-  /// receptions, energy) the exporting lane's startTransmission applied to
-  /// its own nodes, and schedule the finish at the exported foreign key so
-  /// deliveries interleave with local events in the canonical order. The
-  /// caller (the shard runtime) has already entered the foreign event's
-  /// context via Simulator::beginExternalEvent.
-  void applyImportedStart(const Frame& frame, sim::EventKey finishKey);
-
   /// True if node `id` currently senses energy from another transmitter.
   [[nodiscard]] bool senseBusy(topo::NodeId id) const {
     return energy_.at(static_cast<std::size_t>(id)) > 0;
@@ -172,21 +147,10 @@ class Medium {
   void raiseEnergy(topo::NodeId at);
   void lowerEnergy(topo::NodeId at);
 
-  /// True when this Medium simulates `id` (always true unsharded).
-  [[nodiscard]] bool ownsNode(topo::NodeId id) const {
-    return shard_.owned == nullptr ||
-           shard_.owned[static_cast<std::size_t>(id)] != 0;
-  }
-
   /// Corrupt every in-flight reception at a node that senses `sender`
   /// (dense: packed cs-row AND pending bitset; sparse: per-cs-neighbor
-  /// bit probe). Shared by the local and imported start paths.
+  /// bit probe).
   void corruptReceptionsSensing(topo::NodeId sender);
-
-  /// Shared receiver-side tail of the local and imported start paths:
-  /// fill pending receptions over owned decode-range nodes, corrupt
-  /// overlapping receptions, raise energy at owned cs-neighbors, index.
-  void applyStartEffects(std::uint32_t slot, topo::NodeId sender);
 
   /// Pop a recycled transmission record (or extend within the reserved
   /// capacity). One helper for the silent and radiating paths.
@@ -250,7 +214,6 @@ class Medium {
   MediumObserver* observer_ = nullptr;
   const sim::FaultPlane* faults_ = nullptr;
   ChannelImpairments* impairments_ = nullptr;
-  ShardBinding shard_;  ///< owned == nullptr when unsharded
 };
 
 }  // namespace maxmin::phys

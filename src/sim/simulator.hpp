@@ -26,7 +26,6 @@
 // without LTO.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -46,33 +45,6 @@ namespace maxmin::sim {
 /// never issued (generations start at 1).
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
-
-/// Total-order position of an event: (when, seq) lexicographic — exactly
-/// the order step() pops. In canonical-order mode (see below) `seq` packs
-/// {owner, per-owner counter}, which makes the key of an event identical
-/// across any sharding of the simulation: per-owner counters advance in
-/// the same order no matter which lane executes the owner. The sharded
-/// runtime ships these keys across lanes as null-message lower bounds and
-/// as the exact positions at which imported boundary frames apply.
-struct EventKey {
-  TimePoint when;
-  std::uint64_t seq = 0;
-
-  friend bool operator==(const EventKey& a, const EventKey& b) {
-    return a.when == b.when && a.seq == b.seq;
-  }
-  friend bool operator<(const EventKey& a, const EventKey& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
-  }
-  friend bool operator<=(const EventKey& a, const EventKey& b) {
-    return !(b < a);
-  }
-  friend bool operator>(const EventKey& a, const EventKey& b) { return b < a; }
-  friend bool operator>=(const EventKey& a, const EventKey& b) {
-    return !(a < b);
-  }
-};
 
 class Simulator {
  public:
@@ -130,13 +102,6 @@ class Simulator {
     const Key top = run_[runPos_++];
     MAXMIN_CHECK(top.when >= now_);
     now_ = top.when;
-    if (canonical_) {
-      // Every event carries its owner in the key; schedules made during
-      // the callback are attributed to it unless an OwnerScope narrows
-      // the attribution (cross-node synchronous callbacks do).
-      currentKey_ = EventKey{top.when, top.seq};
-      currentOwner_ = static_cast<std::uint32_t>(top.seq >> kOwnerShift);
-    }
     Record& r = record(top.slot);
     // The run is time-ordered while the slab is allocation-ordered, so the
     // next record is rarely in cache; overlap its fetch with this callback.
@@ -197,118 +162,6 @@ class Simulator {
   /// Total events executed since construction (diagnostics / benches).
   std::uint64_t executedEvents() const { return executed_; }
 
-  // --- canonical owner ordering (sharded PDES support) ----------------------
-  // In canonical mode every scheduled event is attributed to an *owner*
-  // (the node whose state machine scheduled it) and sequenced as
-  // {owner << kOwnerShift | per-owner counter} instead of a global FIFO
-  // counter. Because each owner's schedules happen in the same relative
-  // order regardless of how owners are partitioned into lanes, the
-  // resulting (when, seq) keys — and therefore pop order among
-  // interacting events — are identical for any shard count. Legacy mode
-  // (the default) is untouched: one global FIFO counter.
-
-  /// Per-owner counter width: owners are node ids (< 2^24 for any
-  /// supported topology), counters count one owner's schedules (< 2^40).
-  static constexpr std::uint32_t kOwnerShift = 40;
-
-  /// Switch this (empty, unstarted) simulator to canonical ordering with
-  /// owners 0..numOwners-1. Must be called before any event is scheduled.
-  void enableCanonicalOrder(std::uint32_t numOwners) {
-    MAXMIN_CHECK_MSG(nextSeq_ == 0 && live_ == 0 && executed_ == 0,
-                     "canonical order must be enabled on a fresh simulator");
-    MAXMIN_CHECK(numOwners > 0 && numOwners < (1u << 24));
-    canonical_ = true;
-    ownerCounters_.assign(numOwners, 0);
-    trackedOwner_.assign(numOwners, 0);
-  }
-  bool canonicalOrder() const { return canonical_; }
-
-  /// Attribute subsequent schedules to `owner`. Callers use OwnerScope;
-  /// step() re-derives the owner of each popped event from its key, so
-  /// the scope only matters for schedules made from *outside* an event of
-  /// the correct owner (construction, control-plane calls at barriers,
-  /// cross-node synchronous callbacks).
-  void setCurrentOwner(std::uint32_t owner) { currentOwner_ = owner; }
-  std::uint32_t currentOwner() const { return currentOwner_; }
-
-  /// Key of the event currently executing (canonical mode): step() and
-  /// beginExternalEvent() maintain it. The medium stamps exported
-  /// boundary transmissions with this key.
-  EventKey currentEventKey() const { return currentKey_; }
-
-  /// Key assigned by the most recent schedule()/scheduleAt()/
-  /// scheduleImported() — how the medium learns the exact position of the
-  /// finish event it just posted, to ship alongside an exported frame.
-  EventKey lastScheduledKey() const { return lastScheduledKey_; }
-
-  /// Peek the key of the next live event without executing it. Returns
-  /// false when the queue is empty.
-  bool nextEventKey(EventKey& out) {
-    if (!ensureRunFront()) return false;
-    out = EventKey{run_[runPos_].when, run_[runPos_].seq};
-    return true;
-  }
-
-  /// Schedule `fn` at an exact foreign key (canonical mode): the position
-  /// another lane's event occupies in the global order, replayed here so
-  /// receiver-side effects of a boundary frame interleave with local
-  /// events exactly as an unsharded run would. The foreign owner's
-  /// counters are *not* advanced — they live in the exporting lane.
-  [[nodiscard]] EventId scheduleImported(EventKey key, EventFn fn) {
-    MAXMIN_CHECK(canonical_);
-    MAXMIN_CHECK_MSG(key.when >= now_, "imported event in the past");
-    return emplaceRaw(key.when, key.seq, std::move(fn));
-  }
-
-  /// Mark `owner`'s queued events as tracked: minTrackedKey() reports the
-  /// earliest live key over all tracked owners. The sharded runtime
-  /// tracks cut-node owners — the only events that can export — and
-  /// publishes the result as part of its outbound lower bound.
-  void trackOwner(std::uint32_t owner) {
-    MAXMIN_CHECK(canonical_ && owner < trackedOwner_.size());
-    trackedOwner_[owner] = 1;
-  }
-
-  /// Earliest queued live key belonging to a tracked owner; false when
-  /// none are queued. Amortized O(log n): stale heap tops (fired or
-  /// cancelled events) are dropped lazily here.
-  bool minTrackedKey(EventKey& out) {
-    while (!trackedHeap_.empty()) {
-      const Key& top = trackedHeap_.front();
-      if (record(top.slot).gen == top.gen) {
-        out = EventKey{top.when, top.seq};
-        return true;
-      }
-      std::pop_heap(trackedHeap_.begin(), trackedHeap_.end(), laterKey);
-      trackedHeap_.pop_back();
-    }
-    return false;
-  }
-
-  /// Move the clock forward without running anything — the window barrier
-  /// for parked shard lanes (events scheduled *at* `t` stay queued and
-  /// run in the next window).
-  void advanceClockTo(TimePoint t) {
-    MAXMIN_CHECK_MSG(t >= now_, "clock would move backwards");
-    now_ = t;
-  }
-
-  /// Enter the context of a foreign event being applied from an import:
-  /// clock and current key move to the foreign key so everything the
-  /// apply touches (timestamps, nested schedules, export stamps) behaves
-  /// as if the foreign event executed here.
-  void beginExternalEvent(EventKey key) {
-    MAXMIN_CHECK(canonical_);
-    advanceClockTo(key.when);
-    currentKey_ = key;
-    currentOwner_ = static_cast<std::uint32_t>(key.seq >> kOwnerShift);
-  }
-
-  /// Flush kernel counters to the metrics registry (sharded runs step()
-  /// lanes directly and never pass through run()/runUntil(); the
-  /// coordinator calls this serially after workers join).
-  void flushMetrics() { publishObsMetrics(); }
-
  private:
   /// Below this many tombstones, compaction isn't worth the sweep.
   static constexpr std::size_t kCompactMinDead = 64;
@@ -356,9 +209,6 @@ class Simulator {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
-  /// Inverted order for the tracked-owner min-heap (std::push_heap keeps
-  /// the comparator's maximum at the front).
-  static bool laterKey(const Key& a, const Key& b) { return earlier(b, a); }
 
   Record& record(std::uint32_t slot) {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
@@ -369,27 +219,9 @@ class Simulator {
 
   bool isLive(const Key& k) const { return record(k.slot).gen == k.gen; }
 
-  /// Sequence the event (global FIFO counter, or {owner, counter} in
-  /// canonical mode) and store it; shared tail of schedule()/scheduleAt().
+  /// Allocate a slab slot and queue {when, nextSeq_++}; shared tail of
+  /// schedule()/scheduleAt().
   [[nodiscard]] EventId emplaceEvent(TimePoint when, EventFn&& fn) {
-    std::uint64_t seq;
-    if (canonical_) {
-      MAXMIN_CHECK_MSG(currentOwner_ < ownerCounters_.size(),
-                       "schedule with no owner in scope");
-      std::uint64_t& counter = ownerCounters_[currentOwner_];
-      MAXMIN_CHECK(counter < (std::uint64_t{1} << kOwnerShift));
-      seq = (static_cast<std::uint64_t>(currentOwner_) << kOwnerShift) |
-            counter++;
-    } else {
-      seq = nextSeq_++;
-    }
-    return emplaceRaw(when, seq, std::move(fn));
-  }
-
-  /// Allocate a slab slot and queue {when, seq}. Imported events land
-  /// here directly with their foreign key (no counter is advanced).
-  [[nodiscard]] EventId emplaceRaw(TimePoint when, std::uint64_t seq,
-                                   EventFn&& fn) {
     MAXMIN_CHECK_MSG(when >= now_, "event scheduled in the past: "
                                        << when << " < now " << now_);
     MAXMIN_CHECK(static_cast<bool>(fn));
@@ -406,16 +238,7 @@ class Simulator {
     }
     Record& r = record(slot);
     r.fn = std::move(fn);
-    const Key key{when, seq, slot, r.gen};
-    pushKey(key);
-    lastScheduledKey_ = EventKey{when, seq};
-    if (canonical_) {
-      const auto owner = static_cast<std::uint32_t>(seq >> kOwnerShift);
-      if (owner < trackedOwner_.size() && trackedOwner_[owner] != 0) {
-        trackedHeap_.push_back(key);
-        std::push_heap(trackedHeap_.begin(), trackedHeap_.end(), laterKey);
-      }
-    }
+    pushKey(Key{when, nextSeq_++, slot, r.gen});
     ++live_;
     if (live_ > maxLive_) maxLive_ = live_;
     return makeId(slot, r.gen);
@@ -509,42 +332,12 @@ class Simulator {
   std::size_t dead_ = 0;     ///< tombstone keys still in some tier
   std::size_t maxLive_ = 0;  ///< high-water mark of live_
   std::uint64_t nextSeq_ = 0;
-
-  // --- canonical owner ordering --------------------------------------------
-  bool canonical_ = false;
-  std::uint32_t currentOwner_ = 0;
-  EventKey currentKey_;
-  EventKey lastScheduledKey_;
-  std::vector<std::uint64_t> ownerCounters_;  ///< per-owner schedule counts
-  std::vector<std::uint8_t> trackedOwner_;    ///< owners minTrackedKey covers
-  std::vector<Key> trackedHeap_;  ///< min-heap of tracked queued keys
-                                  ///< (lazily pruned of fired/cancelled)
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
   // Publish markers: portion of each count already sent to the registry.
   std::uint64_t pubScheduled_ = 0;
   std::uint64_t pubExecuted_ = 0;
   std::uint64_t pubCancelled_ = 0;
-};
-
-/// RAII owner attribution: node state machines (mac::Dcf, net::NodeStack)
-/// open one at every externally-callable entry point so anything they
-/// schedule is sequenced under their own node id, no matter which event's
-/// callback chain invoked them. A no-op in legacy (non-canonical) mode
-/// beyond two stores.
-class OwnerScope {
- public:
-  OwnerScope(Simulator& sim, std::uint32_t owner)
-      : sim_{sim}, prev_{sim.currentOwner()} {
-    sim_.setCurrentOwner(owner);
-  }
-  OwnerScope(const OwnerScope&) = delete;
-  OwnerScope& operator=(const OwnerScope&) = delete;
-  ~OwnerScope() { sim_.setCurrentOwner(prev_); }
-
- private:
-  Simulator& sim_;
-  std::uint32_t prev_;
 };
 
 }  // namespace maxmin::sim

@@ -9,6 +9,7 @@
 #include <string_view>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace maxmin {
 
@@ -57,17 +58,9 @@ class Rng {
   [[nodiscard]] Rng stream(std::string_view name, std::uint64_t index = 0) const {
     // FNV-1a over the name, finalized with splitmix64 — cheap and plenty
     // for decorrelating mt19937_64 seeds.
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const char c : name) {
-      h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-      h *= 1099511628211ULL;
-    }
+    std::uint64_t h = fnv1a(name);
     h ^= index + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    std::uint64_t z = seed_ ^ h;
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return Rng{z ^ (z >> 31)};
+    return Rng{mix64(seed_ ^ h)};
   }
 
   /// The seed this generator was constructed with (stream derivation key).

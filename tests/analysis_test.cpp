@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "analysis/convergence.hpp"
+#include "analysis/experiment.hpp"
 #include "analysis/maxmin_solver.hpp"
 #include "analysis/metrics.hpp"
 #include "scenarios/scenarios.hpp"
@@ -188,6 +191,59 @@ TEST(Convergence, NeverSettlingReportsMinusOne) {
 TEST(Convergence, RejectsShortHistory) {
   RateHistory h(3, {{0, 1.0}});
   EXPECT_THROW(analyzeConvergence(h, 0.15, 10), InvariantViolation);
+}
+
+// --- run-config validation --------------------------------------------------
+
+TEST(Validate, DefaultConfigIsWellFormed) {
+  EXPECT_TRUE(validate(RunConfig{}, scenarios::fig3()).empty());
+}
+
+TEST(Validate, ReportsEveryBrokenRule) {
+  RunConfig cfg;
+  cfg.protocol = Protocol::kDcf80211;
+  cfg.warmup = Duration::seconds(-1.0);
+  cfg.netBase.impairments.per = std::numeric_limits<double>::quiet_NaN();
+  cfg.netBase.impairments.gilbert.lossBad = 1.5;
+  cfg.hybrid.fastForward = true;
+  cfg.hybrid.ffTol = std::numeric_limits<double>::quiet_NaN();
+  // warmup, PER, Gilbert-Elliott, hybrid protocol, ff tolerance.
+  EXPECT_EQ(validate(cfg, scenarios::fig3()).size(), 5u);
+
+  cfg = RunConfig{};
+  cfg.warmup = cfg.duration;
+  EXPECT_EQ(validate(cfg, scenarios::fig3()).size(), 1u);
+}
+
+TEST(Validate, HybridBackgroundNeedsAProperForegroundAndNoFaults) {
+  const auto sc = scenarios::fig3();  // flows 0, 1, 2
+  RunConfig cfg;
+  cfg.hybrid.background = true;
+  EXPECT_EQ(validate(cfg, sc).size(), 1u);  // empty foreground
+  cfg.hybrid.foreground = {0, 7};
+  EXPECT_EQ(validate(cfg, sc).size(), 1u);  // no flow 7
+  cfg.hybrid.foreground = {0, 1, 2};
+  EXPECT_EQ(validate(cfg, sc).size(), 1u);  // nothing left to background
+  cfg.hybrid.foreground = {0};
+  EXPECT_TRUE(validate(cfg, sc).empty());
+  cfg.faults = sim::parseFaultScript("crash 1 20");
+  EXPECT_EQ(validate(cfg, sc).size(), 1u);
+  cfg.faults = {};
+  cfg.hybrid.background = false;  // a foreground list alone means nothing
+  EXPECT_EQ(validate(cfg, sc).size(), 1u);
+}
+
+TEST(Validate, RunScenarioThrowsTheFirstMessage) {
+  RunConfig cfg;
+  cfg.warmup = Duration::seconds(-1.0);
+  const auto errors = validate(cfg, scenarios::fig3());
+  ASSERT_FALSE(errors.empty());
+  try {
+    static_cast<void>(runScenario(scenarios::fig3(), cfg));
+    ADD_FAILURE() << "runScenario accepted a negative warmup";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()}, errors.front());
+  }
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //
 // Each run also writes its rendering to golden_actual/<case>.txt under the
 // test's build directory; tools/regen_golden.sh copies those over the
-// committed files (for a PR that changes behaviour on purpose).
+// committed files (for a change that alters behaviour on purpose).
 #include <gtest/gtest.h>
 
 #include <charconv>
@@ -161,7 +161,9 @@ TEST_P(GoldenTest, MatchesCommittedFingerprint) {
     }
   }
   for (const auto& [key, value] : got) {
-    if (!want.contains(key)) moved << "  " << key << ": (new) " << value << '\n';
+    if (!want.contains(key)) {
+      moved << "  " << key << ": (new) " << value << '\n';
+    }
   }
   if (moved.str().empty()) moved << "  (same fields, layout changed)\n";
   ADD_FAILURE() << c.name << " differs from " << goldenPath << ":\n"

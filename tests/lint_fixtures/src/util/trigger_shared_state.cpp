@@ -1,7 +1,7 @@
 // Fixture: a mutable static that nobody wrote into the audited
 // inventory (tools/lint/shared_state.toml) must fail repo_lint — this is
-// the race-readiness audit the sharded-PDES work leans on: no region
-// worker may ever meet process-global state the team never saw.
+// the race-readiness audit exp::SweepRunner's run-per-thread workers
+// lean on: no worker may ever meet process-global state the team never saw.
 #include <cstdint>
 
 namespace maxmin {

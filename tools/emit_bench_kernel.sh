@@ -6,7 +6,6 @@
 #   tools/emit_bench_kernel.sh [build-dir] [output.json]
 #   tools/emit_bench_kernel.sh --medium [build-dir] [out.json]
 #   tools/emit_bench_kernel.sh --topo [build-dir] [out.json]
-#   tools/emit_bench_kernel.sh --shards [build-dir] [out.json]
 #   tools/emit_bench_kernel.sh --hybrid [build-dir] [out.json]
 #   tools/emit_bench_kernel.sh --obs-compare [off-build] [obs-build] [out.json]
 #
@@ -27,15 +26,6 @@
 # stays O(nodes + edges) above the dense-adjacency threshold. Run after
 # any change to src/topology/ construction and commit the refreshed
 # JSON alongside it.
-#
-# --shards times the dense-mesh stress workload (N = 800, 20 flows,
-# 802.11, fixed seed) serial vs `--shards 8` through maxmin-sim, gates
-# on CSV byte-identity between the two, and writes BENCH_shards.json
-# with the carved strip count (K_eff), cut-node/edge counts, per-rep
-# wall times, and the host's core count. Run after any change to
-# src/sim/sharded.hpp, src/topology/shard_map.*, or the Medium export
-# path, and commit the refreshed JSON alongside it. Knobs:
-# BENCH_SHARDS_REPS (default 3), BENCH_SHARDS_DURATION (default 12).
 #
 # --hybrid times the long-horizon steady-state estimation workload
 # (random mesh N=20, 12 flows, seed 11, gmp) three ways — pure packet,
@@ -100,94 +90,6 @@ if [[ "${1:-}" == "--topo" ]]; then
   BUILD_DIR="${2:-build}"
   OUT="${3:-BENCH_topology.json}"
   run_bench "$BUILD_DIR" bench_medium "$TOPO_FILTER" "$OUT"
-  echo "wrote $OUT"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--shards" ]]; then
-  # Sharded PDES trajectory (EXPERIMENTS.md E14): dense-mesh wall time,
-  # serial vs sharded, with the bit-identity gate inline — a speedup on
-  # different numbers would be worthless. Best-of-reps per config
-  # (throughput noise is one-sided), carved strip count (K_eff) and
-  # host core count recorded so the artifact is interpretable: on a
-  # single-core host sharded >= serial is the expected honest result.
-  BUILD_DIR="${2:-build}"
-  OUT="${3:-BENCH_shards.json}"
-  SIM="$BUILD_DIR/tools/maxmin-sim"
-  if [[ ! -x "$SIM" ]]; then
-    echo "error: $SIM not built" >&2
-    echo "hint: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR --target maxmin-sim" >&2
-    exit 1
-  fi
-  TMP="$(mktemp -d)"
-  trap 'rm -rf "$TMP"' EXIT
-  REPS="${BENCH_SHARDS_REPS:-3}"
-  ARGS=(--scenario dense --nodes 800 --flows 20 --protocol 802.11
-        --seed 7 --duration "${BENCH_SHARDS_DURATION:-12}" --warmup 4 --csv)
-  for k in 1 8; do
-    : > "$TMP/times-$k"
-    for ((i = 0; i < REPS; ++i)); do
-      start=$(date +%s.%N)
-      "$SIM" "${ARGS[@]}" --shards "$k" > "$TMP/out-$k.csv" 2> "$TMP/err-$k"
-      end=$(date +%s.%N)
-      echo "$start $end" >> "$TMP/times-$k"
-    done
-  done
-  if ! cmp -s "$TMP/out-1.csv" "$TMP/out-8.csv"; then
-    echo "FAIL: shards 8 CSV differs from shards 1 — PDES ordering bug" >&2
-    diff "$TMP/out-1.csv" "$TMP/out-8.csv" >&2 || true
-    exit 1
-  fi
-  echo "bit-identity: shards 8 CSV byte-identical to shards 1"
-  python3 - "$TMP" "$OUT" <<'PY'
-import json, re, sys
-
-tmp, out_path = sys.argv[1], sys.argv[2]
-
-def times(k):
-    secs = []
-    with open(f"{tmp}/times-{k}", encoding="utf-8") as fh:
-        for line in fh:
-            a, b = map(float, line.split())
-            secs.append(round(b - a, 4))
-    return secs
-
-plan = open(f"{tmp}/err-8", encoding="utf-8").read()
-m = re.search(r"requested (\d+), carved (\d+) strips, (\d+) cut nodes, "
-              r"(\d+) cut cs-edges", plan)
-if not m:
-    sys.exit(f"no shard-plan diagnostic on stderr:\n{plan}")
-serial, sharded = times(1), times(8)
-best_serial, best_sharded = min(serial), min(sharded)
-import os
-report = {
-    "context": {
-        "host_hardware_concurrency": os.cpu_count(),
-        "note": "speedup requires >= carved_strips cores; on fewer "
-                "cores sharded >= serial wall time is expected and "
-                "recorded honestly (workers yield, sync cost remains)",
-    },
-    "workload": "dense mesh N=800 flows=20 802.11 seed=7, CSV run",
-    "bit_identity": "shards 8 CSV byte-identical to shards 1 (gated)",
-    "shards_requested": int(m.group(1)),
-    "carved_strips": int(m.group(2)),
-    "cut_nodes": int(m.group(3)),
-    "cut_cs_edges": int(m.group(4)),
-    "serial_seconds": serial,
-    "sharded_seconds": sharded,
-    "best_serial_seconds": best_serial,
-    "best_sharded_seconds": best_sharded,
-    "speedup_best": round(best_serial / best_sharded, 3),
-}
-with open(out_path, "w", encoding="utf-8") as fh:
-    json.dump(report, fh, indent=2)
-    fh.write("\n")
-print(f"carved {report['carved_strips']} strips "
-      f"({report['cut_nodes']} cut nodes); "
-      f"serial {best_serial:.2f}s, sharded {best_sharded:.2f}s, "
-      f"speedup {report['speedup_best']}x on "
-      f"{report['context']['host_hardware_concurrency']} core(s)")
-PY
   echo "wrote $OUT"
   exit 0
 fi

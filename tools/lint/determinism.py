@@ -4,9 +4,9 @@ The bug class: ``std::unordered_map`` iteration order is an artifact of
 hashing and insertion history, not of the data. A loop over one that
 writes a trace record, a CSV row, a stream, or a floating-point
 accumulator bakes that artifact into results that must be a pure
-function of the seed — today it silently pins results to one standard
-library; under sharded PDES it becomes a replay divergence the moment
-insertion interleaving changes. The PR 3 zero-findings sweep fixed this
+function of the seed — it silently pins results to one standard library
+and one insertion history, so a refactor that reorders insertions turns
+it into a replay divergence. An earlier zero-findings sweep fixed this
 class by hand at every report site; this rule keeps it fixed.
 
 Token-level analysis, per file (plus its paired header, so loops in a

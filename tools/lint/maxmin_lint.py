@@ -2,9 +2,10 @@
 """maxmin_lint — project static analysis for the maxmin repo.
 
 The GMP maxmin guarantee rests on determinism invariants the compiler
-cannot see, and the sharded-PDES roadmap adds concurrency-readiness
-invariants TSan can only check at runtime. This package encodes both as
-mechanical rules (catalog with bug history: DESIGN.md §10):
+cannot see, and exp::SweepRunner's run-per-thread workers add
+concurrency-readiness invariants TSan can only check at runtime. This
+package encodes both as mechanical rules (catalog with bug history:
+DESIGN.md §10):
 
   pattern rules (rules.py, matched over token-stripped lines):
     raw-rng            all randomness via named maxmin::Rng streams

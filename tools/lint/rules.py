@@ -199,7 +199,7 @@ RULES = [
         "shared-state",
         "mutable static/singleton not in the audited inventory "
         "(tools/lint/shared_state.toml); shared mutable state must be "
-        "deliberately manifested before region workers may exist",
+        "deliberately manifested because sweep workers share it",
         [],  # structural: shared_state.check_file() / check_manifest()
         lambda rel: rel.startswith("src/"),
     ),

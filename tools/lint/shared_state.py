@@ -1,9 +1,10 @@
 """shared_state — mutable-static inventory against an audited manifest.
 
-The sharded-PDES roadmap item puts region workers inside one simulation;
-at that point every namespace-scope or function-local mutable ``static``
-(and every singleton behind one) is a candidate data race, and every one
-that feeds results is a determinism hazard. This rule makes the set of
+``exp::SweepRunner`` runs whole simulations on worker threads, one run
+per thread, inside one process; every namespace-scope or function-local
+mutable ``static`` (and every singleton behind one) is shared by those
+workers, so it is a candidate data race, and every one that feeds results
+is a determinism hazard. This rule makes the set of
 such objects *finite and deliberate*: the token scanner enumerates every
 mutable static in ``src/``, and each must appear in the checked-in
 manifest ``tools/lint/shared_state.toml`` with an owner note and a
@@ -24,9 +25,9 @@ What counts as mutable static state (token-level classification):
 ``static const T*`` (mutable pointer to const) is treated as immutable by
 this classifier; the repo spells genuinely-mutable pointers without const
 and the conservative direction here is noise-free. ``thread_local`` is
-classified the same as ``static`` — per-thread copies still break the
-"outcome independent of worker count" bar when workers are sharded by
-region rather than by run.
+classified the same as ``static`` — a per-thread copy outlives the run
+that wrote it, so the next run on that thread sees it, which breaks the
+"outcome independent of worker count" bar.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@
 //       --impair-scope control
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -21,6 +22,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/chaos_harness.hpp"
@@ -31,7 +33,6 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "scenarios/scenarios.hpp"
-#include "topology/shard_map.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -58,7 +59,6 @@ struct Options {
   std::string impairScope = "all";
   std::string trace;      // JSONL trace output path; empty = no tracing
   std::string traceLevel = "period";  // period|event
-  int shards = 0;         // sharded PDES worker lanes; 0 = serial loop
   bool fastForward = false;  // fluid fast-forward before t=0
   double ffTol = 0.02;       // fast-forward convergence tolerance
   bool hybrid = false;       // fluid background load (needs --foreground)
@@ -95,10 +95,6 @@ struct Options {
       << "  --trace FILE        write a structured JSONL trace of every GMP\n"
       << "                      period (fixed seed => byte-identical file)\n"
       << "  --trace-level  period|event        trace granularity (default period)\n"
-      << "  --shards K  run the physical layer on K parallel shard workers\n"
-      << "              (capped by topology width; any K, including 1, is\n"
-      << "              bit-identical to any other K; incompatible with\n"
-      << "              --per/--ge)\n"
       << "  --fast-forward      iterate the fluid GMP fixed point before t=0\n"
       << "                      and start the packet run inside its basin\n"
       << "                      (gmp only; see DESIGN.md §16)\n"
@@ -107,7 +103,7 @@ struct Options {
       << "  --hybrid            advance all non-foreground flows with the\n"
       << "                      fluid solver, re-linearized each GMP period;\n"
       << "                      needs --foreground (gmp only; incompatible\n"
-      << "                      with --shards/--faults/--per/--ge)\n"
+      << "                      with --faults/--per/--ge)\n"
       << "  --foreground LIST   packet-simulated flows under --hybrid: flow\n"
       << "                      ids like \"0,3\", or auto:K for the first K\n"
       << "  --profile   print per-callback-site wall-time histograms\n"
@@ -125,15 +121,18 @@ struct Options {
   std::exit(2);
 }
 
-/// The whole of `text` as a number of type T; anything else (empty,
-/// trailing characters, out of range) is a usage error naming `flag`.
+/// The whole of `text` as a finite number of type T; anything else
+/// (empty, trailing characters, out of range, nan, inf) is a usage error
+/// naming `flag`.
 template <typename T>
 T parseNumber(const std::string& flag, const std::string& text) {
   T v{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc{} || ptr != end) {
-    std::cerr << flag << " expects a number, got '" << text << "'\n";
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    std::cerr << flag << " expects a finite number, got '" << text << "'\n";
     std::exit(2);
   }
   return v;
@@ -185,8 +184,6 @@ Options parse(int argc, char** argv) {
       o.trace = value();
     } else if (arg == "--trace-level") {
       o.traceLevel = value();
-    } else if (arg == "--shards") {
-      o.shards = parseNumber<int>(arg, value());
     } else if (arg == "--fast-forward") {
       o.fastForward = true;
     } else if (arg == "--ff-tol") {
@@ -260,8 +257,8 @@ phys::ImpairmentConfig makeImpairments(const Options& o) {
 }
 
 /// `--foreground` accepts an explicit id list ("0,3,5") or "auto:K"
-/// (the scenario's first K flows). The background partition must be
-/// non-empty — otherwise --hybrid buys nothing.
+/// (the scenario's first K flows). analysis::validate checks the ids
+/// against the scenario.
 std::vector<net::FlowId> parseForeground(const std::string& spec,
                                          const scenarios::Scenario& scenario) {
   std::vector<net::FlowId> ids;
@@ -292,24 +289,6 @@ std::vector<net::FlowId> parseForeground(const std::string& spec,
         std::exit(2);
       }
     }
-  }
-  if (ids.empty()) {
-    std::cerr << "--foreground must name at least one flow\n";
-    std::exit(2);
-  }
-  for (const net::FlowId id : ids) {
-    bool known = false;
-    for (const auto& f : scenario.flows) known = known || f.id == id;
-    if (!known) {
-      std::cerr << "--foreground: scenario '" << scenario.name
-                << "' has no flow " << id << '\n';
-      std::exit(2);
-    }
-  }
-  if (ids.size() >= scenario.flows.size()) {
-    std::cerr << "--foreground covers every flow; nothing left to "
-                 "background (drop --hybrid for a pure-packet run)\n";
-    std::exit(2);
   }
   return ids;
 }
@@ -361,8 +340,15 @@ int runChaos(const scenarios::Scenario& scenario, const Options& options) {
     return 2;
   }
 
-  const auto outcomes = analysis::runChaosBatch(scenario, options.seed,
-                                                options.chaos, params);
+  std::vector<analysis::ChaosOutcome> outcomes;
+  try {
+    outcomes = analysis::runChaosBatch(scenario, options.seed, options.chaos,
+                                       params);
+  } catch (const std::exception& e) {
+    // The schedule generator rejects windows too short for its outages.
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   int failed = 0;
   for (const auto& o : outcomes) {
     if (o.ok) continue;
@@ -505,71 +491,17 @@ int main(int argc, char** argv) {
   cfg.duration = Duration::seconds(options.durationSeconds);
   cfg.warmup = Duration::seconds(options.warmupSeconds);
   cfg.seed = options.seed;
-  if (cfg.warmup >= cfg.duration) {
-    std::cerr << "warmup must be shorter than duration\n";
-    return 2;
-  }
   if (!options.faults.empty()) cfg.faults = loadFaultScript(options.faults);
   cfg.netBase.impairments = makeImpairments(options);
-  if (options.shards < 0) {
-    std::cerr << "--shards must be non-negative\n";
-    return 2;
-  }
-  if (options.shards > 0 && cfg.netBase.impairments.enabled()) {
-    std::cerr << "--shards is incompatible with --per/--ge (channel "
-                 "impairments draw from one serial RNG stream)\n";
-    return 2;
-  }
-  cfg.netBase.shards = options.shards;
-
   cfg.hybrid.fastForward = options.fastForward;
   cfg.hybrid.ffTol = options.ffTol;
   cfg.hybrid.background = options.hybrid;
-  if (!options.foreground.empty() && !options.hybrid) {
-    std::cerr << "--foreground only means something with --hybrid\n";
-    return 2;
-  }
-  if (cfg.hybrid.enabled()) {
-    if (cfg.protocol != analysis::Protocol::kGmp) {
-      std::cerr << "--fast-forward/--hybrid drive the GMP controller; "
-                   "use --protocol gmp\n";
-      return 2;
-    }
-    if (options.shards > 0) {
-      std::cerr << "--fast-forward/--hybrid need the serial event loop; "
-                   "drop --shards\n";
-      return 2;
-    }
-    if (options.ffTol <= 0.0) {
-      std::cerr << "--ff-tol must be positive\n";
-      return 2;
-    }
-  }
-  if (options.hybrid) {
-    if (options.foreground.empty()) {
-      std::cerr << "--hybrid needs --foreground (e.g. --foreground 0,1 "
-                   "or --foreground auto:2)\n";
-      return 2;
-    }
-    if (!options.faults.empty() || cfg.netBase.impairments.enabled()) {
-      std::cerr << "--hybrid is incompatible with --faults/--per/--ge "
-                   "(the fluid background model knows nothing about "
-                   "faults or losses)\n";
-      return 2;
-    }
+  if (!options.foreground.empty()) {
     cfg.hybrid.foreground = parseForeground(options.foreground, scenario);
   }
-
-  if (options.shards > 0) {
-    // Diagnostic on stderr (CSV on stdout stays clean): the carved strip
-    // count is what speedup is bounded by, not the requested K.
-    const topo::ShardPlan plan =
-        topo::makeShardPlan(scenario.topology, options.shards);
-    std::int64_t cutNodes = 0;
-    for (const auto c : plan.cut) cutNodes += c;
-    std::cerr << "shards: requested " << options.shards << ", carved "
-              << plan.numShards << " strips, " << cutNodes << " cut nodes, "
-              << plan.cutEdges << " cut cs-edges\n";
+  if (const auto errors = analysis::validate(cfg, scenario); !errors.empty()) {
+    for (const std::string& e : errors) std::cerr << e << '\n';
+    return 2;
   }
   cfg.trace = trace.get();
 

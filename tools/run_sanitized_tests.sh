@@ -11,9 +11,7 @@
 #               (SweepRunner's thread pool and atomic work claiming),
 #               sim_test and des_property_test (the kernel the workers
 #               run run-per-thread; TSan proves the "distinct Simulators
-#               share no state" argument, not just asserts it), and
-#               shard_test (the sharded PDES runtime: seqlock bounds,
-#               SPSC channels, termination snapshot — DESIGN.md §15).
+#               share no state" argument, not just asserts it).
 #         all   both lanes in sequence.
 #
 #   tools/run_sanitized_tests.sh                    # asan, full suite
@@ -51,7 +49,7 @@ case "$LANE" in
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
     # Suites with real concurrency, selected by binary label (see
     # tests/CMakeLists.txt); everything else is single-threaded by design.
-    run_lane tsan "$FILTER" -L '^(exp_test|sim_test|des_property_test|shard_test)$'
+    run_lane tsan "$FILTER" -L '^(exp_test|sim_test|des_property_test)$'
     ;;
   all)
     "$0" asan "$FILTER"
