@@ -211,6 +211,10 @@ RunResult runScenario(const scenarios::Scenario& scenario,
     result.backgroundFlows = hs.backgroundFlows;
     result.phantomBursts = hybridEngine->phantomBursts();
   }
+  const sim::Simulator& sim = net.simulator();
+  result.eventsScheduled = sim.scheduledEvents();
+  result.eventsExecuted = sim.executedEvents();
+  result.eventsCancelled = sim.cancelledEvents();
   return result;
 }
 

@@ -90,6 +90,13 @@ struct RunResult {
   int backgroundFlows = 0;    ///< flows advanced by the fluid solver
   std::int64_t phantomBursts = 0;   ///< background NAV reservations emitted
 
+  // --- kernel event counts over the whole run ------------------------------
+  // Bookkeeping, not behaviour: a change to how the kernel or its timers
+  // queue events moves these while every rate and trace stays put.
+  std::uint64_t eventsScheduled = 0;  ///< keys queued
+  std::uint64_t eventsExecuted = 0;   ///< callbacks run
+  std::uint64_t eventsCancelled = 0;  ///< pending events cancelled
+
   [[nodiscard]] double rateOf(net::FlowId id) const;
 };
 

@@ -2,7 +2,9 @@
 // analysis::runScenario, each rendered as `field value` lines and compared
 // with tests/golden/<case>.txt. Any change to event ordering, MAC timing,
 // queueing or the GMP controller moves at least one field; the failure
-// message lists every field that moved.
+// message lists every field that moved. The kernel's event counts are
+// separate `events.*` lines, so a change to event bookkeeping alone shows
+// up as exactly those lines.
 //
 // Each run also writes its rendering to golden_actual/<case>.txt under the
 // test's build directory; tools/regen_golden.sh copies those over the
@@ -31,7 +33,7 @@ constexpr std::uint64_t kSeed = 7;
 
 struct GoldenCase {
   const char* name;
-  const char* scenario;  ///< fig4 | mesh | dense (maxmin-sim's defaults)
+  const char* scenario;  ///< maxmin-sim --scenario name, at its defaults
   Protocol protocol;
   double durationS;
   double warmupS;
@@ -42,6 +44,18 @@ struct GoldenCase {
 };
 
 const GoldenCase kCases[] = {
+    {"fig2_80211", "fig2", Protocol::kDcf80211, 60.0, 20.0},
+    {"fig2_2pp", "fig2", Protocol::kTwoPhase, 60.0, 20.0},
+    {"fig2_gmp", "fig2", Protocol::kGmp, 60.0, 20.0},
+    {"fig2w_80211", "fig2w", Protocol::kDcf80211, 60.0, 20.0},
+    {"fig2w_2pp", "fig2w", Protocol::kTwoPhase, 60.0, 20.0},
+    {"fig2w_gmp", "fig2w", Protocol::kGmp, 60.0, 20.0},
+    {"fig3_80211", "fig3", Protocol::kDcf80211, 60.0, 20.0},
+    {"fig3_2pp", "fig3", Protocol::kTwoPhase, 60.0, 20.0},
+    {"fig3_gmp", "fig3", Protocol::kGmp, 60.0, 20.0},
+    {"chain_80211", "chain", Protocol::kDcf80211, 60.0, 20.0},
+    {"chain_2pp", "chain", Protocol::kTwoPhase, 60.0, 20.0},
+    {"chain_gmp", "chain", Protocol::kGmp, 60.0, 20.0},
     {"fig4_80211", "fig4", Protocol::kDcf80211, 60.0, 20.0},
     {"fig4_2pp", "fig4", Protocol::kTwoPhase, 60.0, 20.0},
     {"fig4_gmp", "fig4", Protocol::kGmp, 60.0, 20.0},
@@ -62,6 +76,10 @@ scenarios::Scenario makeScenario(const std::string& name) {
   // maxmin-sim's defaults: --nodes 12 --flows 5 --area 1000.
   if (name == "mesh") return scenarios::randomMesh(kSeed, 12, 1000.0, 5);
   if (name == "dense") return scenarios::denseMesh(kSeed, 12, 5);
+  if (name == "fig2") return scenarios::fig2();
+  if (name == "fig2w") return scenarios::fig2({1, 2, 1, 3});
+  if (name == "fig3") return scenarios::fig3();
+  if (name == "chain") return scenarios::chain(5);
   return scenarios::fig4();
 }
 
@@ -114,7 +132,12 @@ std::string render(const GoldenCase& c) {
       << "crash_drops " << r.crashDrops << '\n'
       << "dead_neighbor_drops " << r.deadNeighborDrops << '\n'
       << "frames_impaired " << r.framesImpaired << '\n'
-      << "frames_suppressed " << r.framesSuppressed << '\n';
+      << "frames_suppressed " << r.framesSuppressed << '\n'
+      // Kernel bookkeeping: the only lines a change to how events are
+      // queued (not to what they do) may move.
+      << "events.scheduled " << r.eventsScheduled << '\n'
+      << "events.executed " << r.eventsExecuted << '\n'
+      << "events.cancelled " << r.eventsCancelled << '\n';
   if (c.protocol == Protocol::kGmp) {
     out << "trace_fnv1a " << std::hex << fnv1a(traceText.str()) << std::dec
         << '\n';
