@@ -3,8 +3,10 @@
 // end-to-end DES throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "analysis/maxmin_solver.hpp"
@@ -13,6 +15,7 @@
 #include "net/network.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "topology/cliques.hpp"
 #include "topology/conflict_graph.hpp"
 #include "topology/dominating_set.hpp"
@@ -108,6 +111,68 @@ void BM_EventCancellation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_EventCancellation);
+
+// Re-arm-later churn: the DCF wake / NodeStack hold-retry shape, where a
+// pending deadline is pushed out again and again before it fires. Each
+// 1 us driver tick re-arms one of 8 timers to 50-100 us out — usually
+// later than its pending deadline, so most arms are deferred re-arms.
+void BM_TimerRearm(benchmark::State& state) {
+  constexpr int kTimers = 8;
+  constexpr int kTicks = 20000;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Simulator sim;
+    std::vector<std::unique_ptr<sim::Timer>> timers;
+    for (int i = 0; i < kTimers; ++i) {
+      timers.push_back(std::make_unique<sim::Timer>(sim));
+    }
+    Rng rng{3};
+    int ticks = 0;
+    std::int64_t fired = 0;
+    std::function<void()> tick = [&] {
+      sim::Timer& t =
+          *timers[static_cast<std::size_t>(rng.uniformInt(0, kTimers - 1))];
+      t.arm(Duration::micros(rng.uniformInt(50, 100)), [&fired] { ++fired; });
+      if (++ticks < kTicks) sim.post(Duration::micros(1), [&] { tick(); });
+    };
+    sim.post(Duration::zero(), [&] { tick(); });
+    state.ResumeTiming();
+    sim.run();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * kTicks);
+}
+BENCHMARK(BM_TimerRearm);
+
+// One long calendar window: a far sentinel stretches the window, so 10^6
+// events with 64 pending all pass through a single active run. The
+// max_queued_keys counter (sampled every 1024 events) shows the run stays
+// sized by its pending keys, not by everything it has popped.
+void BM_EventQueueLongRun(benchmark::State& state) {
+  constexpr std::int64_t kLive = 64;
+  constexpr std::int64_t kEvents = 1'000'000;
+  std::size_t maxKeys = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    sim.post(Duration::seconds(1000.0), [] {});
+    std::int64_t fired = 0;
+    std::function<void()> tick = [&] {
+      ++fired;
+      if ((fired & 1023) == 0) maxKeys = std::max(maxKeys, sim.queuedKeys());
+      if (fired + kLive <= kEvents) {
+        sim.post(Duration::micros(1 + fired % 7), [&] { tick(); });
+      }
+    };
+    for (std::int64_t i = 0; i < kLive; ++i) {
+      sim.post(Duration::micros(i), [&] { tick(); });
+    }
+    sim.runUntil(TimePoint{} + Duration::seconds(100.0));
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+  state.counters["max_queued_keys"] = static_cast<double>(maxKeys);
+}
+BENCHMARK(BM_EventQueueLongRun);
 
 scenarios::Scenario meshScenario(int nodes) {
   return scenarios::randomMesh(99, nodes, 250.0 * nodes / 4, 4);

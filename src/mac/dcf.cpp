@@ -182,10 +182,11 @@ void Dcf::transmitBroadcast() {
   f.navAfterEnd = Duration::zero();
   f.control = std::move(message);
   f.bufferState = client_.currentBufferState();
-  medium_.startTransmission(f);
+  const Duration airtime = f.duration;
+  medium_.startTransmission(std::move(f));
   ++counters_.broadcastsSent;
   refreshChannelState();
-  txEndTimer_.arm(f.duration, [this] { onOwnTxEnd(); });
+  txEndTimer_.arm(airtime, [this] { onOwnTxEnd(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -201,11 +202,12 @@ void Dcf::transmitRts() {
   f.duration = params_.rtsDuration();
   f.navAfterEnd = params_.rtsNav(current_->payloadSize);
   f.bufferState = client_.currentBufferState();
-  medium_.startTransmission(f);
+  const Duration airtime = f.duration;
+  medium_.startTransmission(std::move(f));
   ++counters_.rtsSent;
-  accrueOccupancy(current_->nextHop, f.duration);
+  accrueOccupancy(current_->nextHop, airtime);
   refreshChannelState();
-  txEndTimer_.arm(f.duration, [this] { onOwnTxEnd(); });
+  txEndTimer_.arm(airtime, [this] { onOwnTxEnd(); });
 }
 
 void Dcf::transmitData() {
@@ -218,11 +220,12 @@ void Dcf::transmitData() {
   f.navAfterEnd = params_.dataNav();
   f.packet = current_->packet;
   f.bufferState = client_.currentBufferState();
-  medium_.startTransmission(f);
+  const Duration airtime = f.duration;
+  medium_.startTransmission(std::move(f));
   ++counters_.dataSent;
-  accrueOccupancy(current_->nextHop, f.duration);
+  accrueOccupancy(current_->nextHop, airtime);
   refreshChannelState();
-  txEndTimer_.arm(f.duration, [this] { onOwnTxEnd(); });
+  txEndTimer_.arm(airtime, [this] { onOwnTxEnd(); });
 }
 
 void Dcf::onOwnTxEnd() {
@@ -395,9 +398,10 @@ void Dcf::sendResponse(phys::FrameKind kind, topo::NodeId to,
                                              : params_.ackDuration();
   f.navAfterEnd = navAfterEnd;
   f.bufferState = client_.currentBufferState();
-  medium_.startTransmission(f);
+  const Duration airtime = f.duration;
+  medium_.startTransmission(std::move(f));
   refreshChannelState();
-  responderTimer_.arm(f.duration, [this] {
+  responderTimer_.arm(airtime, [this] {
     responsePending_ = false;
     refreshChannelState();
     tryAccess();

@@ -1,5 +1,6 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "util/check.hpp"
@@ -16,10 +17,22 @@ Network::Network(topo::Topology topology, NetworkConfig config,
 
   // Routing first: sources start generating as soon as flows are added.
   for (const FlowSpec& f : flows_) {
-    if (!routes_.contains(f.dst)) {
-      routes_.emplace(f.dst, topo::RoutingTree::shortestPaths(topo_, f.dst));
-    }
-    MAXMIN_CHECK_MSG(routes_.at(f.dst).reaches(f.src),
+    destinations_.push_back(f.dst);
+    flowIds_.push_back(f.id);
+  }
+  std::sort(destinations_.begin(), destinations_.end());
+  destinations_.erase(std::unique(destinations_.begin(), destinations_.end()),
+                      destinations_.end());
+  std::sort(flowIds_.begin(), flowIds_.end());
+  destSlots_.assign(static_cast<std::size_t>(topo_.numNodes()), -1);
+  routes_.reserve(destinations_.size());
+  for (const topo::NodeId dest : destinations_) {
+    destSlots_[static_cast<std::size_t>(dest)] =
+        static_cast<int>(routes_.size());
+    routes_.push_back(topo::RoutingTree::shortestPaths(topo_, dest));
+  }
+  for (const FlowSpec& f : flows_) {
+    MAXMIN_CHECK_MSG(routeTo(f.dst).reaches(f.src),
                      "flow " << f.id << " source cannot reach destination");
   }
 
@@ -65,10 +78,10 @@ void Network::onNodeDown(std::int32_t node) {
 
 void Network::onNodeUp(std::int32_t node) { stack(node).setOperational(true); }
 
-topo::NodeId Network::nextHop(topo::NodeId from, topo::NodeId dest) {
-  const auto it = routes_.find(dest);
-  if (it == routes_.end()) return topo::kNoNode;
-  return it->second.nextHop(from);
+int Network::flowSlot(FlowId id) const {
+  const auto it = std::lower_bound(flowIds_.begin(), flowIds_.end(), id);
+  if (it == flowIds_.end() || *it != id) return -1;
+  return static_cast<int>(it - flowIds_.begin());
 }
 
 void Network::recordDelivery(const Packet& packet, TimePoint at) {
@@ -99,9 +112,9 @@ mac::Dcf& Network::macOf(topo::NodeId node) {
 }
 
 const topo::RoutingTree& Network::routeTo(topo::NodeId dest) const {
-  const auto it = routes_.find(dest);
-  MAXMIN_CHECK_MSG(it != routes_.end(), "no route computed to " << dest);
-  return it->second;
+  const int slot = dest >= 0 && dest < topo_.numNodes() ? destSlot(dest) : -1;
+  MAXMIN_CHECK_MSG(slot >= 0, "no route computed to " << dest);
+  return routes_[static_cast<std::size_t>(slot)];
 }
 
 std::vector<topo::NodeId> Network::pathOf(FlowId id) const {

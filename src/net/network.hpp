@@ -39,11 +39,24 @@ class Network final : public NetContext, public sim::FaultListener {
   // --- NetContext ----------------------------------------------------------
   sim::Simulator& simulator() override { return sim_; }
   const NetworkConfig& config() const override { return config_; }
-  topo::NodeId nextHop(topo::NodeId from, topo::NodeId dest) override;
+  const topo::Topology& topology() const override { return topo_; }
+  int numDestinations() const override {
+    return static_cast<int>(destinations_.size());
+  }
+  int destSlot(topo::NodeId dest) const override {
+    return destSlots_[static_cast<std::size_t>(dest)];
+  }
+  topo::NodeId destination(int slot) const override {
+    return destinations_[static_cast<std::size_t>(slot)];
+  }
+  topo::NodeId nextHop(topo::NodeId from, int slot) const override {
+    return routes_[static_cast<std::size_t>(slot)].nextHop(from);
+  }
+  int numFlows() const override { return static_cast<int>(flowIds_.size()); }
+  int flowSlot(FlowId id) const override;
   void recordDelivery(const Packet& packet, TimePoint at) override;
 
   // --- structure -----------------------------------------------------------
-  const topo::Topology& topology() const { return topo_; }
   const std::vector<FlowSpec>& flows() const { return flows_; }
   const FlowSpec& flow(FlowId id) const;
   NodeStack& stack(topo::NodeId node);
@@ -142,9 +155,14 @@ class Network final : public NetContext, public sim::FaultListener {
   std::unique_ptr<sim::FaultPlane> faultPlane_;
   std::vector<std::unique_ptr<NodeStack>> stacks_;
   std::vector<std::unique_ptr<mac::Dcf>> macs_;
-  // Hashed: nextHop() runs per forwarded packet, recordDelivery() per
-  // delivered packet. Report forms (DeliverySnapshot, ratesBetween) sort.
-  std::unordered_map<topo::NodeId, topo::RoutingTree, IdHash> routes_;
+  // Dense slots (see NetContext): the routing tree toward each flow
+  // destination is a vector index away.
+  std::vector<topo::NodeId> destinations_;  ///< slot -> node, ascending
+  std::vector<int> destSlots_;              ///< node -> slot, -1 if none
+  std::vector<topo::RoutingTree> routes_;   ///< by destination slot
+  std::vector<FlowId> flowIds_;             ///< slot -> flow id, ascending
+  // Hashed: recordDelivery() runs per delivered packet. Report forms
+  // (DeliverySnapshot, ratesBetween) sort.
   std::unordered_map<FlowId, std::int64_t, IdHash> delivered_;
   std::unordered_map<FlowId, RunningStats, IdHash> latencySeconds_;
 };

@@ -40,8 +40,24 @@ NodeStack::NodeStack(NetContext& ctx, topo::NodeId self, Rng rng)
       sim_{ctx.simulator()},
       self_{self},
       rng_{rng},
+      neighbors_{ctx.topology().neighbors(self)},
+      adSlots_{ctx.config().discipline == QueueDiscipline::kPerDestination
+                   ? ctx.numDestinations()
+                   : 1},
       holdRetryTimer_{sim_},
-      windowStart_{sim_.now()} {}
+      windowStart_{sim_.now()} {
+  switch (ctx_.config().discipline) {
+    case QueueDiscipline::kPerDestination:
+      queueIndex_.assign(static_cast<std::size_t>(ctx_.numDestinations()), -1);
+      break;
+    case QueueDiscipline::kPerFlow:
+      queueIndex_.assign(static_cast<std::size_t>(ctx_.numFlows()), -1);
+      break;
+    case QueueDiscipline::kSharedFifo:
+      queueIndex_.assign(1, -1);
+      break;
+  }
+}
 
 TimePoint NodeStack::now() const { return sim_.now(); }
 
@@ -49,42 +65,64 @@ TimePoint NodeStack::now() const { return sim_.now(); }
 // Queues
 // ---------------------------------------------------------------------------
 
-NodeStack::QueueKey NodeStack::keyFor(const Packet& p) const {
+int NodeStack::queueSlotFor(const Packet& p) const {
+  int slot = 0;
   switch (ctx_.config().discipline) {
-    case QueueDiscipline::kPerDestination: return p.dst;
-    case QueueDiscipline::kPerFlow: return p.flow;
-    case QueueDiscipline::kSharedFifo: return kSharedKey;
+    case QueueDiscipline::kPerDestination: slot = ctx_.destSlot(p.dst); break;
+    case QueueDiscipline::kPerFlow: slot = ctx_.flowSlot(p.flow); break;
+    case QueueDiscipline::kSharedFifo: break;
   }
-  return kSharedKey;
+  MAXMIN_CHECK_MSG(slot >= 0, "packet of flow " << p.flow << " to " << p.dst
+                                                << " is not a network flow's");
+  return slot;
 }
 
-PacketQueue& NodeStack::queueFor(QueueKey key) {
-  auto it = queues_.find(key);
-  if (it == queues_.end()) {
-    const int capacity = key == kSharedKey
-                             ? ctx_.config().sharedBufferCapacity
-                             : ctx_.config().queueCapacity;
-    it = queues_.emplace(key, PacketQueue{capacity, now()}).first;
-    serviceOrder_.push_back(key);
+PacketQueue& NodeStack::queueFor(int slot) {
+  int& index = queueIndex_[static_cast<std::size_t>(slot)];
+  if (index < 0) {
+    const int capacity =
+        ctx_.config().discipline == QueueDiscipline::kSharedFifo
+            ? ctx_.config().sharedBufferCapacity
+            : ctx_.config().queueCapacity;
+    index = static_cast<int>(queues_.size());
+    queues_.push_back(SlotQueue{slot, PacketQueue{capacity, now()}});
   }
-  return it->second;
+  return queues_[static_cast<std::size_t>(index)].q;
 }
 
-topo::NodeId NodeStack::destOf(QueueKey key, const PacketQueue& q) const {
+int NodeStack::destSlotOf(const SlotQueue& e) const {
   if (ctx_.config().discipline == QueueDiscipline::kPerDestination) {
-    return static_cast<topo::NodeId>(key);
+    return e.slot;
   }
-  MAXMIN_CHECK(!q.empty());
-  return q.front()->dst;
+  MAXMIN_CHECK(!e.q.empty());
+  return ctx_.destSlot(e.q.front()->dst);
 }
 
-bool NodeStack::queueExistsFor(topo::NodeId dest) const {
-  return queues_.contains(static_cast<QueueKey>(dest));
+const NodeStack::Hop& NodeStack::hopToward(int destSlot) {
+  // Routes are static; only nodes that forward ever fill the table.
+  if (hops_.empty()) {
+    hops_.resize(static_cast<std::size_t>(ctx_.numDestinations()));
+    for (int slot = 0; slot < ctx_.numDestinations(); ++slot) {
+      Hop& h = hops_[static_cast<std::size_t>(slot)];
+      h.node = ctx_.nextHop(self_, slot);
+      if (h.node == topo::kNoNode) continue;
+      h.rank = neighborRank(h.node);
+      MAXMIN_CHECK_MSG(h.rank >= 0, "next hop " << h.node
+                                                << " is not a neighbour of "
+                                                << self_);
+    }
+  }
+  return hops_[static_cast<std::size_t>(destSlot)];
+}
+
+int NodeStack::neighborRank(topo::NodeId nb) const {
+  const auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), nb);
+  if (it == neighbors_.end() || *it != nb) return -1;
+  return static_cast<int>(it - neighbors_.begin());
 }
 
 void NodeStack::enqueue(PacketPtr p) {
-  const QueueKey key = keyFor(*p);
-  PacketQueue& q = queueFor(key);
+  PacketQueue& q = queueFor(queueSlotFor(*p));
   MAXMIN_HIST("net.queue_occupancy", static_cast<std::int64_t>(q.size()));
   if (q.full()) {
     switch (ctx_.config().discipline) {
@@ -114,7 +152,7 @@ void NodeStack::enqueue(PacketPtr p) {
 void NodeStack::seedPacket(PacketPtr p) {
   MAXMIN_CHECK(operational_);
   MAXMIN_CHECK(p != nullptr);
-  PacketQueue& q = queueFor(keyFor(*p));
+  PacketQueue& q = queueFor(queueSlotFor(*p));
   if (q.full()) return;
   q.pushBack(std::move(p), now());
   if (mac_ != nullptr) mac_->notifyTrafficPending();
@@ -160,7 +198,7 @@ void NodeStack::generate(SourceState& s) {
   auto probe = Packet{};
   probe.flow = s.spec.id;
   probe.dst = s.spec.dst;
-  PacketQueue& q = queueFor(keyFor(probe));
+  PacketQueue& q = queueFor(queueSlotFor(probe));
   // The source is subject to its own buffer: when the local queue is
   // full it slows down (paper §2.1: "the flow source will generate new
   // packets at a smaller rate if the network cannot deliver its desirable
@@ -242,7 +280,7 @@ void NodeStack::setOperational(bool up) {
     // queues themselves stay registered (their identity is config, not
     // state) but are emptied, which also releases any backpressure this
     // node's "full" advertisements were about to justify.
-    for (auto& [key, q] : queues_) {
+    for (auto& [slot, q] : queues_) {
       dropsAtCrash_ += static_cast<std::int64_t>(q.size());
       MAXMIN_COUNT("net.drops_at_crash", static_cast<std::int64_t>(q.size()));
       while (!q.empty()) q.popFront(now());
@@ -251,6 +289,7 @@ void NodeStack::setOperational(bool up) {
     holdRetryTimer_.cancel();
     neighborBufferState_.clear();
     neighborHealth_.clear();
+    failingNeighbors_ = 0;
     downSample_.clear();
     upSample_.clear();
     admittedInWindow_.clear();
@@ -262,7 +301,7 @@ void NodeStack::setOperational(bool up) {
     // zero-length window, which closeMeasurementWindow reports as
     // periodSeconds == 0 for the control plane to bridge.
     windowStart_ = now();
-    for (auto& [key, q] : queues_) q.beginWindow(now());
+    for (auto& [slot, q] : queues_) q.beginWindow(now());
     // Sorted flow order: each restart draws jitter from rng_, so the
     // iteration order is part of the deterministic replay.
     for (const FlowId id : localFlows()) {
@@ -272,46 +311,55 @@ void NodeStack::setOperational(bool up) {
   }
 }
 
+bool NodeStack::rankDead(int rank) const {
+  return rank >= 0 && !neighborHealth_.empty() &&
+         neighborHealth_[static_cast<std::size_t>(rank)].dead;
+}
+
 bool NodeStack::neighborDead(topo::NodeId nh) const {
-  const auto it = neighborHealth_.find(nh);
-  return it != neighborHealth_.end() && it->second.dead;
+  return rankDead(neighborRank(nh));
 }
 
 void NodeStack::noteNeighborFailure(topo::NodeId nh) {
-  NeighborHealth& h = neighborHealth_[nh];
+  const int rank = neighborRank(nh);
+  MAXMIN_CHECK_MSG(rank >= 0, nh << " is not a neighbour of " << self_);
+  if (neighborHealth_.empty()) neighborHealth_.resize(neighbors_.size());
+  NeighborHealth& h = neighborHealth_[static_cast<std::size_t>(rank)];
   if (!h.failing) {
     h.failing = true;
     h.failingSince = now();
+    ++failingNeighbors_;
     return;
   }
   if (!h.dead && now() - h.failingSince >= ctx_.config().neighborDeadTtl) {
     h.dead = true;
     // Stale "buffer full" advertisements from a dead neighbor must not
     // keep holding backpressure; age them out immediately.
-    for (auto it = neighborBufferState_.begin();
-         it != neighborBufferState_.end();) {
-      it = it->first.first == nh ? neighborBufferState_.erase(it)
-                                 : std::next(it);
+    if (!neighborBufferState_.empty()) {
+      const auto row = neighborBufferState_.begin() + rank * adSlots_;
+      std::fill(row, row + adSlots_, kNotFull);
     }
   }
 }
 
 void NodeStack::noteNeighborAlive(topo::NodeId nh) {
-  const auto it = neighborHealth_.find(nh);
-  if (it == neighborHealth_.end()) return;
-  const bool wasDead = it->second.dead;
-  neighborHealth_.erase(it);
+  const int rank = neighborRank(nh);
+  if (rank < 0) return;
+  NeighborHealth& h = neighborHealth_[static_cast<std::size_t>(rank)];
+  if (!h.failing) return;
+  const bool wasDead = h.dead;
+  h = NeighborHealth{};
+  --failingNeighbors_;
   // A resurrected next hop unblocks queues that were draining to drops.
   if (wasDead && mac_ != nullptr) mac_->notifyTrafficPending();
 }
 
-std::int64_t NodeStack::drainDeadFront(QueueKey key, PacketQueue& q) {
+std::int64_t NodeStack::drainDeadFront(SlotQueue& e) {
   std::int64_t dropped = 0;
-  while (!q.empty()) {
-    const topo::NodeId dest = destOf(key, q);
-    const topo::NodeId nh = ctx_.nextHop(self_, dest);
-    if (nh == topo::kNoNode || !neighborDead(nh)) break;
-    q.popFront(now());
+  while (!e.q.empty()) {
+    const Hop& hop = hopToward(destSlotOf(e));
+    if (hop.node == topo::kNoNode || !rankDead(hop.rank)) break;
+    e.q.popFront(now());
     ++dropped;
   }
   return dropped;
@@ -321,12 +369,13 @@ std::int64_t NodeStack::drainDeadFront(QueueKey key, PacketQueue& q) {
 // Backpressure (congestion avoidance of [3])
 // ---------------------------------------------------------------------------
 
-bool NodeStack::heldByBackpressure(topo::NodeId nextHopNode,
-                                   topo::NodeId dest,
+bool NodeStack::heldByBackpressure(int nbRank, int adSlot,
                                    TimePoint& expiry) const {
-  const auto it = neighborBufferState_.find({nextHopNode, dest});
-  if (it == neighborBufferState_.end() || !it->second.full) return false;
-  const TimePoint lapse = it->second.heard + ctx_.config().holdStateTimeout;
+  if (neighborBufferState_.empty()) return false;  // nothing heard yet
+  const TimePoint heard =
+      neighborBufferState_[static_cast<std::size_t>(nbRank * adSlots_ + adSlot)];
+  if (heard == kNotFull) return false;
+  const TimePoint lapse = heard + ctx_.config().holdStateTimeout;
   if (now() >= lapse) return false;  // stale advertisement: try anyway
   expiry = lapse;
   return true;
@@ -345,39 +394,40 @@ void NodeStack::armHoldRetry(TimePoint earliestExpiry) {
 // ---------------------------------------------------------------------------
 
 std::optional<mac::TxRequest> NodeStack::nextTxRequest() {
-  if (!operational_ || serviceOrder_.empty()) return std::nullopt;
-  const std::size_t n = serviceOrder_.size();
+  if (!operational_ || queues_.empty()) return std::nullopt;
+  const std::size_t n = queues_.size();
   bool anyHeld = false;
   TimePoint earliestExpiry = TimePoint::max();
   for (std::size_t step = 0; step < n; ++step) {
     const std::size_t idx = (nextService_ + step) % n;
-    const QueueKey key = serviceOrder_[idx];
-    PacketQueue& q = queues_.at(key);
+    SlotQueue& e = queues_[idx];
+    PacketQueue& q = e.q;
     if (q.empty()) continue;
-    if (!neighborHealth_.empty()) {
+    if (failingNeighbors_ > 0) {
       // Dead-neighbor liveness: packets routed through a written-off
       // next hop drain to drops here rather than wedging the queue (and
       // everything upstream of it) forever.
       {
-        const std::int64_t drained = drainDeadFront(key, q);
+        const std::int64_t drained = drainDeadFront(e);
         dropsDeadNextHop_ += drained;
         if (drained > 0) MAXMIN_COUNT("net.drops_dead_next_hop", drained);
       }
       if (q.empty()) continue;
     }
-    const topo::NodeId dest = destOf(key, q);
-    const topo::NodeId nh = ctx_.nextHop(self_, dest);
-    MAXMIN_CHECK_MSG(nh != topo::kNoNode,
-                     "no route from " << self_ << " to " << dest);
+    const int destSlot = destSlotOf(e);
+    const Hop& hop = hopToward(destSlot);
+    MAXMIN_CHECK_MSG(hop.node != topo::kNoNode,
+                     "no route from " << self_ << " to "
+                                      << ctx_.destination(destSlot));
     if (ctx_.config().congestionAvoidance) {
-      // The advertised buffer-state key: the destination for per-
-      // destination queueing, the shared sentinel otherwise.
-      const topo::NodeId bpKey =
+      // The advertised buffer-state slot: the destination's under per-
+      // destination queueing, the shared buffer's otherwise.
+      const int adSlot =
           ctx_.config().discipline == QueueDiscipline::kPerDestination
-              ? dest
-              : topo::kNoNode;
+              ? destSlot
+              : 0;
       TimePoint expiry;
-      if (heldByBackpressure(nh, bpKey, expiry)) {
+      if (heldByBackpressure(hop.rank, adSlot, expiry)) {
         MAXMIN_COUNT("net.backpressure_stalls", 1);
         anyHeld = true;
         earliestExpiry = std::min(earliestExpiry, expiry);
@@ -386,14 +436,14 @@ std::optional<mac::TxRequest> NodeStack::nextTxRequest() {
     }
     nextService_ = (idx + 1) % n;
     PacketPtr p = q.popFront(now());
-    return mac::TxRequest{nh, p, p->size};
+    return mac::TxRequest{hop.node, p, p->size};
   }
   if (anyHeld) armHoldRetry(earliestExpiry);
   return std::nullopt;
 }
 
 void NodeStack::onTxSuccess(const mac::TxRequest& request) {
-  if (!neighborHealth_.empty()) noteNeighborAlive(request.nextHop);
+  if (failingNeighbors_ > 0) noteNeighborAlive(request.nextHop);
   LinkAccumulator& s = downSample_[request.packet->dst];
   ++s.packets;
   double& mu = s.flowMu[request.packet->flow];
@@ -418,7 +468,7 @@ void NodeStack::onTxFailure(const mac::TxRequest& request) {
   // Keep the packet: the paper's protocols are lossless above the MAC.
   // Re-offer it at the head of its queue; the MAC will retry with a fresh
   // contention round.
-  queueFor(keyFor(*request.packet)).pushFront(request.packet, now());
+  queueFor(queueSlotFor(*request.packet)).pushFront(request.packet, now());
   if (mac_ != nullptr) mac_->notifyTrafficPending();
 }
 
@@ -447,23 +497,22 @@ std::vector<phys::BufferStateAd> NodeStack::currentBufferState() {
   std::vector<phys::BufferStateAd> ads;
   switch (ctx_.config().discipline) {
     case QueueDiscipline::kPerDestination:
+      // Destination order — slot order — since the ads ride on every
+      // frame and their order is part of the deterministic replay.
       ads.reserve(queues_.size());
-      for (const auto& [key, q] : queues_) {
-        ads.push_back(
-            phys::BufferStateAd{static_cast<topo::NodeId>(key), q.full()});
+      for (std::size_t slot = 0; slot < queueIndex_.size(); ++slot) {
+        const int index = queueIndex_[slot];
+        if (index < 0) continue;
+        ads.push_back(phys::BufferStateAd{
+            ctx_.destination(static_cast<int>(slot)),
+            queues_[static_cast<std::size_t>(index)].q.full()});
       }
-      // Destination order: the ads ride on every frame, so their order is
-      // part of the deterministic replay (the store is hashed).
-      std::sort(ads.begin(), ads.end(),
-                [](const phys::BufferStateAd& a, const phys::BufferStateAd& b) {
-                  return a.destination < b.destination;
-                });
       break;
     case QueueDiscipline::kSharedFifo:
       // One buffer for everything (Fig. 1(b) mode): a single state bit,
       // keyed by the "any destination" sentinel.
-      if (const auto it = queues_.find(kSharedKey); it != queues_.end()) {
-        ads.push_back(phys::BufferStateAd{topo::kNoNode, it->second.full()});
+      if (!queues_.empty()) {
+        ads.push_back(phys::BufferStateAd{topo::kNoNode, queues_[0].q.full()});
       }
       break;
     case QueueDiscipline::kPerFlow:
@@ -483,14 +532,25 @@ void NodeStack::onControlReceived(const phys::Frame& frame) {
 
 void NodeStack::onFrameDecoded(const phys::Frame& frame) {
   // Decoding anything from a neighbor proves it is alive again.
-  if (!neighborHealth_.empty()) noteNeighborAlive(frame.transmitter);
+  if (failingNeighbors_ > 0) noteNeighborAlive(frame.transmitter);
   if (frame.bufferState.empty()) return;
+  const int rank = neighborRank(frame.transmitter);
+  MAXMIN_CHECK_MSG(rank >= 0, "decoded a frame from non-neighbour "
+                                  << frame.transmitter << " at " << self_);
+  if (neighborBufferState_.empty()) {
+    neighborBufferState_.assign(neighbors_.size() *
+                                    static_cast<std::size_t>(adSlots_),
+                                kNotFull);
+  }
+  TimePoint* row = neighborBufferState_.data() + rank * adSlots_;
   bool anyCleared = false;
   for (const phys::BufferStateAd& ad : frame.bufferState) {
-    auto& entry = neighborBufferState_[{frame.transmitter, ad.destination}];
-    if (entry.full && !ad.full) anyCleared = true;
-    entry.full = ad.full;
-    entry.heard = now();
+    const int adSlot =
+        ad.destination == topo::kNoNode ? 0 : ctx_.destSlot(ad.destination);
+    MAXMIN_CHECK(adSlot >= 0 && adSlot < adSlots_);
+    TimePoint& heard = row[adSlot];
+    if (heard != kNotFull && !ad.full) anyCleared = true;
+    heard = ad.full ? now() : kNotFull;
   }
   if (anyCleared && mac_ != nullptr) mac_->notifyTrafficPending();
 }
@@ -524,8 +584,8 @@ NodePeriodMeasurement NodeStack::closeMeasurementWindow() {
   }
 
   if (ctx_.config().discipline == QueueDiscipline::kPerDestination) {
-    for (auto& [key, q] : queues_) {
-      m.queueFullFraction[static_cast<topo::NodeId>(key)] =
+    for (auto& [slot, q] : queues_) {
+      m.queueFullFraction[ctx_.destination(slot)] =
           q.fullFraction(windowStart_, end);
       q.beginWindow(end);
     }

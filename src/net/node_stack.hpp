@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -23,13 +24,26 @@ namespace maxmin::net {
 
 /// Services the stack needs from the surrounding network. Implemented by
 /// net::Network; a test double suffices for unit tests.
+///
+/// The network numbers its flow destinations densely — slot i is the
+/// i-th smallest destination id — and its flows by ascending id; the
+/// stack indexes its per-destination and per-flow tables by these slots.
 class NetContext {
  public:
   virtual ~NetContext() = default;
   virtual sim::Simulator& simulator() = 0;
   virtual const NetworkConfig& config() const = 0;
-  /// Next hop from `from` toward `dest` (routing); kNoNode if none.
-  virtual topo::NodeId nextHop(topo::NodeId from, topo::NodeId dest) = 0;
+  virtual const topo::Topology& topology() const = 0;
+  [[nodiscard]] virtual int numDestinations() const = 0;
+  /// Slot of `dest`; -1 when no flow ends there.
+  [[nodiscard]] virtual int destSlot(topo::NodeId dest) const = 0;
+  [[nodiscard]] virtual topo::NodeId destination(int slot) const = 0;
+  /// Next hop from `from` toward destination slot `slot`; kNoNode if none.
+  [[nodiscard]] virtual topo::NodeId nextHop(topo::NodeId from,
+                                             int slot) const = 0;
+  [[nodiscard]] virtual int numFlows() const = 0;
+  /// Slot of flow `id`: its rank among the network's flow ids.
+  [[nodiscard]] virtual int flowSlot(FlowId id) const = 0;
   /// An end-to-end delivery reached its destination at time `at`.
   virtual void recordDelivery(const Packet& packet, TimePoint at) = 0;
 };
@@ -72,9 +86,6 @@ class NodeStack final : public mac::FrameClient {
   /// Close the current measurement window: returns everything measured
   /// since the last close and restarts all accumulators.
   NodePeriodMeasurement closeMeasurementWindow();
-
-  /// Instantaneous saturation check used by tests.
-  bool queueExistsFor(topo::NodeId dest) const;
 
   /// Inject an in-transit packet directly into the forwarding queue (the
   /// hybrid fast-forward backlog injection, DESIGN.md §16). Bypasses
@@ -129,14 +140,27 @@ class NodeStack final : public mac::FrameClient {
     std::unique_ptr<sim::Timer> timer;
   };
 
-  /// Queue key: destination (per-destination), flow id (per-flow), or the
-  /// shared sentinel.
-  using QueueKey = std::int64_t;
-  static constexpr QueueKey kSharedKey = -1;
+  /// A queue and its slot: the destination slot (per-destination), the
+  /// flow slot (per-flow), or 0 (the one shared FIFO).
+  struct SlotQueue {
+    int slot;
+    PacketQueue q;
+  };
 
-  QueueKey keyFor(const Packet& p) const;
-  PacketQueue& queueFor(QueueKey key);
-  topo::NodeId destOf(QueueKey key, const PacketQueue& q) const;
+  /// Where a destination's packets go next: the next hop and its rank in
+  /// this node's CSR neighbour row (-1 with no route).
+  struct Hop {
+    topo::NodeId node = topo::kNoNode;
+    int rank = -1;
+  };
+
+  int queueSlotFor(const Packet& p) const;
+  PacketQueue& queueFor(int slot);
+  /// Destination slot of the packets at the head of `e` (non-empty).
+  int destSlotOf(const SlotQueue& e) const;
+  const Hop& hopToward(int destSlot);
+  /// Rank of `nb` in this node's neighbour row; -1 if not a neighbour.
+  int neighborRank(topo::NodeId nb) const;
 
   /// Per-virtual-link measurement accumulator. Hashed flowMu for the
   /// per-packet update; closeMeasurementWindow() converts to the sorted
@@ -155,14 +179,15 @@ class NodeStack final : public mac::FrameClient {
   /// Dead-neighbor bookkeeping (active only when neighborDeadTtl > 0).
   void noteNeighborFailure(topo::NodeId nh);
   void noteNeighborAlive(topo::NodeId nh);
-  /// Drop every front packet of `q` whose next hop is dead; returns the
+  /// Drop every front packet of `e` whose next hop is dead; returns the
   /// number dropped.
-  std::int64_t drainDeadFront(QueueKey key, PacketQueue& q);
+  std::int64_t drainDeadFront(SlotQueue& e);
+  bool rankDead(int rank) const;
 
-  /// True when congestion avoidance currently forbids sending to
-  /// `nextHopNode` for `dest`. Sets `expiry` to when the verdict lapses.
-  bool heldByBackpressure(topo::NodeId nextHopNode, topo::NodeId dest,
-                          TimePoint& expiry) const;
+  /// True when congestion avoidance currently forbids sending to the
+  /// neighbour of rank `nbRank` under buffer-state slot `adSlot`. Sets
+  /// `expiry` to when the verdict lapses.
+  bool heldByBackpressure(int nbRank, int adSlot, TimePoint& expiry) const;
   void armHoldRetry(TimePoint earliestExpiry);
 
   TimePoint now() const;
@@ -173,30 +198,38 @@ class NodeStack final : public mac::FrameClient {
   Rng rng_;
   mac::Dcf* mac_ = nullptr;
 
-  std::unordered_map<QueueKey, PacketQueue, IdHash> queues_;
-  std::vector<QueueKey> serviceOrder_;  ///< round-robin ring
+  // Dense tables, indexed by the network's destination/flow slots and by
+  // CSR neighbour rank: sized by degree × destinations at most, never by
+  // the node count, and the neighbour tables are allocated on first use.
+  /// This node's CSR neighbour row: a view into the network's topology,
+  /// which outlives every stack it owns.
+  const std::span<const topo::NodeId> neighbors_;
+  std::vector<SlotQueue> queues_;  ///< creation order: the round-robin ring
+  std::vector<int> queueIndex_;    ///< slot -> index in queues_, or -1
   std::size_t nextService_ = 0;
+  std::vector<Hop> hops_;  ///< by destination slot, filled on first use
 
   std::unordered_map<FlowId, SourceState, IdHash> sources_;
 
-  /// Cached piggybacked buffer state: (neighbor, dest) -> (full, heard at).
-  struct CachedBufferState {
-    bool full = false;
-    TimePoint heard;
-  };
-  std::unordered_map<std::pair<topo::NodeId, topo::NodeId>, CachedBufferState,
-                     IdPairHash>
-      neighborBufferState_;
+  /// Piggybacked buffer state heard from neighbours, at [rank * adSlots_
+  /// + ad slot]: when the last "full" ad was heard, or kNotFull. Ad slots
+  /// are destination slots under per-destination queueing, else the one
+  /// shared-buffer slot 0.
+  static constexpr TimePoint kNotFull = TimePoint::max();
+  const int adSlots_;
+  std::vector<TimePoint> neighborBufferState_;
 
   /// Consecutive-failure tracking per next hop for dead-neighbor
-  /// detection. `failingSince` is the start of the current unbroken
-  /// failure run; `dead` latches once the run exceeds the TTL.
+  /// detection, by neighbour rank. `failingSince` is the start of the
+  /// current unbroken failure run; `dead` latches once the run exceeds
+  /// the TTL.
   struct NeighborHealth {
     TimePoint failingSince;
     bool failing = false;
     bool dead = false;
   };
-  std::unordered_map<topo::NodeId, NeighborHealth, IdHash> neighborHealth_;
+  std::vector<NeighborHealth> neighborHealth_;
+  int failingNeighbors_ = 0;  ///< entries with `failing` set
 
   bool operational_ = true;
   std::int64_t dropsDeadNextHop_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <span>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -131,20 +132,21 @@ void Medium::unindexReception(topo::NodeId receiver, std::uint32_t slot) {
   }
 }
 
-void Medium::startTransmission(const Frame& frame) {
+void Medium::startTransmission(Frame frame) {
   const topo::NodeId sender = frame.transmitter;
   MAXMIN_CHECK(sender >= 0 && sender < topo_.numNodes());
   MAXMIN_CHECK_MSG(transmitting_[static_cast<std::size_t>(sender)] == 0,
                    "node " << sender << " already transmitting");
-  MAXMIN_CHECK(frame.duration > Duration::zero());
+  const Duration duration = frame.duration;
+  MAXMIN_CHECK(duration > Duration::zero());
   MAXMIN_CHECK(radios_[static_cast<std::size_t>(sender)] != nullptr);
 
   transmitting_[static_cast<std::size_t>(sender)] = 1;
 
   const std::uint32_t slot = acquireSlot();
   ActiveTx& tx = active_[slot];
-  tx.frame = frame;
-  tx.end = sim_.now() + frame.duration;
+  tx.frame = std::move(frame);
+  tx.end = sim_.now() + duration;
   tx.rxCount = 0;
   tx.spillBlock = kNoBlock;
 
@@ -157,7 +159,7 @@ void Medium::startTransmission(const Frame& frame) {
     ++framesSuppressed_;
     // Fire-and-forget: a transmission always runs to completion (a crash
     // makes it silent, never cancels it).
-    sim_.post(frame.duration, [this, slot] { finishTransmission(slot); });
+    sim_.post(duration, [this, slot] { finishTransmission(slot); });
     return;
   }
 
@@ -185,9 +187,9 @@ void Medium::startTransmission(const Frame& frame) {
 
   indexReceptions(slot);
 
-  if (observer_ != nullptr) observer_->onTransmissionStart(frame, sim_.now());
+  if (observer_ != nullptr) observer_->onTransmissionStart(tx.frame, sim_.now());
   // Fire-and-forget: completion is unconditional (see above).
-  sim_.post(frame.duration, [this, slot] { finishTransmission(slot); });
+  sim_.post(duration, [this, slot] { finishTransmission(slot); });
 }
 
 void Medium::corruptReceptionsSensing(topo::NodeId sender) {

@@ -91,7 +91,9 @@ class Medium {
 
   /// Begin transmitting `frame` from `frame.transmitter` now, for
   /// `frame.duration`. The sender must not already be transmitting.
-  void startTransmission(const Frame& frame);
+  /// Taken by value: callers move their frame in, and the medium keeps
+  /// it until the transmission ends.
+  void startTransmission(Frame frame);
 
   /// True if node `id` currently senses energy from another transmitter.
   [[nodiscard]] bool senseBusy(topo::NodeId id) const {

@@ -8,10 +8,21 @@
 
 namespace maxmin::sim {
 
-// Sorted insert at or beyond the run cursor. The key was just issued, so
-// its seq is the largest outstanding; upper_bound on (when, seq) therefore
-// lands after every pending key at the same instant, preserving FIFO.
+// Sorted insert at or beyond the run cursor. Every popped key precedes
+// the new one in (when, seq) order (a fresh seq is the largest issued; a
+// reserved one is above the running event's), so upper_bound over the
+// unpopped part lands at its exact place in the total order.
+//
+// The run only grows here, so this is also where the consumed prefix is
+// released: once it is at least half the run, erasing it moves no more
+// keys than were popped since the last release — amortised O(1) per pop —
+// and the run stays within twice its unpopped keys.
 void Simulator::insertIntoRun(const Key& key) {
+  if (runPos_ >= kTrimMinPopped && 2 * runPos_ >= run_.size()) {
+    run_.erase(run_.begin(),
+               run_.begin() + static_cast<std::ptrdiff_t>(runPos_));
+    runPos_ = 0;
+  }
   const auto it = std::upper_bound(
       run_.begin() + static_cast<std::ptrdiff_t>(runPos_), run_.end(), key,
       earlier);
@@ -105,15 +116,21 @@ void Simulator::resetTiers() {
 // compile the header's hot paths identically.
 void Simulator::publishObsMetrics() {
   MAXMIN_COUNT("sim.events_scheduled",
-               static_cast<std::int64_t>(nextSeq_ - pubScheduled_));
+               static_cast<std::int64_t>(scheduled_ - pubScheduled_));
   MAXMIN_COUNT("sim.events_fired",
                static_cast<std::int64_t>(executed_ - pubExecuted_));
   MAXMIN_COUNT("sim.events_cancelled",
                static_cast<std::int64_t>(cancelled_ - pubCancelled_));
   MAXMIN_GAUGE("sim.pending_events", static_cast<std::int64_t>(maxLive_));
-  pubScheduled_ = nextSeq_;
+  pubScheduled_ = scheduled_;
   pubExecuted_ = executed_;
   pubCancelled_ = cancelled_;
+}
+
+std::size_t Simulator::queuedKeys() const {
+  std::size_t n = run_.size() + far_.size();
+  for (const std::vector<Key>& b : buckets_) n += b.size();
+  return n;
 }
 
 // Sweep tombstones out of every tier. Triggered when dead keys outnumber

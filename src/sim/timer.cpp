@@ -7,12 +7,31 @@
 namespace maxmin::sim {
 
 void Timer::arm(Duration delay, EventFn fn) {
-  cancel();
+  MAXMIN_CHECK(delay >= Duration::zero());
   fn_ = std::move(fn);
-  id_ = sim_->schedule(delay, [this] { fire(); });
+  deadline_ = sim_->now() + delay;
+  seq_ = sim_->reserveSeq();  // the seq an eager schedule() would take
+  if (id_ != kInvalidEventId) {
+    // The queued key surfaces first and moves itself to the reserved
+    // (deadline_, seq_) in fire().
+    deferred_ = queuedWhen_ <= deadline_;
+    if (deferred_) return;
+    sim_->cancel(id_);
+  }
+  queue();
+}
+
+void Timer::queue() {
+  id_ = sim_->scheduleAtSeq(deadline_, seq_, [this] { fire(); });
+  queuedWhen_ = deadline_;
+  deferred_ = false;
 }
 
 void Timer::fire() {
+  if (deferred_) {
+    queue();  // hop to the position the last arm reserved
+    return;
+  }
   id_ = kInvalidEventId;  // clear before user code so it may re-arm
   EventFn fn = std::move(fn_);
   fn();

@@ -4,6 +4,15 @@
 // previous schedule, which removes the classic dangling-callback hazard of
 // raw schedule()/cancel() pairs. The callback lives in the Timer itself;
 // the kernel only ever sees a one-pointer thunk, so arming never allocates.
+//
+// Re-arming to the same or a later deadline does not touch the queue: the
+// timer reserves the sequence number an eager schedule would take, and
+// when its already-queued (earlier) key surfaces, that key re-queues
+// itself at the reserved (when, seq). The callback therefore runs at
+// exactly the position cancel + schedule would have given it, while the
+// common DCF/NodeStack pattern — pushing a pending deadline out again and
+// again — costs one reservation per arm instead of a tombstone and a
+// sorted insert. Re-arming earlier, and cancel(), stay eager.
 #pragma once
 
 #include "sim/event_fn.hpp"
@@ -19,7 +28,7 @@ class Timer {
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  /// (Re)arm to fire `delay` from now. A pending schedule is cancelled.
+  /// (Re)arm to fire `delay` from now, replacing any pending schedule.
   void arm(Duration delay, EventFn fn);
 
   void cancel();
@@ -27,10 +36,16 @@ class Timer {
   [[nodiscard]] bool pending() const { return id_ != kInvalidEventId; }
 
  private:
+  /// Queue the thunk at the current arming's (deadline_, seq_).
+  void queue();
   void fire();
 
   Simulator* sim_;
-  EventId id_ = kInvalidEventId;
+  EventId id_ = kInvalidEventId;  ///< the key in the queue, if any
+  TimePoint queuedWhen_;          ///< that key's time
+  TimePoint deadline_;            ///< current arming; >= queuedWhen_
+  std::uint64_t seq_ = 0;         ///< its reserved sequence number
+  bool deferred_ = false;  ///< the queued key is not at (deadline_, seq_)
   EventFn fn_;
 };
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -206,6 +208,33 @@ TEST(Simulator, FifoPreservedAcrossWindowRebuilds) {
   }
 }
 
+TEST(Simulator, QueueMemoryStaysBoundedByLiveEventsInOneWindow) {
+  // A far sentinel stretches the calendar window, so every event below is
+  // pushed into one window's active run; 10^6 of them pass through with
+  // at most kLive + 1 pending. The keys held must track the live count,
+  // not the number of keys ever popped from the run.
+  Simulator s;
+  s.post(Duration::seconds(1000.0), [] {});
+  constexpr std::int64_t kLive = 64;
+  constexpr std::int64_t kEvents = 1'000'000;
+  std::int64_t fired = 0;
+  std::size_t maxKeys = 0;
+  std::function<void()> tick = [&] {
+    ++fired;
+    maxKeys = std::max(maxKeys, s.queuedKeys());
+    if (fired + kLive <= kEvents) {
+      s.post(Duration::micros(1 + fired % 7), [&tick] { tick(); });
+    }
+  };
+  for (std::int64_t i = 0; i < kLive; ++i) {
+    s.post(Duration::micros(i), [&tick] { tick(); });
+  }
+  s.runUntil(TimePoint{} + Duration::seconds(100.0));
+  EXPECT_EQ(fired, kEvents);
+  EXPECT_EQ(s.pendingEvents(), 1u);  // the sentinel
+  EXPECT_LE(maxKeys, std::size_t{4} * std::max<std::size_t>(kLive, 256));
+}
+
 TEST(EventFn, OversizedCaptureFallsBackToHeap) {
   // 64 bytes of capture exceeds EventFn's 48-byte inline budget; the
   // callable must still work (via the owning-pointer fallback).
@@ -283,6 +312,78 @@ TEST(Timer, DestructionCancels) {
   }
   s.run();
   EXPECT_FALSE(fired);
+}
+
+TEST(Timer, RearmLaterKeepsSameInstantOrder) {
+  // A re-arm to a later (or the same) deadline queues nothing, yet fires
+  // exactly where cancel + schedule would have put it: after every event
+  // for that instant issued before the re-arm, before every one after.
+  Simulator s;
+  Timer t{s};
+  std::vector<int> order;
+  t.arm(Duration::micros(5), [&] { order.push_back(0); });
+  s.post(Duration::micros(10), [&] { order.push_back(1); });
+  const std::uint64_t queued = s.scheduledEvents();
+  t.arm(Duration::micros(10), [&] { order.push_back(2); });
+  EXPECT_EQ(s.scheduledEvents(), queued);  // deferred, not re-queued
+  s.post(Duration::micros(10), [&] { order.push_back(3); });
+  // Same deadline: the timer moves behind events issued since its arm.
+  Timer u{s};
+  u.arm(Duration::micros(20), [&] { order.push_back(4); });
+  s.post(Duration::micros(20), [&] { order.push_back(5); });
+  u.arm(Duration::micros(20), [&] { order.push_back(6); });
+  s.post(Duration::micros(20), [&] { order.push_back(7); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5, 6, 7}));
+  EXPECT_EQ(s.cancelledEvents(), 0u);
+  EXPECT_EQ(s.pendingEvents(), 0u);
+}
+
+TEST(Timer, RearmEarlierIsEager) {
+  Simulator s;
+  Timer t{s};
+  std::vector<std::int64_t> times;
+  t.arm(Duration::micros(20), [&] { times.push_back(s.now().asMicros()); });
+  t.arm(Duration::micros(5), [&] { times.push_back(s.now().asMicros()); });
+  EXPECT_EQ(s.cancelledEvents(), 1u);
+  EXPECT_EQ(s.pendingEvents(), 1u);
+  s.run();
+  EXPECT_EQ(times, (std::vector<std::int64_t>{5}));
+}
+
+TEST(Timer, DestructionCancelsDeferredKey) {
+  Simulator s;
+  bool fired = false;
+  {
+    Timer t{s};
+    t.arm(Duration::micros(5), [&] { fired = true; });
+    t.arm(Duration::micros(10), [&] { fired = true; });  // deferred
+    // Let the early key surface and hop to the deferred deadline first.
+    s.runUntil(TimePoint{} + Duration::micros(7));
+    EXPECT_TRUE(t.pending());
+    EXPECT_EQ(s.pendingEvents(), 1u);
+  }
+  EXPECT_EQ(s.pendingEvents(), 0u);
+  s.run();
+  EXPECT_FALSE(fired);
+}
+
+TEST(PeriodicTimer, StopDuringDeferralNeverFires) {
+  for (const std::int64_t stopAtUs : {0, 7}) {
+    Simulator s;
+    PeriodicTimer p{s};
+    int fires = 0;
+    p.start(Duration::micros(5), [&] { ++fires; });
+    // Restart later: the queued 5 us key stays and defers to 20 us.
+    p.start(Duration::micros(20), Duration::micros(5), [&] { ++fires; });
+    s.runUntil(TimePoint{} + Duration::micros(stopAtUs));
+    EXPECT_TRUE(p.running());
+    p.stop();
+    EXPECT_FALSE(p.running());
+    s.run();
+    EXPECT_EQ(fires, 0) << "stopped at " << stopAtUs << " us";
+    EXPECT_EQ(s.pendingEvents(), 0u);
+  }
 }
 
 TEST(PeriodicTimer, FiresAtFixedInterval) {

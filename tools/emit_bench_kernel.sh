@@ -59,7 +59,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER='BM_Event(QueueScheduleRun|QueueSteadyState|QueueSameInstantBursts|Cancellation)'
+FILTER='BM_(Event(QueueScheduleRun|QueueSteadyState|QueueSameInstantBursts|Cancellation|QueueLongRun)|TimerRearm)'
 MEDIUM_FILTER='BM_Medium(StartFinish|DenseBurst|DenseMacro|SparseStartFinish)'
 TOPO_FILTER='BM_TopologyConstruct'
 
