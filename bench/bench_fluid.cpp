@@ -7,10 +7,15 @@
 // The solver core is allocation-free after the first evaluate() (CSR
 // incidence + reused workspace); counters report iterations so a
 // regression in convergence shows up as surely as one in wall time.
+//
+// The centralized maxmin reference and the 2PP allocator run on the same
+// meshes and the same topo::FlowIncidence, so the three solvers' costs
+// are directly comparable.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 
+#include "analysis/maxmin_solver.hpp"
 #include "baselines/two_phase.hpp"
 #include "fluid/fluid_gmp.hpp"
 #include "fluid/fluid_network.hpp"
@@ -22,8 +27,7 @@ namespace {
 using namespace maxmin;
 
 double nominalCapacity() {
-  return baselines::nominalLinkCapacityPps(mac::MacParams{},
-                                           DataSize::bytes(1000));
+  return mac::MacParams{}.nominalLinkCapacityPps(DataSize::bytes(1000));
 }
 
 scenarios::Scenario sweepMesh(int nodes) {
@@ -79,6 +83,40 @@ void BM_FluidFixedPoint(benchmark::State& state) {
   state.counters["converged"] = converged ? 1.0 : 0.0;
 }
 BENCHMARK(BM_FluidFixedPoint)
+    ->Arg(500)
+    ->Arg(5000)
+    ->Unit(benchmark::kMillisecond);
+
+/// The centralized weighted-maxmin reference end to end: route, enumerate
+/// the cliques, build the incidence, water-fill.
+void BM_ReferenceMaxmin(benchmark::State& state) {
+  const auto sc = sweepMesh(static_cast<int>(state.range(0)));
+  const double cap = nominalCapacity();
+  std::size_t cliques = 0;
+  for (auto _ : state) {
+    const auto model = analysis::buildCliqueModel(sc.topology, sc.flows, cap);
+    benchmark::DoNotOptimize(analysis::solveWeightedMaxmin(model).size());
+    cliques = model.contention.cliques.size();
+  }
+  state.counters["flows"] = static_cast<double>(sc.flows.size());
+  state.counters["cliques"] = static_cast<double>(cliques);
+}
+BENCHMARK(BM_ReferenceMaxmin)
+    ->Arg(500)
+    ->Arg(5000)
+    ->Unit(benchmark::kMillisecond);
+
+/// The 2PP baseline end to end: route, build the incidence, allocate.
+void BM_TwoPhaseAllocate(benchmark::State& state) {
+  const auto sc = sweepMesh(static_cast<int>(state.range(0)));
+  const double cap = nominalCapacity();
+  for (auto _ : state) {
+    const baselines::TwoPhaseAllocator allocator{sc.topology, sc.flows, cap};
+    benchmark::DoNotOptimize(allocator.allocate().totalPps.size());
+  }
+  state.counters["flows"] = static_cast<double>(sc.flows.size());
+}
+BENCHMARK(BM_TwoPhaseAllocate)
     ->Arg(500)
     ->Arg(5000)
     ->Unit(benchmark::kMillisecond);

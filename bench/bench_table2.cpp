@@ -8,7 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "analysis/maxmin_solver.hpp"
-#include "baselines/two_phase.hpp"
+#include "mac/params.hpp"
 #include "bench/bench_util.hpp"
 
 namespace {
@@ -33,8 +33,7 @@ void reproduceTable2() {
   // Centralized reference on the idealized clique model.
   const auto model = analysis::buildCliqueModel(
       sc.topology, sc.flows,
-      baselines::nominalLinkCapacityPps(mac::MacParams{},
-                                        DataSize::bytes(1024)));
+      mac::MacParams{}.nominalLinkCapacityPps(DataSize::bytes(1024)));
   const auto reference = analysis::solveWeightedMaxmin(model);
   Table r({"flow", "centralized maxmin reference"});
   for (const auto& f : sc.flows) {

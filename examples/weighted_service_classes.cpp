@@ -13,7 +13,7 @@
 
 #include "analysis/experiment.hpp"
 #include "analysis/maxmin_solver.hpp"
-#include "baselines/two_phase.hpp"
+#include "mac/params.hpp"
 #include "scenarios/scenarios.hpp"
 #include "util/table.hpp"
 
@@ -43,8 +43,7 @@ int main() {
   // Centralized weighted-maxmin reference for comparison.
   const auto model = analysis::buildCliqueModel(
       scenario.topology, scenario.flows,
-      baselines::nominalLinkCapacityPps(mac::MacParams{},
-                                        DataSize::bytes(1024)));
+      mac::MacParams{}.nominalLinkCapacityPps(DataSize::bytes(1024)));
   const auto reference = analysis::solveWeightedMaxmin(model);
 
   std::cout << "GMP weighted maxmin across three service classes "

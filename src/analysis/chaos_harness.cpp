@@ -6,7 +6,6 @@
 
 #include "analysis/metrics.hpp"
 #include "baselines/configs.hpp"
-#include "baselines/two_phase.hpp"
 #include "gmp/controller.hpp"
 #include "gmp/dissemination.hpp"
 #include "net/network.hpp"
@@ -190,8 +189,7 @@ ChaosOutcome runChaosSchedule(const scenarios::Scenario& scenario,
   }
 
   // Oracle 2: sanity — delivered rate can never beat the channel.
-  const double capacity =
-      baselines::nominalLinkCapacityPps(nc.mac, nc.packetSize);
+  const double capacity = nc.mac.nominalLinkCapacityPps(nc.packetSize);
   for (const auto& [id, rate] : rates) {
     out.maxFlowRatePps = std::max(out.maxFlowRatePps, rate);
     if (rate > capacity * params.capacitySlack) {

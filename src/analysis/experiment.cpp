@@ -134,13 +134,9 @@ RunResult runScenario(const scenarios::Scenario& scenario,
       hybridEngine->start();
     }
   } else if (config.protocol == Protocol::kTwoPhase) {
-    std::vector<std::vector<topo::NodeId>> paths;
-    for (const net::FlowSpec& f : scenario.flows) {
-      paths.push_back(net.pathOf(f.id));
-    }
     const baselines::TwoPhaseAllocator allocator{
-        scenario.topology, scenario.flows, paths,
-        baselines::nominalLinkCapacityPps(nc.mac, nc.packetSize)};
+        scenario.topology, scenario.flows,
+        nc.mac.nominalLinkCapacityPps(nc.packetSize)};
     const auto allocation = allocator.allocate();
     for (const net::FlowSpec& f : scenario.flows) {
       net.setRateLimit(f.id, allocation.totalPps.at(f.id));

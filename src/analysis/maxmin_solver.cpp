@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <set>
 
-#include "topology/cliques.hpp"
-#include "topology/conflict_graph.hpp"
-#include "topology/routing.hpp"
 #include "util/check.hpp"
 
 namespace maxmin::analysis {
@@ -17,76 +14,49 @@ CliqueModel buildCliqueModel(const topo::Topology& topo,
                              double cliqueCapacityPps) {
   MAXMIN_CHECK(cliqueCapacityPps > 0.0);
   CliqueModel model;
-
-  std::vector<std::vector<topo::NodeId>> paths;
-  std::set<topo::Link> linkSet;
-  for (const net::FlowSpec& f : flows) {
-    const auto tree = topo::RoutingTree::shortestPaths(topo, f.dst);
-    MAXMIN_CHECK_MSG(tree.reaches(f.src), "flow " << f.id << " unroutable");
-    paths.push_back(tree.pathFrom(f.src));
-    for (std::size_t i = 0; i + 1 < paths.back().size(); ++i) {
-      linkSet.insert(topo::Link{paths.back()[i], paths.back()[i + 1]});
-    }
-    model.flows.push_back(CliqueModel::FlowEntry{
-        f.id, f.weight, f.desiredRate.asPerSecond()});
-  }
-
-  const topo::ConflictGraph graph{topo, {linkSet.begin(), linkSet.end()}};
-  const auto cliques = topo::enumerateMaximalCliques(graph);
-
-  model.traversals.assign(cliques.size(),
-                          std::vector<int>(flows.size(), 0));
-  model.capacity.assign(cliques.size(), cliqueCapacityPps);
-  for (std::size_t c = 0; c < cliques.size(); ++c) {
-    std::set<topo::Link> members;
-    for (int li : cliques[c].linkIndices) {
-      members.insert(graph.links()[static_cast<std::size_t>(li)]);
-    }
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      for (std::size_t h = 0; h + 1 < paths[i].size(); ++h) {
-        if (members.contains(topo::Link{paths[i][h], paths[i][h + 1]})) {
-          ++model.traversals[c][i];
-        }
-      }
-    }
-  }
+  model.flows = flows;
+  const auto paths = net::routeFlows(topo, flows);
+  model.contention =
+      topo::ContentionStructure::build(topo, topo::linksOnPaths(paths));
+  model.incidence = topo::FlowIncidence::build(model.contention, paths);
+  model.capacity = cliqueCapacityPps;
   return model;
 }
 
 std::map<net::FlowId, double> solveWeightedMaxmin(const CliqueModel& model) {
   const std::size_t n = model.flows.size();
-  const std::size_t m = model.capacity.size();
+  const topo::IncidenceCsr& cliqueFlows = model.incidence.cliqueFlows;
+  const std::size_t m = cliqueFlows.rows();
   std::vector<double> rate(n, 0.0);
   std::vector<bool> active(n, true);
+  const auto desired = [&](std::size_t i) {
+    return model.flows[i].desiredRate.asPerSecond();
+  };
   for (std::size_t i = 0; i < n; ++i) {
     MAXMIN_CHECK(model.flows[i].weight > 0.0);
-    if (model.flows[i].desiredPps <= 0.0) active[i] = false;
+    if (desired(i) <= 0.0) active[i] = false;
   }
 
   constexpr double kEps = 1e-9;
   for (std::size_t round = 0; round <= n + m; ++round) {
-    if (std::none_of(active.begin(), active.end(), [](bool b) { return b; }))
-      break;
+    if (std::ranges::none_of(active, std::identity{})) break;
 
     // Largest uniform normalized-rate increment all active flows admit.
     double delta = std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < m; ++c) {
       double load = 0.0;
       double weightSum = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        load += rate[i] * model.traversals[c][i];
-        if (active[i]) {
-          weightSum += model.flows[i].weight * model.traversals[c][i];
-        }
+      for (const auto& [i, k] : cliqueFlows.row(c)) {
+        load += rate[i] * k;
+        if (active[i]) weightSum += model.flows[i].weight * k;
       }
       if (weightSum > 0.0) {
-        delta = std::min(delta, (model.capacity[c] - load) / weightSum);
+        delta = std::min(delta, (model.capacity - load) / weightSum);
       }
     }
     for (std::size_t i = 0; i < n; ++i) {
       if (!active[i]) continue;
-      delta = std::min(delta, (model.flows[i].desiredPps - rate[i]) /
-                                  model.flows[i].weight);
+      delta = std::min(delta, (desired(i) - rate[i]) / model.flows[i].weight);
     }
     MAXMIN_CHECK(std::isfinite(delta));
     delta = std::max(delta, 0.0);
@@ -98,7 +68,7 @@ std::map<net::FlowId, double> solveWeightedMaxmin(const CliqueModel& model) {
     // Freeze flows at their desirable rate or crossing a now-tight clique.
     bool froze = false;
     for (std::size_t i = 0; i < n; ++i) {
-      if (active[i] && rate[i] >= model.flows[i].desiredPps - kEps) {
+      if (active[i] && rate[i] >= desired(i) - kEps) {
         active[i] = false;
         froze = true;
       }
@@ -106,23 +76,17 @@ std::map<net::FlowId, double> solveWeightedMaxmin(const CliqueModel& model) {
     for (std::size_t c = 0; c < m; ++c) {
       double load = 0.0;
       bool anyActive = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        load += rate[i] * model.traversals[c][i];
-        if (active[i] && model.traversals[c][i] > 0) anyActive = true;
+      for (const auto& [i, k] : cliqueFlows.row(c)) {
+        load += rate[i] * k;
+        if (active[i]) anyActive = true;
       }
-      if (anyActive && load >= model.capacity[c] - kEps) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (active[i] && model.traversals[c][i] > 0) {
-            active[i] = false;
-            froze = true;
-          }
-        }
+      if (anyActive && load >= model.capacity - kEps) {
+        for (const auto& [i, k] : cliqueFlows.row(c)) active[i] = false;
+        froze = true;
       }
     }
-    MAXMIN_CHECK_MSG(
-        froze || std::none_of(active.begin(), active.end(),
-                              [](bool b) { return b; }),
-        "water-filling made no progress");
+    MAXMIN_CHECK_MSG(froze || std::ranges::none_of(active, std::identity{}),
+                     "water-filling made no progress");
   }
 
   std::map<net::FlowId, double> result;
@@ -132,21 +96,30 @@ std::map<net::FlowId, double> solveWeightedMaxmin(const CliqueModel& model) {
   return result;
 }
 
+namespace {
+
+double cliqueLoad(const CliqueModel& model, std::size_t c,
+                  const std::map<net::FlowId, double>& rates) {
+  double load = 0.0;
+  for (const auto& [i, k] : model.incidence.cliqueFlows.row(c)) {
+    load += rates.at(model.flows[i].id) * k;
+  }
+  return load;
+}
+
+}  // namespace
+
 bool isFeasible(const CliqueModel& model,
                 const std::map<net::FlowId, double>& rates,
                 double tolerance) {
-  for (std::size_t i = 0; i < model.flows.size(); ++i) {
-    const double r = rates.at(model.flows[i].id);
-    if (r < -tolerance || r > model.flows[i].desiredPps + tolerance) {
+  for (const net::FlowSpec& f : model.flows) {
+    const double r = rates.at(f.id);
+    if (r < -tolerance || r > f.desiredRate.asPerSecond() + tolerance) {
       return false;
     }
   }
-  for (std::size_t c = 0; c < model.capacity.size(); ++c) {
-    double load = 0.0;
-    for (std::size_t i = 0; i < model.flows.size(); ++i) {
-      load += rates.at(model.flows[i].id) * model.traversals[c][i];
-    }
-    if (load > model.capacity[c] + tolerance) return false;
+  for (std::size_t c = 0; c < model.incidence.cliqueFlows.rows(); ++c) {
+    if (cliqueLoad(model, c, rates) > model.capacity + tolerance) return false;
   }
   return true;
 }
@@ -155,29 +128,24 @@ bool satisfiesBottleneckCondition(const CliqueModel& model,
                                   const std::map<net::FlowId, double>& rates,
                                   double tolerance) {
   if (!isFeasible(model, rates, tolerance)) return false;
+  const auto mu = [&](std::size_t i) {
+    return rates.at(model.flows[i].id) / model.flows[i].weight;
+  };
   for (std::size_t i = 0; i < model.flows.size(); ++i) {
     const double r = rates.at(model.flows[i].id);
-    if (r >= model.flows[i].desiredPps - tolerance) continue;  // demand-capped
-    const double mu = r / model.flows[i].weight;
+    const double demand = model.flows[i].desiredRate.asPerSecond();
+    if (r >= demand - tolerance) continue;  // demand-capped
 
-    bool hasBottleneck = false;
-    for (std::size_t c = 0; c < model.capacity.size(); ++c) {
-      if (model.traversals[c][i] == 0) continue;
-      double load = 0.0;
+    const auto isBottleneck = [&](const topo::IncidenceCsr::Entry& e) {
       double maxMu = 0.0;
-      for (std::size_t j = 0; j < model.flows.size(); ++j) {
-        load += rates.at(model.flows[j].id) * model.traversals[c][j];
-        if (model.traversals[c][j] > 0) {
-          maxMu = std::max(maxMu,
-                           rates.at(model.flows[j].id) / model.flows[j].weight);
-        }
+      for (const auto& [j, k] : model.incidence.cliqueFlows.row(e.index)) {
+        maxMu = std::max(maxMu, mu(j));
       }
-      if (load >= model.capacity[c] - tolerance && mu >= maxMu - tolerance) {
-        hasBottleneck = true;
-        break;
-      }
-    }
-    if (!hasBottleneck) return false;
+      return cliqueLoad(model, e.index, rates) >= model.capacity - tolerance &&
+             mu(i) >= maxMu - tolerance;
+    };
+    const auto cliques = model.incidence.flowCliques.row(i);
+    if (!std::ranges::any_of(cliques, isBottleneck)) return false;
   }
   return true;
 }

@@ -1,7 +1,7 @@
 // Centralized weighted maxmin reference solver.
 //
 // Models the wireless network the same way the paper reasons about it:
-// each maximal contention clique is a serial resource of capacity C_c
+// each maximal contention clique is a serial resource of capacity C
 // (pkts/s); a flow consumes one capacity unit of clique c per link of its
 // path inside c. Weighted water-filling raises all flows' normalized
 // rates together, freezing flows as their bottleneck cliques fill or
@@ -17,21 +17,18 @@
 #include <vector>
 
 #include "net/flow.hpp"
+#include "topology/contention.hpp"
 #include "topology/topology.hpp"
 
 namespace maxmin::analysis {
 
 struct CliqueModel {
-  struct FlowEntry {
-    net::FlowId id = net::kNoFlow;
-    double weight = 1.0;
-    double desiredPps = 0.0;
-  };
-  std::vector<FlowEntry> flows;
-  /// traversals[c][i]: number of links of flows[i]'s path inside clique c.
-  std::vector<std::vector<int>> traversals;
-  /// capacity[c]: serial packet capacity of clique c (pkts/s).
-  std::vector<double> capacity;
+  std::vector<net::FlowSpec> flows;
+  topo::ContentionStructure contention;
+  /// Flow index i is flows[i]: how many links of its path lie in each clique.
+  topo::FlowIncidence incidence;
+  /// Serial packet capacity of every maximal clique (pkts/s).
+  double capacity = 0.0;
 };
 
 /// Build the model from a topology and flow set (shortest-path routes),

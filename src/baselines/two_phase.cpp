@@ -4,61 +4,31 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <set>
 
-#include "topology/conflict_graph.hpp"
 #include "util/check.hpp"
 
 namespace maxmin::baselines {
 
-double nominalLinkCapacityPps(const mac::MacParams& mac, DataSize payload) {
-  const Duration perPacket = mac.difs() +
-                             mac.slotTime * (mac.cwMin / 2) +
-                             mac.exchangeAirtime(payload);
-  return 1e6 / static_cast<double>(perPacket.asMicros());
-}
-
-TwoPhaseAllocator::TwoPhaseAllocator(
-    const topo::Topology& topo, std::vector<net::FlowSpec> flows,
-    std::vector<std::vector<topo::NodeId>> paths, double cliqueCapacityPps,
-    double basicShareConservatism)
+TwoPhaseAllocator::TwoPhaseAllocator(const topo::Topology& topo,
+                                     std::vector<net::FlowSpec> flows,
+                                     double cliqueCapacityPps,
+                                     double basicShareConservatism)
     : flows_{std::move(flows)},
       capacity_{cliqueCapacityPps},
       conservatism_{basicShareConservatism} {
   MAXMIN_CHECK(capacity_ > 0.0);
   MAXMIN_CHECK(conservatism_ > 0.0 && conservatism_ <= 1.0);
-  MAXMIN_CHECK(flows_.size() == paths.size());
-
-  std::set<topo::Link> linkSet;
-  for (const auto& path : paths) {
-    MAXMIN_CHECK(path.size() >= 2);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      linkSet.insert(topo::Link{path[i], path[i + 1]});
-    }
-  }
-  const topo::ConflictGraph graph{topo, {linkSet.begin(), linkSet.end()}};
-  cliques_ = topo::enumerateMaximalCliques(graph);
-
-  traversals_.assign(cliques_.size(),
-                     std::vector<int>(flows_.size(), 0));
-  for (std::size_t c = 0; c < cliques_.size(); ++c) {
-    std::set<topo::Link> members;
-    for (int li : cliques_[c].linkIndices) {
-      members.insert(graph.links()[static_cast<std::size_t>(li)]);
-    }
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-      const auto& path = paths[i];
-      for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-        if (members.contains(topo::Link{path[h], path[h + 1]})) {
-          ++traversals_[c][i];
-        }
-      }
-    }
-  }
+  const auto paths = net::routeFlows(topo, flows_);
+  incidence_ = topo::FlowIncidence::build(
+      topo::ContentionStructure::build(topo, topo::linksOnPaths(paths)),
+      paths);
 }
 
 TwoPhaseAllocation TwoPhaseAllocator::allocate() const {
   const std::size_t n = flows_.size();
+  const topo::IncidenceCsr& cliqueFlows = incidence_.cliqueFlows;
+  const topo::IncidenceCsr& flowCliques = incidence_.flowCliques;
+  const std::size_t m = cliqueFlows.rows();
   TwoPhaseAllocation alloc;
 
   // Phase one: the basic fair share. Each clique's capacity is divided
@@ -66,14 +36,15 @@ TwoPhaseAllocation TwoPhaseAllocator::allocate() const {
   // is the worst such division along its path. Conservative by design —
   // a flow crossing a busy clique several times still gets only one
   // share of it.
+  std::vector<int> cliqueTraversals(m, 0);
+  for (std::size_t c = 0; c < m; ++c) {
+    for (const auto& [i, k] : cliqueFlows.row(c)) cliqueTraversals[c] += k;
+  }
   std::vector<double> basic(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     double share = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < traversals_.size(); ++c) {
-      if (traversals_[c][i] == 0) continue;
-      const int total =
-          std::accumulate(traversals_[c].begin(), traversals_[c].end(), 0);
-      share = std::min(share, capacity_ / total);
+    for (const auto& [c, k] : flowCliques.row(i)) {
+      share = std::min(share, capacity_ / cliqueTraversals[c]);
     }
     MAXMIN_CHECK(std::isfinite(share));
     basic[i] =
@@ -81,42 +52,35 @@ TwoPhaseAllocation TwoPhaseAllocator::allocate() const {
   }
 
   // Residual clique capacity after the guarantees.
-  std::vector<double> residual(traversals_.size(), 0.0);
-  for (std::size_t c = 0; c < traversals_.size(); ++c) {
+  std::vector<double> residual(m, 0.0);
+  for (std::size_t c = 0; c < m; ++c) {
     double used = 0.0;
-    for (std::size_t i = 0; i < n; ++i) used += basic[i] * traversals_[c][i];
+    for (const auto& [i, k] : cliqueFlows.row(c)) used += basic[i] * k;
     residual[c] = std::max(0.0, capacity_ - used);
   }
 
   // Phase two: maximize aggregate throughput. Cheapest flows first
-  // (fewest total clique traversals, then fewer hops, then id).
+  // (fewest total clique traversals, then id).
+  std::vector<int> cost(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto& [c, k] : flowCliques.row(i)) cost[i] += k;
+  }
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  auto cost = [&](std::size_t i) {
-    int total = 0;
-    for (std::size_t c = 0; c < traversals_.size(); ++c)
-      total += traversals_[c][i];
-    return total;
-  };
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const int ca = cost(a);
-    const int cb = cost(b);
-    if (ca != cb) return ca < cb;
+    if (cost[a] != cost[b]) return cost[a] < cost[b];
     return flows_[a].id < flows_[b].id;
   });
 
   std::vector<double> total = basic;
   for (std::size_t i : order) {
     double extra = flows_[i].desiredRate.asPerSecond() - total[i];
-    for (std::size_t c = 0; c < traversals_.size(); ++c) {
-      if (traversals_[c][i] == 0) continue;
-      extra = std::min(extra, residual[c] / traversals_[c][i]);
+    for (const auto& [c, k] : flowCliques.row(i)) {
+      extra = std::min(extra, residual[c] / k);
     }
     extra = std::max(0.0, extra);
     total[i] += extra;
-    for (std::size_t c = 0; c < traversals_.size(); ++c) {
-      residual[c] -= extra * traversals_[c][i];
-    }
+    for (const auto& [c, k] : flowCliques.row(i)) residual[c] -= extra * k;
   }
 
   for (std::size_t i = 0; i < n; ++i) {

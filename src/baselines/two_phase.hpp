@@ -19,9 +19,8 @@
 #include <map>
 #include <vector>
 
-#include "mac/params.hpp"
 #include "net/flow.hpp"
-#include "topology/cliques.hpp"
+#include "topology/contention.hpp"
 #include "topology/topology.hpp"
 
 namespace maxmin::baselines {
@@ -31,14 +30,9 @@ struct TwoPhaseAllocation {
   std::map<net::FlowId, double> totalPps;       ///< basic + phase-two extra
 };
 
-/// Nominal saturated throughput (pkts/s) of a single contention-free
-/// link: one DIFS + mean initial backoff + a full RTS/CTS/DATA/ACK
-/// exchange per packet. Used as the per-clique capacity estimate.
-double nominalLinkCapacityPps(const mac::MacParams& mac, DataSize payload);
-
 class TwoPhaseAllocator {
  public:
-  /// `paths[i]` is the routing path (nodes, inclusive) of `flows[i]`.
+  /// Flows are routed over shortest paths (net::routeFlows).
   /// `cliqueCapacityPps` is the serial packet capacity of any maximal
   /// contention clique. `basicShareConservatism` scales the phase-one
   /// guarantee below the plain equal split — [11]'s basic share is
@@ -47,21 +41,17 @@ class TwoPhaseAllocator {
   /// flows.
   TwoPhaseAllocator(const topo::Topology& topo,
                     std::vector<net::FlowSpec> flows,
-                    std::vector<std::vector<topo::NodeId>> paths,
                     double cliqueCapacityPps,
                     double basicShareConservatism = 0.5);
 
   [[nodiscard]] TwoPhaseAllocation allocate() const;
 
-  [[nodiscard]] int numCliques() const { return static_cast<int>(cliques_.size()); }
-
  private:
   std::vector<net::FlowSpec> flows_;
   double capacity_;
   double conservatism_;
-  /// traversals_[c][i]: links of flow i inside clique c.
-  std::vector<std::vector<int>> traversals_;
-  std::vector<topo::Clique> cliques_;
+  /// Flow index i is flows_[i].
+  topo::FlowIncidence incidence_;
 };
 
 }  // namespace maxmin::baselines

@@ -29,19 +29,14 @@ gmp::Snapshot FluidGmpHarness::buildSnapshot(const FluidState& state) const {
     snap.flows.push_back(fs);
   }
 
-  snap.saturated = state.saturated;
   // Every virtual node on a path gets an explicit entry (unsaturated when
-  // not in the backpressure chain), mirroring the controller.
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    for (std::size_t h = 0; h + 1 < paths[i].size(); ++h) {
-      snap.saturated.try_emplace({paths[i][h], flows[i].dst}, false);
-    }
-  }
-
-  // Virtual links: one per (link, dest) traversed by any flow.
+  // not in the backpressure chain), mirroring the controller. Virtual
+  // links: one per (link, dest) traversed by any flow.
+  snap.saturated = state.saturated;
   std::map<gmp::VirtualLinkKey, std::vector<std::size_t>> flowsOnVlink;
   for (std::size_t i = 0; i < flows.size(); ++i) {
     for (std::size_t h = 0; h + 1 < paths[i].size(); ++h) {
+      snap.saturated.try_emplace({paths[i][h], flows[i].dst}, false);
       flowsOnVlink[{paths[i][h], paths[i][h + 1], flows[i].dst}].push_back(i);
     }
   }
@@ -68,13 +63,16 @@ gmp::Snapshot FluidGmpHarness::buildSnapshot(const FluidState& state) const {
     snap.vlinks.push_back(vl);
   }
 
-  for (const topo::Link& l : network_.contention().links) {
+  // A wireless link's normalized rate is the largest over its virtual
+  // links; every flow crossing the link lies on exactly one of them.
+  const auto& links = network_.contention().links;
+  for (std::size_t li = 0; li < links.size(); ++li) {
     gmp::WLinkState wl;
-    wl.link = l;
-    wl.occupancy = state.occupancy.at(l);
-    for (const gmp::VLinkState& vl : snap.vlinks) {
-      if (vl.key.wireless() == l)
-        wl.normRate = std::max(wl.normRate, vl.normRate);
+    wl.link = links[li];
+    wl.occupancy = state.occupancy.at(wl.link);
+    for (const auto& [i, k] : network_.incidence().linkFlows.row(li)) {
+      wl.normRate = std::max(wl.normRate,
+                             state.rates.at(flows[i].id) / flows[i].weight);
     }
     snap.wlinks.push_back(wl);
   }

@@ -1,105 +1,41 @@
 #include "fluid/fluid_network.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/check.hpp"
 
 namespace maxmin::fluid {
-namespace {
-
-/// Builds one CSR side from (outer, inner, count) triples sorted by outer.
-void buildCsr(std::size_t outerSize,
-              const std::map<std::pair<std::int32_t, std::int32_t>,
-                             std::int32_t>& counts,
-              std::vector<std::int32_t>& off, std::vector<std::int32_t>& idx,
-              std::vector<std::int32_t>& cnt) {
-  off.assign(outerSize + 1, 0);
-  for (const auto& [key, c] : counts) {
-    ++off[static_cast<std::size_t>(key.first) + 1];
-  }
-  for (std::size_t i = 1; i < off.size(); ++i) off[i] += off[i - 1];
-  idx.resize(counts.size());
-  cnt.resize(counts.size());
-  std::size_t pos = 0;
-  for (const auto& [key, c] : counts) {
-    idx[pos] = key.second;
-    cnt[pos] = c;
-    ++pos;
-  }
-}
-
-}  // namespace
 
 FluidNetwork::FluidNetwork(const topo::Topology& topo,
                            std::vector<net::FlowSpec> flows,
                            double cliqueCapacityPps,
                            std::vector<topo::Link> extraLinks)
-    : flows_{std::move(flows)}, capacity_{cliqueCapacityPps} {
-  std::set<topo::Link> linkSet{extraLinks.begin(), extraLinks.end()};
-  const std::vector<topo::Link> routed = routeFlows(topo);
-  linkSet.insert(routed.begin(), routed.end());
-  contention_ = gmp::ContentionStructure::build(
-      topo, {linkSet.begin(), linkSet.end()});
-  buildIncidence();
+    : flows_{std::move(flows)},
+      paths_{net::routeFlows(topo, flows_)},
+      capacity_{cliqueCapacityPps} {
+  contention_ = topo::ContentionStructure::build(
+      topo, topo::linksOnPaths(paths_, std::move(extraLinks)));
+  init();
 }
 
 FluidNetwork::FluidNetwork(const topo::Topology& topo,
                            std::vector<net::FlowSpec> flows,
                            double cliqueCapacityPps,
-                           gmp::ContentionStructure contention)
+                           topo::ContentionStructure contention)
     : flows_{std::move(flows)},
+      paths_{net::routeFlows(topo, flows_)},
       contention_{std::move(contention)},
       capacity_{cliqueCapacityPps} {
-  MAXMIN_CHECK_MSG(routeFlows(topo) == contention_.links,
+  MAXMIN_CHECK_MSG(topo::linksOnPaths(paths_) == contention_.links,
                    "contention structure links differ from the flows' "
                    "link set");
-  buildIncidence();
+  init();
 }
 
-std::vector<topo::Link> FluidNetwork::routeFlows(const topo::Topology& topo) {
+void FluidNetwork::init() {
   MAXMIN_CHECK(capacity_ > 0.0);
-  net::validateFlows(flows_, topo.numNodes());
-  std::set<topo::Link> linkSet;
-  for (const net::FlowSpec& f : flows_) {
-    const auto tree = topo::RoutingTree::shortestPaths(topo, f.dst);
-    MAXMIN_CHECK_MSG(tree.reaches(f.src), "flow " << f.id << " unroutable");
-    paths_.push_back(tree.pathFrom(f.src));
-    limits_[f.id] = std::nullopt;
-    for (std::size_t i = 0; i + 1 < paths_.back().size(); ++i) {
-      linkSet.insert(topo::Link{paths_.back()[i], paths_.back()[i + 1]});
-    }
-  }
-  return {linkSet.begin(), linkSet.end()};
-}
-
-void FluidNetwork::buildIncidence() {
-  // Hop -> contention link index, then the three CSR incidence views.
-  pathLinks_.resize(paths_.size());
-  std::map<std::pair<std::int32_t, std::int32_t>, std::int32_t> cliqueFlow;
-  std::map<std::pair<std::int32_t, std::int32_t>, std::int32_t> flowClique;
-  std::map<std::pair<std::int32_t, std::int32_t>, std::int32_t> linkFlow;
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
-    const auto fi = static_cast<std::int32_t>(i);
-    for (std::size_t h = 0; h + 1 < paths_[i].size(); ++h) {
-      const int li =
-          contention_.linkIndex(topo::Link{paths_[i][h], paths_[i][h + 1]});
-      MAXMIN_CHECK(li >= 0);
-      pathLinks_[i].push_back(li);
-      ++linkFlow[{li, fi}];
-      for (int c : contention_.cliquesOfLink[static_cast<std::size_t>(li)]) {
-        ++cliqueFlow[{c, fi}];
-        ++flowClique[{fi, c}];
-      }
-    }
-  }
-  buildCsr(contention_.cliques.size(), cliqueFlow, cliqueFlowOff_,
-           cliqueFlowIdx_, cliqueFlowCnt_);
-  buildCsr(paths_.size(), flowClique, flowCliqueOff_, flowCliqueIdx_,
-           flowCliqueCnt_);
-  buildCsr(contention_.links.size(), linkFlow, linkFlowOff_, linkFlowIdx_,
-           linkFlowCnt_);
-
+  for (const net::FlowSpec& f : flows_) limits_[f.id] = std::nullopt;
+  incidence_ = topo::FlowIncidence::build(contention_, paths_);
   extLink_.assign(contention_.links.size(), 0.0);
   extClique_.assign(contention_.cliques.size(), 0.0);
 }
@@ -123,11 +59,6 @@ void FluidNetwork::setExternalOccupancy(topo::Link l, double fraction) {
   for (int c : contention_.cliquesOfLink[static_cast<std::size_t>(li)]) {
     extClique_[static_cast<std::size_t>(c)] += delta;
   }
-}
-
-void FluidNetwork::clearExternalOccupancy() {
-  std::ranges::fill(extLink_, 0.0);
-  std::ranges::fill(extClique_, 0.0);
 }
 
 void FluidNetwork::setSolverOptions(SolverOptions opts) {
@@ -154,9 +85,8 @@ FluidState FluidNetwork::evaluate() const {
     ws_.rate[i] = offered;
   }
   for (std::size_t c = 0; c < m; ++c) {
-    for (std::int32_t e = cliqueFlowOff_[c]; e < cliqueFlowOff_[c + 1]; ++e) {
-      ws_.load[c] += ws_.rate[static_cast<std::size_t>(cliqueFlowIdx_[e])] *
-                     cliqueFlowCnt_[e];
+    for (const auto& [i, k] : incidence_.cliqueFlows.row(c)) {
+      ws_.load[c] += ws_.rate[i] * k;
     }
   }
 
@@ -189,16 +119,12 @@ FluidState FluidNetwork::evaluate() const {
     const double avail = std::max(0.0, 1.0 - extClique_[wc]);
     double factor = std::min(1.0, avail * capacity_ / ws_.load[wc]);
     factor = 1.0 - opts_.damping * (1.0 - factor);
-    for (std::int32_t e = cliqueFlowOff_[wc]; e < cliqueFlowOff_[wc + 1];
-         ++e) {
-      const auto i = static_cast<std::size_t>(cliqueFlowIdx_[e]);
+    for (const auto& [i, k] : incidence_.cliqueFlows.row(wc)) {
       const double delta = ws_.rate[i] * (factor - 1.0);
       ws_.rate[i] += delta;
       ws_.bottleneck[i] = static_cast<std::int32_t>(wc);
-      for (std::int32_t fe = flowCliqueOff_[i]; fe < flowCliqueOff_[i + 1];
-           ++fe) {
-        ws_.load[static_cast<std::size_t>(flowCliqueIdx_[fe])] +=
-            delta * flowCliqueCnt_[fe];
+      for (const auto& [c, ck] : incidence_.flowCliques.row(i)) {
+        ws_.load[c] += delta * ck;
       }
     }
   }
@@ -207,9 +133,8 @@ FluidState FluidNetwork::evaluate() const {
   // reported figure is free of incremental-update drift.
   for (std::size_t c = 0; c < m; ++c) {
     double load = 0.0;
-    for (std::int32_t e = cliqueFlowOff_[c]; e < cliqueFlowOff_[c + 1]; ++e) {
-      load += ws_.rate[static_cast<std::size_t>(cliqueFlowIdx_[e])] *
-              cliqueFlowCnt_[e];
+    for (const auto& [i, k] : incidence_.cliqueFlows.row(c)) {
+      load += ws_.rate[i] * k;
     }
     stats_.maxUtilization =
         std::max(stats_.maxUtilization, load / capacity_ + extClique_[c]);
@@ -234,7 +159,7 @@ FluidState FluidNetwork::evaluate() const {
     for (std::size_t h = 0; h + 1 < path.size(); ++h) {
       state.saturated[{path[h], flows_[i].dst}] = true;
       const auto& cliques = contention_.cliquesOfLink[static_cast<std::size_t>(
-          pathLinks_[i][h])];
+          incidence_.hopLinks[i][h])];
       if (std::ranges::find(cliques, bc) != cliques.end()) break;
     }
   }
@@ -243,9 +168,8 @@ FluidState FluidNetwork::evaluate() const {
   // wireless link, plus any external (packet-measured) share.
   for (std::size_t li = 0; li < contention_.links.size(); ++li) {
     double load = 0.0;
-    for (std::int32_t e = linkFlowOff_[li]; e < linkFlowOff_[li + 1]; ++e) {
-      load += ws_.rate[static_cast<std::size_t>(linkFlowIdx_[e])] *
-              linkFlowCnt_[e];
+    for (const auto& [i, k] : incidence_.linkFlows.row(li)) {
+      load += ws_.rate[i] * k;
     }
     state.occupancy[contention_.links[li]] = load / capacity_ + extLink_[li];
   }

@@ -23,9 +23,9 @@
 // background correctly.
 //
 // The solver core is allocation-free after the first evaluate(): clique
-// and flow incidence is stored in CSR form and the iteration workspace is
-// reused across calls, so an N=5k fixed point costs no per-iteration heap
-// traffic (see bench/bench_fluid.cpp).
+// and flow incidence is the shared CSR topo::FlowIncidence and the
+// iteration workspace is reused across calls, so an N=5k fixed point
+// costs no per-iteration heap traffic (see bench/bench_fluid.cpp).
 #pragma once
 
 #include <cstdint>
@@ -33,9 +33,8 @@
 #include <optional>
 #include <vector>
 
-#include "gmp/engine.hpp"
 #include "net/flow.hpp"
-#include "topology/routing.hpp"
+#include "topology/contention.hpp"
 #include "topology/topology.hpp"
 
 namespace maxmin::fluid {
@@ -83,7 +82,8 @@ class FluidNetwork {
   /// the cliques again. Its links must be exactly the links the flows'
   /// routes cross.
   FluidNetwork(const topo::Topology& topo, std::vector<net::FlowSpec> flows,
-               double cliqueCapacityPps, gmp::ContentionStructure contention);
+               double cliqueCapacityPps,
+               topo::ContentionStructure contention);
 
   /// Steady state under the current rate limits and external occupancy.
   [[nodiscard]] FluidState evaluate() const;
@@ -95,7 +95,6 @@ class FluidNetwork {
   /// (the hybrid engine's packet-measured foreground). Charged against
   /// every clique containing `l`; `l` must be a contention link.
   void setExternalOccupancy(topo::Link l, double fraction);
-  void clearExternalOccupancy();
 
   void setSolverOptions(SolverOptions opts);
   [[nodiscard]] const SolverOptions& solverOptions() const { return opts_; }
@@ -103,37 +102,21 @@ class FluidNetwork {
 
   const std::vector<net::FlowSpec>& flows() const { return flows_; }
   const std::vector<std::vector<topo::NodeId>>& paths() const { return paths_; }
-  const gmp::ContentionStructure& contention() const { return contention_; }
+  const topo::ContentionStructure& contention() const { return contention_; }
+  const topo::FlowIncidence& incidence() const { return incidence_; }
   [[nodiscard]] double cliqueCapacity() const { return capacity_; }
 
  private:
-  /// Route every flow (fills paths_ and limits_); returns the links the
-  /// routes cross, sorted and distinct.
-  std::vector<topo::Link> routeFlows(const topo::Topology& topo);
-  /// CSR incidence and external-occupancy arrays over contention_.
-  void buildIncidence();
+  /// Incidence, rate limits and external-occupancy arrays over contention_.
+  void init();
 
   std::vector<net::FlowSpec> flows_;
   std::vector<std::vector<topo::NodeId>> paths_;
   std::map<net::FlowId, std::optional<double>> limits_;
-  gmp::ContentionStructure contention_;
+  topo::ContentionStructure contention_;
+  topo::FlowIncidence incidence_;
   double capacity_;
   SolverOptions opts_;
-
-  /// pathLinks_[flowIdx][hop] = contention link index of that hop.
-  std::vector<std::vector<std::int32_t>> pathLinks_;
-
-  // CSR incidence, built once in the constructor. Entries with zero
-  // traversal count are never stored.
-  std::vector<std::int32_t> cliqueFlowOff_;   ///< cliques + 1
-  std::vector<std::int32_t> cliqueFlowIdx_;   ///< flow index per entry
-  std::vector<std::int32_t> cliqueFlowCnt_;   ///< traversal multiplicity
-  std::vector<std::int32_t> flowCliqueOff_;   ///< flows + 1
-  std::vector<std::int32_t> flowCliqueIdx_;   ///< clique index per entry
-  std::vector<std::int32_t> flowCliqueCnt_;   ///< traversal multiplicity
-  std::vector<std::int32_t> linkFlowOff_;     ///< links + 1
-  std::vector<std::int32_t> linkFlowIdx_;     ///< flow index per entry
-  std::vector<std::int32_t> linkFlowCnt_;     ///< traversal multiplicity
 
   /// External occupancy per contention link index and its per-clique sum.
   std::vector<double> extLink_;

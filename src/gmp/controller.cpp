@@ -15,8 +15,8 @@ namespace maxmin::gmp {
 Controller::Controller(net::Network& net, GmpParams params)
     : net_{net},
       params_{params},
-      contention_{ContentionStructure::build(net.topology(),
-                                             net.activeLinks())},
+      contention_{topo::ContentionStructure::build(net.topology(),
+                                                   net.activeLinks())},
       engine_{contention_, params},
       timer_{net.simulator()},
       assembleTimer_{net.simulator()} {

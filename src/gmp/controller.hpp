@@ -44,7 +44,7 @@ class Controller {
   [[nodiscard]] int periodsRun() const { return periods_; }
   const DecisionReport& lastReport() const { return lastReport_; }
   const Snapshot& lastSnapshot() const { return lastSnapshot_; }
-  const ContentionStructure& contention() const { return contention_; }
+  const topo::ContentionStructure& contention() const { return contention_; }
 
   /// Attach a structured trace sink (not owned; may be nullptr to
   /// detach). Period records — and with TraceLevel::kEvent the
@@ -121,7 +121,7 @@ class Controller {
 
   net::Network& net_;
   GmpParams params_;
-  ContentionStructure contention_;
+  topo::ContentionStructure contention_;
   Engine engine_;
   sim::PeriodicTimer timer_;
   sim::Timer assembleTimer_;

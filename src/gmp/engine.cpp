@@ -33,23 +33,7 @@ bool BetaCompare::equal(double a, double b) const {
   return std::abs(a - b) <= beta_ * larger;
 }
 
-ContentionStructure ContentionStructure::build(const topo::Topology& topo,
-                                               std::vector<topo::Link> links) {
-  topo::ConflictGraph graph{topo, std::move(links)};
-  ContentionStructure cs;
-  cs.links = graph.links();
-  cs.cliques = topo::enumerateMaximalCliques(graph);
-  cs.cliquesOfLink = topo::cliquesByLink(graph, cs.cliques);
-  return cs;
-}
-
-int ContentionStructure::linkIndex(topo::Link l) const {
-  const auto it = std::lower_bound(links.begin(), links.end(), l);
-  if (it == links.end() || *it != l) return -1;
-  return static_cast<int>(it - links.begin());
-}
-
-Engine::Engine(ContentionStructure contention, GmpParams params)
+Engine::Engine(topo::ContentionStructure contention, GmpParams params)
     : contention_{std::move(contention)}, params_{params}, cmp_{params.beta} {}
 
 double Engine::adjustBase(const FlowState& f) const {

@@ -12,28 +12,13 @@
 #include <vector>
 
 #include "gmp/types.hpp"
-#include "topology/cliques.hpp"
-#include "topology/conflict_graph.hpp"
+#include "topology/contention.hpp"
 
 namespace maxmin::gmp {
 
-/// Static contention structure shared by all periods: the conflict graph
-/// over the network's active wireless links and its maximal cliques
-/// (paper §3.3; precomputed from 2-hop topology after deployment, §6.3).
-struct ContentionStructure {
-  std::vector<topo::Link> links;                  ///< sorted
-  std::vector<topo::Clique> cliques;              ///< over indices in links
-  std::vector<std::vector<int>> cliquesOfLink;    ///< link idx -> clique idxs
-
-  static ContentionStructure build(const topo::Topology& topo,
-                                   std::vector<topo::Link> links);
-
-  [[nodiscard]] int linkIndex(topo::Link l) const;
-};
-
 class Engine {
  public:
-  Engine(ContentionStructure contention, GmpParams params);
+  Engine(topo::ContentionStructure contention, GmpParams params);
 
   const GmpParams& params() const { return params_; }
 
@@ -62,7 +47,7 @@ class Engine {
 
   [[nodiscard]] double adjustBase(const FlowState& f) const;
 
-  ContentionStructure contention_;
+  topo::ContentionStructure contention_;
   GmpParams params_;
   BetaCompare cmp_;
 };

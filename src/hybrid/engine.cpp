@@ -5,7 +5,6 @@
 #include <set>
 #include <utility>
 
-#include "baselines/two_phase.hpp"
 #include "net/packet.hpp"
 #include "util/check.hpp"
 
@@ -45,8 +44,8 @@ Engine::Engine(net::Network& net, gmp::Controller& controller,
       allFlows_{std::move(allFlows)},
       gmpParams_{gmpParams},
       cfg_{std::move(cfg)},
-      capacityPps_{baselines::nominalLinkCapacityPps(net.config().mac,
-                                                     net.config().packetSize)} {
+      capacityPps_{
+          net.config().mac.nominalLinkCapacityPps(net.config().packetSize)} {
   MAXMIN_CHECK(cfg_.enabled());
   // Flag combinations (faults, impairments, foreground list) are checked
   // by analysis::validate before a run is built.
@@ -101,7 +100,7 @@ void Engine::fastForward() {
   // background routes plus the foreground links, and without background
   // mode the controller's links are every flow's links. FluidNetwork
   // checks that the links match the routes of allFlows_.
-  const gmp::ContentionStructure& contention =
+  const topo::ContentionStructure& contention =
       bgFluid_ ? bgFluid_->contention() : controller_.contention();
   fluid::FluidNetwork all{net_.topology(), allFlows_, capacityPps_,
                           contention};

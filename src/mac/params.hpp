@@ -66,6 +66,15 @@ struct MacParams {
   [[nodiscard]] Duration exchangeAirtime(DataSize payload) const {
     return rtsDuration() + rtsNav(payload);
   }
+
+  /// Nominal saturated throughput (pkts/s) of a single contention-free
+  /// link: one DIFS + mean initial backoff + a full RTS/CTS/DATA/ACK
+  /// exchange per packet. Used as the per-clique capacity estimate.
+  [[nodiscard]] double nominalLinkCapacityPps(DataSize payload) const {
+    const Duration perPacket =
+        difs() + slotTime * (cwMin / 2) + exchangeAirtime(payload);
+    return 1e6 / static_cast<double>(perPacket.asMicros());
+  }
 };
 
 }  // namespace maxmin::mac

@@ -23,4 +23,10 @@ struct FlowSpec {
 /// Validate a flow set: unique ids, positive weights, src != dst.
 void validateFlows(const std::vector<FlowSpec>& flows, int numNodes);
 
+/// Validate `flows` and route each over shortest paths, building one
+/// RoutingTree per distinct destination. Element i is flows[i]'s route
+/// (nodes, both ends inclusive); an unreachable destination throws.
+std::vector<std::vector<topo::NodeId>> routeFlows(
+    const topo::Topology& topo, const std::vector<FlowSpec>& flows);
+
 }  // namespace maxmin::net

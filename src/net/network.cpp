@@ -1,8 +1,8 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <set>
 
+#include "topology/contention.hpp"
 #include "util/check.hpp"
 
 namespace maxmin::net {
@@ -127,14 +127,9 @@ int Network::hopCount(FlowId id) const {
 }
 
 std::vector<topo::Link> Network::activeLinks() const {
-  std::set<topo::Link> links;
-  for (const FlowSpec& f : flows_) {
-    const auto path = pathOf(f.id);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      links.insert(topo::Link{path[i], path[i + 1]});
-    }
-  }
-  return {links.begin(), links.end()};
+  std::vector<std::vector<topo::NodeId>> paths;
+  for (const FlowSpec& f : flows_) paths.push_back(pathOf(f.id));
+  return topo::linksOnPaths(paths);
 }
 
 void Network::setRateLimit(FlowId id, std::optional<double> pps) {

@@ -3,8 +3,10 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
+#include "topology/routing.hpp"
 #include "util/check.hpp"
 
 namespace maxmin::net {
@@ -33,6 +35,25 @@ void validateFlows(const std::vector<FlowSpec>& flows, int numNodes) {
   std::sort(ids.begin(), ids.end());
   MAXMIN_CHECK_MSG(std::adjacent_find(ids.begin(), ids.end()) == ids.end(),
                    "duplicate flow ids");
+}
+
+std::vector<std::vector<topo::NodeId>> routeFlows(
+    const topo::Topology& topo, const std::vector<FlowSpec>& flows) {
+  validateFlows(flows, topo.numNodes());
+  std::map<topo::NodeId, topo::RoutingTree> trees;
+  std::vector<std::vector<topo::NodeId>> paths;
+  paths.reserve(flows.size());
+  for (const FlowSpec& f : flows) {
+    auto it = trees.find(f.dst);
+    if (it == trees.end()) {
+      it = trees.emplace(f.dst, topo::RoutingTree::shortestPaths(topo, f.dst))
+               .first;
+    }
+    MAXMIN_CHECK_MSG(it->second.reaches(f.src),
+                     "flow " << f.id << " unroutable");
+    paths.push_back(it->second.pathFrom(f.src));
+  }
+  return paths;
 }
 
 NodeStack::NodeStack(NetContext& ctx, topo::NodeId self, Rng rng)

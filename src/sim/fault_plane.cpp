@@ -1,6 +1,7 @@
 #include "sim/fault_plane.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <sstream>
@@ -103,15 +104,13 @@ std::vector<std::string> tokenize(const std::string& line) {
 }
 
 std::int32_t parseNode(const std::string& line, const std::string& tok) {
-  try {
-    const int v = std::stoi(tok);
-    if (v < 0) parseError(line, "node id must be non-negative");
-    return v;
-  } catch (const std::invalid_argument&) {
-    parseError(line, "expected a node id");
-  } catch (const std::out_of_range&) {
-    parseError(line, "node id out of range");
+  std::int32_t v = 0;
+  const char* end = tok.data() + tok.size();
+  const auto res = std::from_chars(tok.data(), end, v);
+  if (res.ec != std::errc{} || res.ptr != end || v < 0) {
+    parseError(line, "expected a node id in [0, 2^31)");
   }
+  return v;
 }
 
 double parseNum(const std::string& line, const std::string& tok) {
@@ -130,6 +129,20 @@ Duration secondsRounded(double seconds) {
   return Duration::micros(static_cast<std::int64_t>(std::llround(seconds * 1e6)));
 }
 
+/// A time, skew or churn mean: `tok` × `scale` seconds, finite, non-negative
+/// and at most 1e9 s (~31.7 years), so secondsRounded never overflows.
+double parseSeconds(const std::string& line, const std::string& tok,
+                    double scale = 1.0) {
+  const double seconds = parseNum(line, tok) * scale;
+  if (!(seconds >= 0.0)) parseError(line, "expected a non-negative time");
+  if (!(seconds <= 1e9)) parseError(line, "time out of range");
+  return seconds;
+}
+
+TimePoint parseTime(const std::string& line, const std::string& tok) {
+  return TimePoint::origin() + secondsRounded(parseSeconds(line, tok));
+}
+
 void parseChurnLine(const std::string& line,
                     const std::vector<std::string>& tokens, ChurnConfig& out) {
   for (std::size_t i = 1; i < tokens.size(); ++i) {
@@ -144,13 +157,13 @@ void parseChurnLine(const std::string& line,
         if (!part.empty()) out.nodes.push_back(parseNode(line, part));
       }
     } else if (key == "up") {
-      out.meanUpSeconds = parseNum(line, value);
+      out.meanUpSeconds = parseSeconds(line, value);
     } else if (key == "down") {
-      out.meanDownSeconds = parseNum(line, value);
+      out.meanDownSeconds = parseSeconds(line, value);
     } else if (key == "from") {
-      out.start = TimePoint::origin() + secondsRounded(parseNum(line, value));
+      out.start = parseTime(line, value);
     } else if (key == "until") {
-      out.stop = TimePoint::origin() + secondsRounded(parseNum(line, value));
+      out.stop = parseTime(line, value);
     } else {
       parseError(line, "unknown churn key");
     }
@@ -175,34 +188,28 @@ FaultScript parseFaultScript(std::string_view text) {
     if (tokens.empty()) continue;
     const std::string& verb = tokens[0];
 
-    auto at = [&](const std::string& tok) {
-      return TimePoint::origin() + secondsRounded(parseNum(line, tok));
-    };
-
     FaultEvent e;
     if (verb == "crash" || verb == "recover") {
       if (tokens.size() != 3) parseError(line, "want: <node> <t>");
       e.kind = verb == "crash" ? FaultEvent::Kind::kNodeDown
                                : FaultEvent::Kind::kNodeUp;
       e.node = parseNode(line, tokens[1]);
-      e.at = at(tokens[2]);
+      e.at = parseTime(line, tokens[2]);
     } else if (verb == "linkdown" || verb == "linkup") {
       if (tokens.size() != 4) parseError(line, "want: <a> <b> <t>");
       e.kind = verb == "linkdown" ? FaultEvent::Kind::kLinkDown
                                   : FaultEvent::Kind::kLinkUp;
       e.node = parseNode(line, tokens[1]);
       e.peer = parseNode(line, tokens[2]);
-      e.at = at(tokens[3]);
+      e.at = parseTime(line, tokens[3]);
     } else if (verb == "skew") {
       if (tokens.size() != 3 && tokens.size() != 4) {
         parseError(line, "want: <node> <ms> [<t>]");
       }
       e.kind = FaultEvent::Kind::kClockSkew;
       e.node = parseNode(line, tokens[1]);
-      const double ms = parseNum(line, tokens[2]);
-      if (ms < 0.0) parseError(line, "skew must be non-negative");
-      e.skew = secondsRounded(ms * 1e-3);
-      if (tokens.size() == 4) e.at = at(tokens[3]);
+      e.skew = secondsRounded(parseSeconds(line, tokens[2], 1e-3));
+      if (tokens.size() == 4) e.at = parseTime(line, tokens[3]);
     } else if (verb == "churn") {
       parseChurnLine(line, tokens, script.churn);
       continue;

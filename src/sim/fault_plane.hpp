@@ -89,7 +89,9 @@ struct FaultScript {
 ///   skew <node> <ms> [<t>]
 ///   churn nodes=<a,b,...> up=<sec> down=<sec> [from=<sec>] [until=<sec>]
 ///
-/// Throws std::invalid_argument on malformed input.
+/// Node ids are whole decimal tokens; times, skews and churn means must be
+/// finite, non-negative and at most 1e9 s. Throws std::invalid_argument on
+/// malformed input.
 FaultScript parseFaultScript(std::string_view text);
 
 /// Serialize a script back into the exact grammar parseFaultScript

@@ -129,7 +129,7 @@ TEST_P(MaxminPropertyTest, RaisingAnyFlowBreaksFeasibilityOrMaxmin) {
   const auto model = buildCliqueModel(sc.topology, sc.flows, kCapacity);
   const auto rates = solveWeightedMaxmin(model);
   for (const auto& fe : model.flows) {
-    if (rates.at(fe.id) >= fe.desiredPps - 1e-6) continue;
+    if (rates.at(fe.id) >= fe.desiredRate.asPerSecond() - 1e-6) continue;
     auto bumped = rates;
     bumped[fe.id] *= 1.05;
     EXPECT_FALSE(isFeasible(model, bumped, 1e-6))

@@ -4,20 +4,9 @@
 #include "baselines/configs.hpp"
 #include "baselines/two_phase.hpp"
 #include "scenarios/scenarios.hpp"
-#include "topology/routing.hpp"
 
 namespace maxmin::baselines {
 namespace {
-
-std::vector<std::vector<topo::NodeId>> pathsFor(
-    const scenarios::Scenario& sc) {
-  std::vector<std::vector<topo::NodeId>> paths;
-  for (const auto& f : sc.flows) {
-    paths.push_back(
-        topo::RoutingTree::shortestPaths(sc.topology, f.dst).pathFrom(f.src));
-  }
-  return paths;
-}
 
 TEST(Configs, ProtocolQueueingMatchesPaperSection72) {
   const auto dcf = config80211();
@@ -38,7 +27,7 @@ TEST(Configs, ProtocolQueueingMatchesPaperSection72) {
 
 TEST(NominalCapacity, MatchesTimingArithmetic) {
   const mac::MacParams p;
-  const double cap = nominalLinkCapacityPps(p, DataSize::bytes(1024));
+  const double cap = p.nominalLinkCapacityPps(DataSize::bytes(1024));
   // DIFS 50 + mean backoff 15*20=310 + exchange (176+152+862+152+30).
   const double perPacketUs = 50 + 300 + 1372;  // cwMin/2 = 15 slots
   EXPECT_NEAR(cap, 1e6 / perPacketUs, 1.0);
@@ -48,7 +37,7 @@ TEST(NominalCapacity, MatchesTimingArithmetic) {
 
 TEST(TwoPhase, Fig3BasicShareIsConservativeEqualSplit) {
   const auto sc = scenarios::fig3();
-  const TwoPhaseAllocator alloc{sc.topology, sc.flows, pathsFor(sc), 580.0};
+  const TwoPhaseAllocator alloc{sc.topology, sc.flows, 580.0};
   const auto a = alloc.allocate();
   // One clique, 6 traversals, conservatism 0.5: basic = 580/6/2.
   for (const auto& f : sc.flows) {
@@ -58,7 +47,7 @@ TEST(TwoPhase, Fig3BasicShareIsConservativeEqualSplit) {
 
 TEST(TwoPhase, Fig3RemainderGoesToShortestFlow) {
   const auto sc = scenarios::fig3();
-  const TwoPhaseAllocator alloc{sc.topology, sc.flows, pathsFor(sc), 580.0};
+  const TwoPhaseAllocator alloc{sc.topology, sc.flows, 580.0};
   const auto a = alloc.allocate();
   // <2,3> (1 hop) absorbs the entire residual.
   EXPECT_GT(a.totalPps.at(2), 4.0 * a.totalPps.at(0));
@@ -70,7 +59,7 @@ TEST(TwoPhase, Fig4BiasesSideOneHopFlows) {
   // The paper's Table 4 pathology: remaining bandwidth heavily biased
   // toward f2 and f8 (ids 1 and 7), basic shares small for everyone else.
   const auto sc = scenarios::fig4();
-  const TwoPhaseAllocator alloc{sc.topology, sc.flows, pathsFor(sc), 580.0};
+  const TwoPhaseAllocator alloc{sc.topology, sc.flows, 580.0};
   const auto a = alloc.allocate();
   EXPECT_GT(a.totalPps.at(1), 3.0 * a.totalPps.at(0));
   EXPECT_GT(a.totalPps.at(7), 3.0 * a.totalPps.at(6));
@@ -86,7 +75,7 @@ TEST(TwoPhase, Fig4BiasesSideOneHopFlows) {
 TEST(TwoPhase, AllocationIsCliqueFeasible) {
   for (const auto& sc :
        {scenarios::fig3(), scenarios::fig4(), scenarios::fig2()}) {
-    const TwoPhaseAllocator alloc{sc.topology, sc.flows, pathsFor(sc), 580.0};
+    const TwoPhaseAllocator alloc{sc.topology, sc.flows, 580.0};
     const auto a = alloc.allocate();
     const auto model =
         analysis::buildCliqueModel(sc.topology, sc.flows, 580.0);
@@ -97,7 +86,7 @@ TEST(TwoPhase, AllocationIsCliqueFeasible) {
 TEST(TwoPhase, RespectsDesiredRates) {
   auto sc = scenarios::fig3();
   for (auto& f : sc.flows) f.desiredRate = PacketRate::perSecond(30.0);
-  const TwoPhaseAllocator alloc{sc.topology, sc.flows, pathsFor(sc), 580.0};
+  const TwoPhaseAllocator alloc{sc.topology, sc.flows, 580.0};
   const auto a = alloc.allocate();
   for (const auto& f : sc.flows) {
     EXPECT_LE(a.totalPps.at(f.id), 30.0 + 1e-9);
@@ -108,7 +97,7 @@ TEST(TwoPhase, BasicShareNeverExceedsTotal) {
   for (int seed = 1; seed <= 8; ++seed) {
     const auto sc = scenarios::randomMesh(
         static_cast<std::uint64_t>(seed) * 13 + 3, 10, 900.0, 4);
-    const TwoPhaseAllocator alloc{sc.topology, sc.flows, pathsFor(sc), 580.0};
+    const TwoPhaseAllocator alloc{sc.topology, sc.flows, 580.0};
     const auto a = alloc.allocate();
     for (const auto& f : sc.flows) {
       EXPECT_LE(a.basicSharePps.at(f.id), a.totalPps.at(f.id) + 1e-9);
@@ -119,11 +108,9 @@ TEST(TwoPhase, BasicShareNeverExceedsTotal) {
 
 TEST(TwoPhase, RejectsBadConservatism) {
   const auto sc = scenarios::fig3();
-  EXPECT_THROW((TwoPhaseAllocator{sc.topology, sc.flows, pathsFor(sc), 580.0,
-                                  0.0}),
+  EXPECT_THROW((TwoPhaseAllocator{sc.topology, sc.flows, 580.0, 0.0}),
                InvariantViolation);
-  EXPECT_THROW((TwoPhaseAllocator{sc.topology, sc.flows, pathsFor(sc), 580.0,
-                                  1.5}),
+  EXPECT_THROW((TwoPhaseAllocator{sc.topology, sc.flows, 580.0, 1.5}),
                InvariantViolation);
 }
 

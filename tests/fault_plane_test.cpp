@@ -66,6 +66,22 @@ TEST(FaultScriptParse, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW(sim::parseFaultScript("churn nodes=1 up=10 down=2 what=3"),
                std::invalid_argument);
+  // Node ids are whole tokens; times, skews and churn means are finite,
+  // non-negative and at most 1e9 s.
+  for (const char* bad :
+       {"crash 3x 5", "crash 3.5 5", "crash 99999999999 5",
+        "linkdown 0 1y 5", "churn nodes=1,2x up=10 down=2",
+        "crash 3 1e300", "crash 3 nan", "crash 3 inf", "crash 3 -5",
+        "linkdown 0 1 1e300", "linkup 0 1 -1", "skew 2 1e300",
+        "skew 2 nan", "skew 2 5 -1", "skew 2 5 1e300",
+        "churn nodes=1 up=nan down=2", "churn nodes=1 up=10 down=1e300",
+        "churn nodes=1 up=-1 down=2", "churn nodes=1 up=10 down=2 from=nan",
+        "churn nodes=1 up=10 down=2 from=-3",
+        "churn nodes=1 up=10 down=2 until=1e300"}) {
+    EXPECT_THROW(sim::parseFaultScript(bad), std::invalid_argument) << bad;
+  }
+  // The horizon itself is accepted.
+  EXPECT_NO_THROW(sim::parseFaultScript("crash 3 1e9"));
 }
 
 TEST(FaultScriptParse, EmptyAndComments) {

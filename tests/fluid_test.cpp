@@ -84,11 +84,23 @@ TEST(FluidNetwork, CliqueLoadsAreFeasibleAfterScaling) {
 // structure over a different link set is refused.
 TEST(FluidNetwork, ReusedContentionStructureMatchesFreshBuild) {
   const auto sc = scenarios::fig4();
-  const FluidNetwork fresh{sc.topology, sc.flows, kCapacity};
-  const FluidNetwork reused{sc.topology, sc.flows, kCapacity,
-                            fresh.contention()};
+  FluidNetwork fresh{sc.topology, sc.flows, kCapacity};
+  FluidNetwork reused{sc.topology, sc.flows, kCapacity, fresh.contention()};
   EXPECT_EQ(reused.contention().links, fresh.contention().links);
-  EXPECT_EQ(reused.evaluate().rates, fresh.evaluate().rates);
+  // Same state with and without a rate limit and external occupancy, so
+  // per-link occupancy and the backpressure chain are compared too.
+  for (int pass = 0; pass < 2; ++pass) {
+    const FluidState a = fresh.evaluate();
+    const FluidState b = reused.evaluate();
+    EXPECT_EQ(b.rates, a.rates);
+    EXPECT_EQ(b.occupancy, a.occupancy);
+    EXPECT_EQ(b.saturated, a.saturated);
+    EXPECT_FALSE(a.occupancy.empty());
+    for (FluidNetwork* net : {&fresh, &reused}) {
+      net->setRateLimit(sc.flows.front().id, 40.0);
+      net->setExternalOccupancy(net->contention().links.front(), 0.25);
+    }
+  }
 
   const std::vector<net::FlowSpec> fewer{sc.flows.begin(),
                                          sc.flows.begin() + 2};

@@ -8,6 +8,8 @@
 namespace maxmin::gmp {
 namespace {
 
+using topo::ContentionStructure;
+
 topo::Topology chainTopo(int n, double spacing = 200.0) {
   std::vector<topo::Point> pts;
   for (int i = 0; i < n; ++i) pts.push_back({spacing * i, 0.0});

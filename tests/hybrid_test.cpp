@@ -19,7 +19,6 @@
 #include "analysis/maxmin_solver.hpp"
 #include "analysis/metrics.hpp"
 #include "baselines/configs.hpp"
-#include "baselines/two_phase.hpp"
 #include "fluid/fluid_gmp.hpp"
 #include "fluid/fluid_network.hpp"
 #include "gmp/controller.hpp"
@@ -47,7 +46,7 @@ RunConfig shortRun() {
 
 double nominalCapacity() {
   const net::NetworkConfig nc = baselines::configGmp({});
-  return baselines::nominalLinkCapacityPps(nc.mac, nc.packetSize);
+  return nc.mac.nominalLinkCapacityPps(nc.packetSize);
 }
 
 /// Fluid fixed-point summary over the same metric pipeline the packet
