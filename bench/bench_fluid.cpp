@@ -87,6 +87,25 @@ BENCHMARK(BM_FluidFixedPoint)
     ->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 
+/// One GMP decision on the fixed-point snapshot: the engine's share of
+/// every fast-forward period, without the fluid solve around it.
+void BM_EngineDecide(benchmark::State& state) {
+  const auto sc = sweepMesh(static_cast<int>(state.range(0)));
+  fluid::FluidNetwork net{sc.topology, sc.flows, nominalCapacity()};
+  fluid::FluidGmpHarness harness{net, gmp::GmpParams{}};
+  harness.runToFixedPoint(0.02, 400);
+  const gmp::Snapshot snapshot = harness.lastSnapshot();
+  const gmp::Engine engine{net.contention(), gmp::GmpParams{}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.decide(snapshot).commands.size());
+  }
+  state.counters["vlinks"] = static_cast<double>(snapshot.vlinks.size());
+}
+BENCHMARK(BM_EngineDecide)
+    ->Arg(500)
+    ->Arg(5000)
+    ->Unit(benchmark::kMillisecond);
+
 /// The centralized weighted-maxmin reference end to end: route, enumerate
 /// the cliques, build the incidence, water-fill.
 void BM_ReferenceMaxmin(benchmark::State& state) {

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
                                : "(-)");
     }
     std::cout << " sat:";
-    for (const auto& [nd, sat] : s.saturated) {
-      if (sat) std::cout << " " << nd.first << "@" << nd.second;
+    for (const auto& [node, dest] : s.vnet->vnodes) {
+      if (s.isSaturated(node, dest)) std::cout << " " << node << "@" << dest;
     }
     std::cout << " vlinks:";
     for (const auto& vl : s.vlinks) {

@@ -10,13 +10,15 @@ namespace maxmin::fluid {
 FluidGmpHarness::FluidGmpHarness(FluidNetwork& network, gmp::GmpParams params)
     : network_{network},
       params_{params},
-      engine_{network.contention(), params} {}
+      engine_{network.contention(), params},
+      vnet_{gmp::VirtualNetwork::build(network.contention(), network.flows(),
+                                       network.paths())} {}
 
 gmp::Snapshot FluidGmpHarness::buildSnapshot(const FluidState& state) const {
+  const gmp::VirtualNetwork& vn = *vnet_;
   gmp::Snapshot snap;
+  snap.vnet = vnet_;
   const auto& flows = network_.flows();
-  const auto& paths = network_.paths();
-
   for (const net::FlowSpec& f : flows) {
     gmp::FlowState fs;
     fs.id = f.id;
@@ -29,52 +31,31 @@ gmp::Snapshot FluidGmpHarness::buildSnapshot(const FluidState& state) const {
     snap.flows.push_back(fs);
   }
 
-  // Every virtual node on a path gets an explicit entry (unsaturated when
-  // not in the backpressure chain), mirroring the controller. Virtual
-  // links: one per (link, dest) traversed by any flow.
-  snap.saturated = state.saturated;
-  std::map<gmp::VirtualLinkKey, std::vector<std::size_t>> flowsOnVlink;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    for (std::size_t h = 0; h + 1 < paths[i].size(); ++h) {
-      snap.saturated.try_emplace({paths[i][h], flows[i].dst}, false);
-      flowsOnVlink[{paths[i][h], paths[i][h + 1], flows[i].dst}].push_back(i);
-    }
-  }
-  const gmp::BetaCompare cmp{params_.beta};
-  for (const auto& [key, flowIdxs] : flowsOnVlink) {
-    gmp::VLinkState vl;
-    vl.key = key;
-    const bool senderSat = snap.saturated.at({key.from, key.dest});
-    const bool receiverSat =
-        snap.saturated.contains({key.to, key.dest}) &&
-        snap.saturated.at({key.to, key.dest});
-    vl.type = gmp::classifyLink(senderSat, receiverSat);
-    double maxMu = 0.0;
-    for (std::size_t i : flowIdxs) {
-      vl.ratePps += state.rates.at(flows[i].id);
-      maxMu = std::max(maxMu, state.rates.at(flows[i].id) / flows[i].weight);
-    }
-    vl.normRate = maxMu;
-    for (std::size_t i : flowIdxs) {
-      if (cmp.equal(state.rates.at(flows[i].id) / flows[i].weight, maxMu)) {
-        vl.primaryFlows.push_back(flows[i].id);
-      }
-    }
-    snap.vlinks.push_back(vl);
+  // Virtual nodes off the backpressure chain are unsaturated.
+  for (const auto& vnode : vn.vnodes) {
+    const auto it = state.saturated.find(vnode);
+    snap.saturated.push_back(it != state.saturated.end() && it->second);
   }
 
-  // A wireless link's normalized rate is the largest over its virtual
-  // links; every flow crossing the link lies on exactly one of them.
+  // Each virtual link carries its flows' summed rate; every flow on it is
+  // a primary candidate, in flow order.
+  const gmp::BetaCompare cmp{params_.beta};
+  snap.vlinks.resize(vn.vlinks.size());
+  std::vector<gmp::FlowMu> mus;
+  for (std::size_t v = 0; v < vn.vlinks.size(); ++v) {
+    mus.clear();
+    for (const std::size_t i : vn.vlinkFlows.row(v)) {
+      const gmp::FlowState& fs = snap.flows[i];
+      snap.vlinks[v].ratePps += fs.ratePps;
+      mus.emplace_back(fs.id, fs.mu());
+    }
+    gmp::classifyVLink(snap, v, mus, cmp);
+  }
+
   const auto& links = network_.contention().links;
   for (std::size_t li = 0; li < links.size(); ++li) {
-    gmp::WLinkState wl;
-    wl.link = links[li];
-    wl.occupancy = state.occupancy.at(wl.link);
-    for (const auto& [i, k] : network_.incidence().linkFlows.row(li)) {
-      wl.normRate = std::max(wl.normRate,
-                             state.rates.at(flows[i].id) / flows[i].weight);
-    }
-    snap.wlinks.push_back(wl);
+    snap.wlinks.push_back(gmp::WLinkState{
+        links[li], state.occupancy.at(links[li]), gmp::linkNormRate(snap, li)});
   }
   return snap;
 }
@@ -107,18 +88,18 @@ FixedPointResult FluidGmpHarness::runToFixedPoint(double tol, int maxPeriods) {
   MAXMIN_CHECK(tol > 0.0);
   MAXMIN_CHECK(maxPeriods > 0);
   FixedPointResult out;
-  std::map<net::FlowId, double> prev;
+  std::vector<double> prev;  // last period's rates, in flow order
   double smoothed = 1.0;
   for (int p = 0; p < maxPeriods; ++p) {
     step();
     ++out.periods;
+    const auto& flows = lastSnapshot_.flows;
     double delta = 0.0;
-    for (const gmp::FlowState& f : lastSnapshot_.flows) {
-      if (const auto it = prev.find(f.id); it != prev.end()) {
-        delta = std::max(delta, std::abs(f.ratePps - it->second));
-      }
-      prev[f.id] = f.ratePps;
+    for (std::size_t i = 0; i < prev.size(); ++i) {
+      delta = std::max(delta, std::abs(flows[i].ratePps - prev[i]));
     }
+    prev.clear();
+    for (const gmp::FlowState& f : flows) prev.push_back(f.ratePps);
     if (p == 0) continue;  // no previous period to diff against
     smoothed = 0.5 * smoothed + 0.5 * delta / network_.cliqueCapacity();
     out.residual = smoothed;

@@ -3,10 +3,12 @@
 // steady states instead of packet-level measurements.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "fluid/fluid_network.hpp"
 #include "gmp/engine.hpp"
+#include "gmp/virtual_network.hpp"
 
 namespace maxmin::fluid {
 
@@ -48,6 +50,7 @@ class FluidGmpHarness {
   FluidNetwork& network_;
   gmp::GmpParams params_;
   gmp::Engine engine_;
+  std::shared_ptr<const gmp::VirtualNetwork> vnet_;
   gmp::Snapshot lastSnapshot_;
   std::vector<int> violationHistory_;
 };

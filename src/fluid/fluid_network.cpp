@@ -61,13 +61,6 @@ void FluidNetwork::setExternalOccupancy(topo::Link l, double fraction) {
   }
 }
 
-void FluidNetwork::setSolverOptions(SolverOptions opts) {
-  MAXMIN_CHECK(opts.damping > 0.0 && opts.damping <= 1.0);
-  MAXMIN_CHECK(opts.maxIterations > 0);
-  MAXMIN_CHECK(opts.utilizationSlack > 0.0);
-  opts_ = opts;
-}
-
 FluidState FluidNetwork::evaluate() const {
   const std::size_t n = flows_.size();
   const std::size_t m = contention_.cliques.size();

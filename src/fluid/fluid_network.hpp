@@ -49,7 +49,8 @@ struct FluidState {
   std::map<topo::Link, double> occupancy;
 };
 
-/// Knobs for the demand-proportional scaling iteration.
+/// Settings of the demand-proportional scaling iteration; every
+/// FluidNetwork runs with these defaults.
 struct SolverOptions {
   /// Fraction of the exact rescale step applied each iteration; 1.0 is
   /// the undamped historical behavior, smaller values trade iterations
@@ -96,8 +97,6 @@ class FluidNetwork {
   /// every clique containing `l`; `l` must be a contention link.
   void setExternalOccupancy(topo::Link l, double fraction);
 
-  void setSolverOptions(SolverOptions opts);
-  [[nodiscard]] const SolverOptions& solverOptions() const { return opts_; }
   [[nodiscard]] const SolveStats& lastSolveStats() const { return stats_; }
 
   const std::vector<net::FlowSpec>& flows() const { return flows_; }

@@ -26,17 +26,10 @@ Controller::Controller(net::Network& net, GmpParams params)
   MAXMIN_CHECK_MSG(net.config().congestionAvoidance,
                    "GMP requires the congestion-avoidance backpressure");
 
-  std::set<std::pair<topo::NodeId, topo::NodeId>> vnodes;
   for (const net::FlowSpec& f : net_.flows()) {
-    const auto path = net_.pathOf(f.id);
-    flowHops_[f.id] = static_cast<int>(path.size()) - 1;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      flowsOnVlink_[VirtualLinkKey{path[i], path[i + 1], f.dst}].push_back(
-          f.id);
-      vnodes.insert({path[i], f.dst});
-    }
+    paths_.push_back(net_.pathOf(f.id));
   }
-  virtualNodes_.assign(vnodes.begin(), vnodes.end());
+  vnet_ = VirtualNetwork::build(contention_, net_.flows(), paths_);
 
   const auto n = static_cast<std::size_t>(net_.topology().numNodes());
   lastGoodMeas_.resize(n);
@@ -77,7 +70,9 @@ Snapshot Controller::takeSnapshot() {
 Snapshot Controller::assembleSnapshot(
     std::vector<net::NodePeriodMeasurement>& meas) {
   MAXMIN_PROFILE_SCOPE("gmp.assemble_snapshot");
+  const VirtualNetwork& vn = *vnet_;
   Snapshot snap;
+  snap.vnet = vnet_;
   const int numNodes = net_.topology().numNodes();
   MAXMIN_CHECK(static_cast<int>(meas.size()) == numNodes);
   const auto measOf = [&](topo::NodeId n) -> net::NodePeriodMeasurement& {
@@ -135,12 +130,10 @@ Snapshot Controller::assembleSnapshot(
   // a flow *sourced* at a bridged node: its "measured" rate this period
   // is the cached localFlowRate from before the outage, reported as if
   // it were live. Both go to the engine as impaired.
-  for (const net::FlowSpec& f : net_.flows()) {
-    const auto path = net_.pathOf(f.id);
-    const bool crossesStale =
-        std::any_of(path.begin(), path.end(), [&](topo::NodeId n) {
-          return snap.staleNodes.contains(n);
-        });
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    const net::FlowSpec& f = net_.flows()[i];
+    const bool crossesStale = std::ranges::any_of(
+        paths_[i], [&](topo::NodeId n) { return snap.staleNodes.contains(n); });
     if (crossesStale || bridgedNodes.contains(f.src)) {
       snap.impairedFlows.insert(f.id);
     }
@@ -154,8 +147,9 @@ Snapshot Controller::assembleSnapshot(
     const ReachabilitySummary reach =
         computeReachability(net_.topology(), faults);
     snap.partitions = reach.components;
-    for (const net::FlowSpec& f : net_.flows()) {
-      const auto path = net_.pathOf(f.id);
+    for (std::size_t fi = 0; fi < paths_.size(); ++fi) {
+      const net::FlowSpec& f = net_.flows()[fi];
+      const auto& path = paths_[fi];
       bool severed = false;
       for (std::size_t i = 0; i + 1 < path.size() && !severed; ++i) {
         severed = faults->linkCut(path[i], path[i + 1]);
@@ -215,73 +209,59 @@ Snapshot Controller::assembleSnapshot(
   }
 
   // Virtual-node saturation from Omega (paper §6.2: threshold 25%).
-  for (const auto& [node, dest] : virtualNodes_) {
+  snap.saturated.assign(vn.vnodes.size(), 0);
+  for (std::size_t v = 0; v < vn.vnodes.size(); ++v) {
+    const auto [node, dest] = vn.vnodes[v];
     const auto& omega = measOf(node).queueFullFraction;
-    bool sat = false;
     if (const auto it = omega.find(dest); it != omega.end()) {
-      sat = it->second > params_.omegaThreshold;
+      snap.saturated[v] = it->second > params_.omegaThreshold;
     }
-    snap.saturated[{node, dest}] = sat;
   }
 
-  // Virtual links.
-  for (const auto& [key, flowIds] : flowsOnVlink_) {
-    VLinkState vl;
-    vl.key = key;
-    const bool senderSat = snap.saturated.contains({key.from, key.dest}) &&
-                           snap.saturated.at({key.from, key.dest});
-    const bool receiverSat = snap.saturated.contains({key.to, key.dest}) &&
-                             snap.saturated.at({key.to, key.dest});
-    vl.type = classifyLink(senderSat, receiverSat);
-
-    // Per-flow normalized rates on the link. The paper measures each
-    // flow's mu in the first half of a period and piggybacks it on that
-    // period's remaining packets, so the mu a link reads is same-epoch
-    // with the flow's current rate. We reproduce that by taking the set
-    // of flows observed on the link from the piggyback samples and their
-    // mu values from this period's source measurements. If the link
-    // moved no traffic at all this period, fall back to every flow
-    // routed across it.
-    auto currentMu = [&](net::FlowId id) {
-      for (const FlowState& fs : snap.flows) {
-        if (fs.id == id) return fs.mu();
-      }
-      return 0.0;
-    };
-    std::map<net::FlowId, double> mus;
+  // Virtual links. The paper measures each flow's mu in the first half
+  // of a period and piggybacks it on that period's remaining packets, so
+  // the mu a link reads is same-epoch with the flow's current rate. We
+  // reproduce that by taking the set of flows observed on the link from
+  // the piggyback samples and their mu values from this period's source
+  // measurements. If the link moved no traffic at all this period, fall
+  // back to every flow routed across it. Either way the candidates go
+  // in flow-id order.
+  const BetaCompare cmp{params_.beta};
+  snap.vlinks.resize(vn.vlinks.size());
+  std::vector<FlowMu> mus;
+  for (std::size_t v = 0; v < vn.vlinks.size(); ++v) {
+    const VirtualLinkKey& key = vn.vlinks[v];
+    mus.clear();
     const auto& down = measOf(key.from).downstream;
     const double fromSeconds = periodSecondsOf(key.from);
     if (const auto it = down.find(key.dest);
         it != down.end() && !it->second.flowMu.empty() && fromSeconds > 0.0) {
-      vl.ratePps = it->second.packets / fromSeconds;
+      snap.vlinks[v].ratePps = it->second.packets / fromSeconds;
       for (const auto& [id, staleMu] : it->second.flowMu) {
-        mus[id] = currentMu(id);
+        const int i = vn.flowIndex(id);
+        mus.emplace_back(
+            id, i >= 0 ? snap.flows[static_cast<std::size_t>(i)].mu() : 0.0);
       }
     } else {
-      for (net::FlowId id : flowIds) mus[id] = currentMu(id);
+      for (const std::size_t i : vn.vlinkFlows.row(v)) {
+        mus.emplace_back(snap.flows[i].id, snap.flows[i].mu());
+      }
+      std::sort(mus.begin(), mus.end());
     }
-    double maxMu = 0.0;
-    for (const auto& [id, mu] : mus) maxMu = std::max(maxMu, mu);
-    vl.normRate = maxMu;
-    const BetaCompare cmp{params_.beta};
-    for (const auto& [id, mu] : mus) {
-      if (cmp.equal(mu, maxMu)) vl.primaryFlows.push_back(id);
-    }
-    snap.vlinks.push_back(vl);
+    classifyVLink(snap, v, mus, cmp);
   }
 
   // Wireless links: occupancy from the MAC, normalized rate as the max
   // over the link's virtual links. A sender with an empty window has no
   // airtime to report; its occupancy is zero, not a division by zero.
-  for (const topo::Link& l : contention_.links) {
+  for (std::size_t li = 0; li < contention_.links.size(); ++li) {
     WLinkState wl;
-    wl.link = l;
-    const double airtime = net_.takeLinkOccupancy(l.from, l.to).asSeconds();
-    const double seconds = periodSecondsOf(l.from);
+    wl.link = contention_.links[li];
+    const double airtime =
+        net_.takeLinkOccupancy(wl.link.from, wl.link.to).asSeconds();
+    const double seconds = periodSecondsOf(wl.link.from);
     wl.occupancy = seconds > 0.0 ? airtime / seconds : 0.0;
-    for (const VLinkState& vl : snap.vlinks) {
-      if (vl.key.wireless() == l) wl.normRate = std::max(wl.normRate, vl.normRate);
-    }
+    wl.normRate = linkNormRate(snap, li);
     snap.wlinks.push_back(wl);
   }
 
@@ -345,11 +325,9 @@ void Controller::finishPeriod(Snapshot snapshot) {
   // instead of re-climbing from the decayed floor at ~10 pps/period.
   for (net::FlowId id : snap.impairedFlows) {
     if (impairedPrev_.contains(id)) continue;
-    for (const FlowState& fs : snap.flows) {
-      if (fs.id == id) {
-        preImpairmentLimit_[id] = fs.limitPps;
-        break;
-      }
+    if (const int i = vnet_->flowIndex(id); i >= 0) {
+      preImpairmentLimit_[id] =
+          snap.flows[static_cast<std::size_t>(i)].limitPps;
     }
   }
 
@@ -429,13 +407,14 @@ void Controller::emitPeriodTrace() {
   w.key("period").value(periods_);
   w.key("timeUs").value(net_.simulator().now().asMicros());
   w.key("flows").beginArray();
-  for (const FlowState& fs : snap.flows) {
+  for (std::size_t i = 0; i < snap.flows.size(); ++i) {
+    const FlowState& fs = snap.flows[i];
     w.beginObject();
     w.key("id").value(static_cast<std::int64_t>(fs.id));
     w.key("src").value(fs.src);
     w.key("dst").value(fs.dst);
     w.key("weight").value(fs.weight);
-    w.key("hops").value(flowHops_.at(fs.id));
+    w.key("hops").value(static_cast<int>(paths_[i].size()) - 1);
     w.key("desiredPps").value(fs.desiredPps);
     w.key("ratePps").value(fs.ratePps);
     w.key("mu").value(fs.mu());
@@ -471,11 +450,11 @@ void Controller::emitPeriodTrace() {
   }
   w.endArray();
   w.key("saturatedVnodes").beginArray();
-  for (const auto& [nodeDest, sat] : snap.saturated) {
-    if (!sat) continue;
+  for (std::size_t v = 0; v < snap.saturated.size(); ++v) {
+    if (snap.saturated[v] == 0) continue;
     w.beginObject();
-    w.key("node").value(nodeDest.first);
-    w.key("dest").value(nodeDest.second);
+    w.key("node").value(vnet_->vnodes[v].first);
+    w.key("dest").value(vnet_->vnodes[v].second);
     w.endObject();
   }
   w.endArray();

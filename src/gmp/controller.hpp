@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "gmp/engine.hpp"
+#include "gmp/virtual_network.hpp"
 #include "net/network.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault_plane.hpp"
@@ -129,13 +130,11 @@ class Controller {
   obs::TraceSink* trace_ = nullptr;
   std::function<void(const Snapshot&, int)> periodHook_;
 
-  /// All virtual links any flow traverses, with the flows on each.
-  std::map<VirtualLinkKey, std::vector<net::FlowId>> flowsOnVlink_;
-  /// All (node, dest) virtual nodes on any flow path (dest excluded).
-  std::vector<std::pair<topo::NodeId, topo::NodeId>> virtualNodes_;
-  /// Hop count of each flow's path (trace records carry it so replay
-  /// can recompute the paper's hop-weighted indices).
-  std::map<net::FlowId, int> flowHops_;
+  /// Each flow's route, in flow order (trace records carry its hop count
+  /// so replay can recompute the paper's hop-weighted indices).
+  std::vector<std::vector<topo::NodeId>> paths_;
+  /// The flows' virtual networks; every snapshot shares it.
+  std::shared_ptr<const VirtualNetwork> vnet_;
 
   Snapshot lastSnapshot_;
   DecisionReport lastReport_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "gmp/virtual_network.hpp"
 #include "obs/registry.hpp"
 #include "util/check.hpp"
 
@@ -43,54 +44,50 @@ double Engine::adjustBase(const FlowState& f) const {
 }
 
 DecisionReport Engine::decide(const Snapshot& snapshot) const {
+  MAXMIN_CHECK(snapshot.vnet != nullptr);
+  const VirtualNetwork& vn = *snapshot.vnet;
+  MAXMIN_CHECK_MSG(snapshot.flows.size() == vn.flowSource.size() &&
+                       snapshot.vlinks.size() == vn.vlinks.size() &&
+                       snapshot.saturated.size() == vn.vnodes.size() &&
+                       snapshot.wlinks.size() == contention_.links.size() &&
+                       vn.linkVlinks.offset.size() ==
+                           contention_.links.size() + 1,
+                   "snapshot is not laid out by its virtual-network index");
+
+  // Graceful degradation: the unmodified condition checks run on the
+  // healthy remainder of the network, and only the flows whose
+  // measurements are ghosts decay.
   DecisionReport report;
-  RequestMap requests;
-  if (snapshot.degraded()) {
-    // Graceful degradation: run the unmodified condition checks on the
-    // healthy remainder of the network, and only decay the flows whose
-    // measurements are ghosts.
-    const Snapshot filtered = filterDegraded(snapshot);
-    checkSourceAndBufferConditions(filtered, requests, report);
-    checkBandwidthCondition(filtered, requests, report);
-    resolveRequests(filtered, requests, report);
-    decayImpairedFlows(snapshot, report);
-    return report;
-  }
-  checkSourceAndBufferConditions(snapshot, requests, report);
-  checkBandwidthCondition(snapshot, requests, report);
-  resolveRequests(snapshot, requests, report);
+  const Live live = liveParts(snapshot);
+  std::vector<Request> requests(snapshot.flows.size());
+  checkSourceAndBufferConditions(snapshot, live, requests, report);
+  checkBandwidthCondition(snapshot, live, requests, report);
+  resolveRequests(snapshot, live, requests, report);
+  decayImpairedFlows(snapshot, report);
   return report;
 }
 
-Snapshot Engine::filterDegraded(const Snapshot& s) const {
-  Snapshot out;
-  const auto staleNode = [&](topo::NodeId n) { return s.staleNodes.contains(n); };
-
-  for (const FlowState& f : s.flows) {
-    if (!s.impairedFlows.contains(f.id)) out.flows.push_back(f);
+Engine::Live Engine::liveParts(const Snapshot& s) {
+  const VirtualNetwork& vn = *s.vnet;
+  const auto up = [&](topo::NodeId n) { return !s.staleNodes.contains(n); };
+  Live live{std::vector<char>(s.flows.size(), 1),
+            std::vector<char>(s.vlinks.size(), 1),
+            std::vector<char>(s.wlinks.size(), 1), s.saturated};
+  for (std::size_t i = 0; i < s.flows.size(); ++i) {
+    live.flows[i] = !s.impairedFlows.contains(s.flows[i].id);
   }
-  for (const VLinkState& vl : s.vlinks) {
-    if (staleNode(vl.key.from) || staleNode(vl.key.to) ||
-        staleNode(vl.key.dest)) {
-      continue;
-    }
-    VLinkState copy = vl;
-    std::erase_if(copy.primaryFlows, [&](net::FlowId id) {
-      return s.impairedFlows.contains(id);
-    });
-    out.vlinks.push_back(std::move(copy));
+  for (std::size_t v = 0; v < vn.vlinks.size(); ++v) {
+    const VirtualLinkKey& k = vn.vlinks[v];
+    live.vlinks[v] = up(k.from) && up(k.to) && up(k.dest);
   }
-  for (const WLinkState& wl : s.wlinks) {
-    if (!staleNode(wl.link.from) && !staleNode(wl.link.to)) {
-      out.wlinks.push_back(wl);
-    }
+  for (std::size_t li = 0; li < s.wlinks.size(); ++li) {
+    live.wlinks[li] = up(s.wlinks[li].link.from) && up(s.wlinks[li].link.to);
   }
-  for (const auto& [nodeDest, sat] : s.saturated) {
-    if (!staleNode(nodeDest.first) && !staleNode(nodeDest.second)) {
-      out.saturated.emplace(nodeDest, sat);
-    }
+  for (std::size_t n = 0; n < vn.vnodes.size(); ++n) {
+    const auto [node, dest] = vn.vnodes[n];
+    live.saturated[n] = live.saturated[n] != 0 && up(node) && up(dest);
   }
-  return out;
+  return live;
 }
 
 void Engine::decayImpairedFlows(const Snapshot& s,
@@ -114,11 +111,15 @@ void Engine::decayImpairedFlows(const Snapshot& s,
 
 namespace {
 
-const FlowState* findFlow(const Snapshot& s, net::FlowId id) {
-  for (const FlowState& f : s.flows) {
-    if (f.id == id) return &f;
+/// Visit the snapshot index of each live primary flow of `vl`.
+void forEachPrimary(const Snapshot& s, const std::vector<char>& liveFlows,
+                    const VLinkState& vl, const auto& visit) {
+  for (const net::FlowId id : vl.primaryFlows) {
+    const int i = s.vnet->flowIndex(id);
+    if (i >= 0 && liveFlows[static_cast<std::size_t>(i)] != 0) {
+      visit(static_cast<std::size_t>(i));
+    }
   }
-  return nullptr;
 }
 
 }  // namespace
@@ -136,28 +137,29 @@ const FlowState* findFlow(const Snapshot& s, net::FlowId id) {
 // (L1 > bigGap*S1) and by beta-percentage steps once it is narrow.
 
 void Engine::checkSourceAndBufferConditions(const Snapshot& s,
-                                            RequestMap& requests,
+                                            const Live& live,
+                                            std::vector<Request>& requests,
                                             DecisionReport& report) const {
-  for (const auto& [nodeDest, saturated] : s.saturated) {
-    if (!saturated) continue;
-    const auto [node, dest] = nodeDest;
-
-    // Gather this virtual node's upstream links and local flows.
-    std::vector<const VLinkState*> upstream;
-    for (const VLinkState& vl : s.vlinks) {
-      if (vl.key.to == node && vl.key.dest == dest) upstream.push_back(&vl);
+  const VirtualNetwork& vn = *s.vnet;
+  std::vector<const VLinkState*> upstream;
+  std::vector<std::size_t> localFlows;
+  for (std::size_t n = 0; n < vn.vnodes.size(); ++n) {
+    if (live.saturated[n] == 0) continue;
+    upstream.clear();
+    for (const std::size_t v : vn.vnodeUpstream.row(n)) {
+      if (live.vlinks[v] != 0) upstream.push_back(&s.vlinks[v]);
     }
-    std::vector<const FlowState*> localFlows;
-    for (const FlowState& f : s.flows) {
-      if (f.src == node && f.dst == dest) localFlows.push_back(&f);
+    localFlows.clear();
+    for (const std::size_t i : vn.vnodeLocal.row(n)) {
+      if (live.flows[i] != 0) localFlows.push_back(i);
     }
 
     double l1 = -std::numeric_limits<double>::infinity();
     for (const VLinkState* vl : upstream) l1 = std::max(l1, vl->normRate);
-    for (const FlowState* f : localFlows) l1 = std::max(l1, f->mu());
+    for (const std::size_t i : localFlows) l1 = std::max(l1, s.flows[i].mu());
 
     double s1 = std::numeric_limits<double>::infinity();
-    for (const FlowState* f : localFlows) s1 = std::min(s1, f->mu());
+    for (const std::size_t i : localFlows) s1 = std::min(s1, s.flows[i].mu());
     for (const VLinkState* vl : upstream) {
       if (vl->type == LinkType::kBufferSaturated)
         s1 = std::min(s1, vl->normRate);
@@ -175,60 +177,38 @@ void Engine::checkSourceAndBufferConditions(const Snapshot& s,
     // One call site per metric name: the instrumentation macros cache
     // their registry handle in a per-site static, so the counter picked
     // must be compile-time fixed at each site.
-    auto countReduce = [&] {
+    const auto reduce = [&](std::size_t i) {
+      requests[i].add(true, adjustBase(s.flows[i]) * reduceFactor);
+      ++report.reduceRequests;
       if (wideGap) {
         MAXMIN_COUNT("gmp.adjust.halve", 1);
       } else {
         MAXMIN_COUNT("gmp.adjust.beta_down", 1);
       }
     };
-    auto countIncrease = [&] {
+    const auto increase = [&](std::size_t i) {
+      if (!s.flows[i].limitPps.has_value()) return;
+      requests[i].add(false, adjustBase(s.flows[i]) * increaseFactor);
+      ++report.increaseRequests;
       if (wideGap) {
         MAXMIN_COUNT("gmp.adjust.double", 1);
       } else {
         MAXMIN_COUNT("gmp.adjust.beta_up", 1);
       }
     };
-    auto reducePrimaries = [&](const VLinkState& vl) {
-      for (net::FlowId id : vl.primaryFlows) {
-        if (const FlowState* f = findFlow(s, id)) {
-          requests[id].push_back(Request{true, adjustBase(*f) * reduceFactor});
-          ++report.reduceRequests;
-          countReduce();
-        }
-      }
-    };
-    auto increasePrimaries = [&](const VLinkState& vl) {
-      for (net::FlowId id : vl.primaryFlows) {
-        const FlowState* f = findFlow(s, id);
-        if (f != nullptr && f->limitPps.has_value()) {
-          requests[id].push_back(
-              Request{false, adjustBase(*f) * increaseFactor});
-          ++report.increaseRequests;
-          countIncrease();
-        }
-      }
-    };
 
     for (const VLinkState* vl : upstream) {
-      if (cmp_.equal(vl->normRate, l1)) reducePrimaries(*vl);
+      if (cmp_.equal(vl->normRate, l1)) {
+        forEachPrimary(s, live.flows, *vl, reduce);
+      }
       if (vl->type == LinkType::kBufferSaturated &&
           cmp_.equal(vl->normRate, s1)) {
-        increasePrimaries(*vl);
+        forEachPrimary(s, live.flows, *vl, increase);
       }
     }
-    for (const FlowState* f : localFlows) {
-      if (cmp_.equal(f->mu(), l1)) {
-        requests[f->id].push_back(Request{true, adjustBase(*f) * reduceFactor});
-        ++report.reduceRequests;
-        countReduce();
-      }
-      if (cmp_.equal(f->mu(), s1) && f->limitPps.has_value()) {
-        requests[f->id].push_back(
-            Request{false, adjustBase(*f) * increaseFactor});
-        ++report.increaseRequests;
-        countIncrease();
-      }
+    for (const std::size_t i : localFlows) {
+      if (cmp_.equal(s.flows[i].mu(), l1)) reduce(i);
+      if (cmp_.equal(s.flows[i].mu(), s1)) increase(i);
     }
   }
 }
@@ -246,43 +226,34 @@ void Engine::checkSourceAndBufferConditions(const Snapshot& s,
 // by beta, and raises bandwidth-saturated virtual links whose mu equals
 // the deprived link's mu by beta.
 
-void Engine::checkBandwidthCondition(const Snapshot& s, RequestMap& requests,
+void Engine::checkBandwidthCondition(const Snapshot& s, const Live& live,
+                                     std::vector<Request>& requests,
                                      DecisionReport& report) const {
-  // Index the snapshot.
-  std::map<topo::Link, std::vector<const VLinkState*>> vlinksByWireless;
-  for (const VLinkState& vl : s.vlinks) {
-    vlinksByWireless[vl.key.wireless()].push_back(&vl);
-  }
-  std::map<topo::Link, const WLinkState*> wlinkByLink;
-  for (const WLinkState& wl : s.wlinks) wlinkByLink[wl.link] = &wl;
-
-  // Clique channel occupancies (sum over member links present in the
-  // snapshot; absent links contribute zero airtime).
-  std::vector<double> cliqueOccupancy(contention_.cliques.size(), 0.0);
-  for (std::size_t c = 0; c < contention_.cliques.size(); ++c) {
-    for (int li : contention_.cliques[c].linkIndices) {
-      const topo::Link l = contention_.links[static_cast<std::size_t>(li)];
-      if (const auto it = wlinkByLink.find(l); it != wlinkByLink.end()) {
-        cliqueOccupancy[c] += it->second->occupancy;
-      }
+  const VirtualNetwork& vn = *s.vnet;
+  const auto& cliques = contention_.cliques;
+  // Clique channel occupancies (sum over member links; masked links
+  // contribute no airtime).
+  std::vector<double> cliqueOccupancy(cliques.size(), 0.0);
+  for (std::size_t c = 0; c < cliques.size(); ++c) {
+    for (const int li : cliques[c].linkIndices) {
+      const auto l = static_cast<std::size_t>(li);
+      if (live.wlinks[l] != 0) cliqueOccupancy[c] += s.wlinks[l].occupancy;
     }
   }
 
-  for (const auto& [wireless, vlinks] : vlinksByWireless) {
+  for (std::size_t li = 0; li < contention_.links.size(); ++li) {
     // Smallest-mu bandwidth-saturated virtual link of this wireless link.
     const VLinkState* deprived = nullptr;
-    for (const VLinkState* vl : vlinks) {
-      if (vl->type != LinkType::kBandwidthSaturated) continue;
-      if (deprived == nullptr || vl->normRate < deprived->normRate)
-        deprived = vl;
+    for (const std::size_t v : vn.linkVlinks.row(li)) {
+      const VLinkState& vl = s.vlinks[v];
+      if (live.vlinks[v] == 0 || vl.type != LinkType::kBandwidthSaturated)
+        continue;
+      if (deprived == nullptr || vl.normRate < deprived->normRate)
+        deprived = &vl;
     }
     if (deprived == nullptr) continue;
 
-    const int li = contention_.linkIndex(wireless);
-    MAXMIN_CHECK_MSG(li >= 0, "snapshot link " << wireless
-                                               << " not in contention structure");
-    const auto& cliqueIdxs =
-        contention_.cliquesOfLink[static_cast<std::size_t>(li)];
+    const auto& cliqueIdxs = contention_.cliquesOfLink[li];
     MAXMIN_CHECK(!cliqueIdxs.empty());
 
     // Saturated cliques: those whose occupancy beta-equals the maximum.
@@ -290,29 +261,24 @@ void Engine::checkBandwidthCondition(const Snapshot& s, RequestMap& requests,
     for (int c : cliqueIdxs) {
       maxOcc = std::max(maxOcc, cliqueOccupancy[static_cast<std::size_t>(c)]);
     }
-    std::vector<int> saturatedCliques;
-    for (int c : cliqueIdxs) {
-      if (cmp_.equal(cliqueOccupancy[static_cast<std::size_t>(c)], maxOcc)) {
-        saturatedCliques.push_back(c);
-      }
-    }
 
     // Does the deprived virtual link top at least one saturated clique?
-    auto cliqueMaxMu = [&](int c) {
-      double m = 0.0;
-      for (int memberIdx : contention_.cliques[static_cast<std::size_t>(c)]
-                               .linkIndices) {
-        const topo::Link member =
-            contention_.links[static_cast<std::size_t>(memberIdx)];
-        if (const auto it = wlinkByLink.find(member); it != wlinkByLink.end())
-          m = std::max(m, it->second->normRate);
-      }
-      return m;
-    };
+    // Collect the member links of all saturated cliques on the way.
     bool satisfiedSomewhere = false;
     double l2 = 0.0;
-    for (int c : saturatedCliques) {
-      const double m = cliqueMaxMu(c);
+    std::vector<std::size_t> members;
+    for (int c : cliqueIdxs) {
+      if (!cmp_.equal(cliqueOccupancy[static_cast<std::size_t>(c)], maxOcc))
+        continue;
+      double m = 0.0;
+      for (const int memberIdx :
+           cliques[static_cast<std::size_t>(c)].linkIndices) {
+        const auto member = static_cast<std::size_t>(memberIdx);
+        if (live.wlinks[member] != 0) {
+          m = std::max(m, s.wlinks[member].normRate);
+        }
+        members.push_back(member);
+      }
       l2 = std::max(l2, m);
       if (!cmp_.smaller(deprived->normRate, m)) satisfiedSomewhere = true;
     }
@@ -320,43 +286,29 @@ void Engine::checkBandwidthCondition(const Snapshot& s, RequestMap& requests,
     ++report.bandwidthViolations;
     MAXMIN_COUNT("gmp.violations.bandwidth", 1);
 
-    // Collect the member links of all saturated cliques.
-    std::vector<topo::Link> members;
-    for (int c : saturatedCliques) {
-      for (int memberIdx : contention_.cliques[static_cast<std::size_t>(c)]
-                               .linkIndices) {
-        members.push_back(
-            contention_.links[static_cast<std::size_t>(memberIdx)]);
-      }
-    }
     std::sort(members.begin(), members.end());
     members.erase(std::unique(members.begin(), members.end()), members.end());
-
-    for (const topo::Link& km : members) {
-      const auto it = vlinksByWireless.find(km);
-      if (it == vlinksByWireless.end()) continue;
-      for (const VLinkState* vl : it->second) {
-        if (cmp_.equal(vl->normRate, l2)) {
-          for (net::FlowId id : vl->primaryFlows) {
-            if (const FlowState* f = findFlow(s, id)) {
-              requests[id].push_back(
-                  Request{true, adjustBase(*f) * (1.0 - params_.beta)});
-              ++report.reduceRequests;
-              MAXMIN_COUNT("gmp.adjust.beta_down", 1);
-            }
-          }
+    for (const std::size_t km : members) {
+      for (const std::size_t v : vn.linkVlinks.row(km)) {
+        const VLinkState& vl = s.vlinks[v];
+        if (live.vlinks[v] == 0) continue;
+        if (cmp_.equal(vl.normRate, l2)) {
+          forEachPrimary(s, live.flows, vl, [&](std::size_t i) {
+            requests[i].add(true,
+                            adjustBase(s.flows[i]) * (1.0 - params_.beta));
+            ++report.reduceRequests;
+            MAXMIN_COUNT("gmp.adjust.beta_down", 1);
+          });
         }
-        if (vl->type == LinkType::kBandwidthSaturated &&
-            cmp_.equal(vl->normRate, deprived->normRate)) {
-          for (net::FlowId id : vl->primaryFlows) {
-            const FlowState* f = findFlow(s, id);
-            if (f != nullptr && f->limitPps.has_value()) {
-              requests[id].push_back(
-                  Request{false, adjustBase(*f) * (1.0 + params_.beta)});
-              ++report.increaseRequests;
-              MAXMIN_COUNT("gmp.adjust.beta_up", 1);
-            }
-          }
+        if (vl.type == LinkType::kBandwidthSaturated &&
+            cmp_.equal(vl.normRate, deprived->normRate)) {
+          forEachPrimary(s, live.flows, vl, [&](std::size_t i) {
+            if (!s.flows[i].limitPps.has_value()) return;
+            requests[i].add(false,
+                            adjustBase(s.flows[i]) * (1.0 + params_.beta));
+            ++report.increaseRequests;
+            MAXMIN_COUNT("gmp.adjust.beta_up", 1);
+          });
         }
       }
     }
@@ -383,33 +335,20 @@ void Engine::checkBandwidthCondition(const Snapshot& s, RequestMap& requests,
 //     capture the queue and defeat the equalization the conditions just
 //     established.
 
-void Engine::resolveRequests(const Snapshot& s, const RequestMap& requests,
+void Engine::resolveRequests(const Snapshot& s, const Live& live,
+                             const std::vector<Request>& requests,
                              DecisionReport& report) const {
-  for (const FlowState& f : s.flows) {
-    const auto it = requests.find(f.id);
-    if (it != requests.end() && !it->second.empty()) {
-      bool anyReduce = false;
-      double reduceTarget = std::numeric_limits<double>::infinity();
-      double increaseTarget = std::numeric_limits<double>::infinity();
-      for (const Request& r : it->second) {
-        if (r.reduce) {
-          anyReduce = true;
-          reduceTarget = std::min(reduceTarget, r.targetPps);
-        } else {
-          increaseTarget = std::min(increaseTarget, r.targetPps);
-        }
-      }
-      if (anyReduce) {
-        const double limit = std::max(reduceTarget, params_.minRatePps);
-        report.commands.push_back(
-            Command{f.id, Command::Kind::kSetLimit, limit});
-      } else {
+  for (std::size_t i = 0; i < s.flows.size(); ++i) {
+    if (live.flows[i] == 0) continue;
+    const FlowState& f = s.flows[i];
+    if (const Request& r = requests[i]; r.any) {
+      double limit = std::max(r.reduceTarget, params_.minRatePps);
+      if (!r.reduce) {
         // An increase never tightens an existing limit.
-        double limit = increaseTarget;
+        limit = r.increaseTarget;
         if (f.limitPps) limit = std::max(limit, *f.limitPps);
-        report.commands.push_back(
-            Command{f.id, Command::Kind::kSetLimit, limit});
       }
+      report.commands.push_back(Command{f.id, Command::Kind::kSetLimit, limit});
       continue;
     }
 
@@ -424,8 +363,9 @@ void Engine::resolveRequests(const Snapshot& s, const RequestMap& requests,
       ++report.additiveIncreases;
       MAXMIN_COUNT("gmp.adjust.additive", 1);
     } else {
-      const auto satIt = s.saturated.find({f.src, f.dst});
-      const bool sourceSaturated = satIt != s.saturated.end() && satIt->second;
+      const int src = s.vnet->flowSource[i];
+      const bool sourceSaturated =
+          src >= 0 && live.saturated[static_cast<std::size_t>(src)] != 0;
       const bool clearlySlack =
           f.ratePps < *f.limitPps * params_.removeLimitSlackFactor;
       if (!sourceSaturated && clearlySlack) {

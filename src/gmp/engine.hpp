@@ -8,7 +8,8 @@
 // lets fast property tests exercise the exact production decision logic.
 #pragma once
 
-#include <map>
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "gmp/types.hpp"
@@ -22,27 +23,48 @@ class Engine {
 
   const GmpParams& params() const { return params_; }
 
-  /// Run one adjustment period against the measured snapshot.
+  /// Run one adjustment period against the measured snapshot. It must
+  /// carry its virtual-network index, built over this engine's contention
+  /// structure, and be laid out by it.
   [[nodiscard]] DecisionReport decide(const Snapshot& snapshot) const;
 
  private:
+  /// One flow's requests this period, folded as the control packet folds
+  /// them (§6.3): any reduction wins, and the smallest target per kind.
   struct Request {
+    bool any = false;
     bool reduce = false;
-    double targetPps = 0.0;
+    double reduceTarget = std::numeric_limits<double>::infinity();
+    double increaseTarget = std::numeric_limits<double>::infinity();
+
+    void add(bool isReduce, double target) {
+      any = true;
+      reduce = reduce || isReduce;
+      double& kept = isReduce ? reduceTarget : increaseTarget;
+      kept = std::min(kept, target);
+    }
   };
-  using RequestMap = std::map<net::FlowId, std::vector<Request>>;
 
-  void checkSourceAndBufferConditions(const Snapshot& s, RequestMap& requests,
+  /// What the condition checks may act on, per id (1 = live): all but
+  /// what a stale node or an impaired flow touches, so they never act on
+  /// ghost measurements (decayImpairedFlows handles those flows).
+  struct Live {
+    std::vector<char> flows;
+    std::vector<char> vlinks;
+    std::vector<char> wlinks;
+    std::vector<char> saturated;  ///< per vnode, stale ones cleared
+  };
+
+  [[nodiscard]] static Live liveParts(const Snapshot& s);
+  void checkSourceAndBufferConditions(const Snapshot& s, const Live& live,
+                                      std::vector<Request>& requests,
                                       DecisionReport& report) const;
-  void checkBandwidthCondition(const Snapshot& s, RequestMap& requests,
+  void checkBandwidthCondition(const Snapshot& s, const Live& live,
+                               std::vector<Request>& requests,
                                DecisionReport& report) const;
-  void resolveRequests(const Snapshot& s, const RequestMap& requests,
+  void resolveRequests(const Snapshot& s, const Live& live,
+                       const std::vector<Request>& requests,
                        DecisionReport& report) const;
-
-  /// Strip everything touched by stale nodes / impaired flows so the
-  /// condition checks never act on ghost measurements; the dropped flows
-  /// are handled by decayImpairedFlows instead.
-  [[nodiscard]] Snapshot filterDegraded(const Snapshot& s) const;
   void decayImpairedFlows(const Snapshot& s, DecisionReport& report) const;
 
   [[nodiscard]] double adjustBase(const FlowState& f) const;

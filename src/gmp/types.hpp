@@ -8,10 +8,10 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "net/flow.hpp"
@@ -94,14 +94,18 @@ struct WLinkState {
   double normRate = 0.0;   ///< max over the link's virtual links
 };
 
-/// Everything measured in one period.
+struct VirtualNetwork;
+
+/// Everything measured in one period, laid out by the producer's
+/// virtual-network index (gmp/virtual_network.hpp): flows in flow order,
+/// vlinks by vlink id, wlinks by contention link, saturated by vnode.
 struct Snapshot {
+  std::shared_ptr<const VirtualNetwork> vnet;
   std::vector<FlowState> flows;
   std::vector<VLinkState> vlinks;
   std::vector<WLinkState> wlinks;
-  /// Virtual-node saturation: (node, dest) -> Omega above threshold.
-  /// Missing entries mean unsaturated.
-  std::map<std::pair<topo::NodeId, topo::NodeId>, bool> saturated;
+  /// Per vnode: Omega above the saturation threshold.
+  std::vector<char> saturated;
 
   /// Nodes whose measurements are missing and whose cached values have
   /// outlived the staleness TTL (fault runs only). The engine must not
@@ -123,9 +127,9 @@ struct Snapshot {
   /// same component see a locally-consistent maxmin while partitioned.
   std::map<net::FlowId, std::int32_t> flowPartition;
 
-  [[nodiscard]] bool degraded() const {
-    return !staleNodes.empty() || !impairedFlows.empty();
-  }
+  /// Saturation of the (node, dest) vnode; false when it is not one (or
+  /// the snapshot has no index yet).
+  [[nodiscard]] bool isSaturated(topo::NodeId node, topo::NodeId dest) const;
 };
 
 /// Rate-limit change for one flow source.

@@ -21,8 +21,6 @@ enum class QueueDiscipline {
   kSharedFifo,      ///< one queue for everything (plain 802.11)
 };
 
-const char* queueDisciplineName(QueueDiscipline d);
-
 struct NetworkConfig {
   QueueDiscipline discipline = QueueDiscipline::kPerDestination;
 

@@ -11,15 +11,6 @@
 
 namespace maxmin::net {
 
-const char* queueDisciplineName(QueueDiscipline d) {
-  switch (d) {
-    case QueueDiscipline::kPerDestination: return "per-destination";
-    case QueueDiscipline::kPerFlow: return "per-flow";
-    case QueueDiscipline::kSharedFifo: return "shared-fifo";
-  }
-  return "?";
-}
-
 void validateFlows(const std::vector<FlowSpec>& flows, int numNodes) {
   std::vector<FlowId> ids;
   for (const FlowSpec& f : flows) {
@@ -266,12 +257,6 @@ void NodeStack::setSourceMu(FlowId flow, double mu) {
   auto it = sources_.find(flow);
   MAXMIN_CHECK(it != sources_.end());
   it->second.mu = mu;
-}
-
-double NodeStack::sourceMu(FlowId flow) const {
-  const auto it = sources_.find(flow);
-  MAXMIN_CHECK(it != sources_.end());
-  return it->second.mu;
 }
 
 const SourceCounters& NodeStack::sourceCounters(FlowId flow) const {

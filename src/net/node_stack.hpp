@@ -76,7 +76,6 @@ class NodeStack final : public mac::FrameClient {
 
   /// Update the normalized rate the source stamps on new packets.
   void setSourceMu(FlowId flow, double mu);
-  double sourceMu(FlowId flow) const;
 
   const SourceCounters& sourceCounters(FlowId flow) const;
   /// Ids of flows sourced here, sorted (the backing store is hashed).

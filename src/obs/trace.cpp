@@ -8,14 +8,6 @@ std::optional<TraceLevel> parseTraceLevel(std::string_view name) {
   return std::nullopt;
 }
 
-const char* traceLevelName(TraceLevel level) {
-  switch (level) {
-    case TraceLevel::kPeriod: return "period";
-    case TraceLevel::kEvent: return "event";
-  }
-  return "?";
-}
-
 std::unique_ptr<TraceSink> TraceSink::openFile(const std::string& path,
                                                TraceLevel level) {
   auto file = std::make_unique<std::ofstream>(path);

@@ -29,7 +29,6 @@ enum class TraceLevel {
 
 /// Parse "period" / "event"; nullopt for anything else.
 std::optional<TraceLevel> parseTraceLevel(std::string_view name);
-const char* traceLevelName(TraceLevel level);
 
 class TraceSink {
  public:

@@ -12,15 +12,6 @@ double GilbertElliottParams::steadyStateLoss() const {
   return (1.0 - piBad) * lossGood + piBad * lossBad;
 }
 
-const char* impairmentScopeName(ImpairmentConfig::Scope scope) {
-  switch (scope) {
-    case ImpairmentConfig::Scope::kAllFrames: return "all";
-    case ImpairmentConfig::Scope::kControlFrames: return "control";
-    case ImpairmentConfig::Scope::kDataFrames: return "data";
-  }
-  return "?";
-}
-
 namespace {
 
 void checkProbability(double p) { MAXMIN_CHECK(p >= 0.0 && p <= 1.0); }

@@ -54,8 +54,6 @@ struct ImpairmentConfig {
   [[nodiscard]] bool enabled() const { return per > 0.0 || gilbert.enabled(); }
 };
 
-const char* impairmentScopeName(ImpairmentConfig::Scope scope);
-
 class ChannelImpairments {
  public:
   ChannelImpairments(ImpairmentConfig config, Rng rng);

@@ -11,11 +11,13 @@
 //   maxmin_sim --scenario fig3 --faults outage.faults --ge 0.05:0.25:1
 //       --impair-scope control
 #include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -213,10 +215,21 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-/// `--faults` accepts either a script file or inline text.
+/// `--faults` accepts either a script file or inline text. An argument
+/// that names an existing path, or has no whitespace (every script line
+/// does), must be a readable regular file.
 sim::FaultScript loadFaultScript(const std::string& arg) {
   std::string text = arg;
-  if (std::ifstream file{arg}; file) {
+  std::error_code ec;
+  const bool inlineText =
+      !std::filesystem::exists(arg, ec) &&
+      std::ranges::any_of(arg, [](unsigned char c) { return std::isspace(c); });
+  if (!inlineText) {
+    std::ifstream file{arg};
+    if (!std::filesystem::is_regular_file(arg, ec) || !file) {
+      std::cerr << "cannot read fault script file " << arg << '\n';
+      std::exit(2);
+    }
     std::ostringstream contents;
     contents << file.rdbuf();
     text = contents.str();
