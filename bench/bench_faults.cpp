@@ -61,7 +61,8 @@ void faultRow(Table& t, const scenarios::Scenario& sc,
       spec.crash ? static_cast<int>(kRecoverSeconds / kPeriodSeconds) : -1;
   auto report = analysis::analyzeDisruption(result.rateHistory, hops, dc);
   report.packetsLost =
-      result.crashDrops + result.deadNeighborDrops + result.queueDrops;
+      result.metrics.crashDrops + result.metrics.deadNeighborDrops +
+      result.queueDrops;
 
   t.addRow({spec.name, Table::num(report.baselineIeq, 3),
             Table::num(report.dipIeq, 3), Table::num(report.dipDepth(), 3),
@@ -70,7 +71,7 @@ void faultRow(Table& t, const scenarios::Scenario& sc,
                 : std::to_string(report.periodsToReconverge),
             Table::num(result.summary.ieq, 3),
             std::to_string(report.packetsLost),
-            std::to_string(result.framesImpaired)});
+            std::to_string(result.metrics.framesImpaired)});
 }
 
 void reproduceFaults() {

@@ -100,6 +100,55 @@ std::vector<std::string> validate(const RunConfig& config,
   return errors;
 }
 
+namespace {
+
+RunMetrics collectMetrics(net::Network& net,
+                          const std::optional<gmp::Controller>& controller,
+                          const std::optional<hybrid::Engine>& hybridEngine) {
+  RunMetrics m;
+  const sim::Simulator& sim = net.simulator();
+  m.eventsScheduled = sim.scheduledEvents();
+  m.eventsExecuted = sim.executedEvents();
+  m.eventsCancelled = sim.cancelledEvents();
+  m.maxPendingEvents = sim.maxPendingEvents();
+  m.queueCompactions = sim.compactions();
+  m.framesDelivered = net.framesDelivered();
+  m.framesCorrupted = net.framesCorrupted();
+  m.framesSuppressed = net.framesSuppressed();
+  if (const phys::ChannelImpairments* imp = net.impairments()) {
+    m.framesImpaired = imp->framesDropped();
+  }
+  for (topo::NodeId n = 0; n < net.topology().numNodes(); ++n) {
+    m.mac += net.macOf(n).counters();
+    const net::NodeStack& stack = net.stack(n);
+    m.crashDrops += stack.dropsAtCrash();
+    m.deadNeighborDrops += stack.dropsDeadNextHop();
+    m.backpressureStalls += stack.backpressureStalls();
+    m.queueHighWater = std::max<std::uint64_t>(m.queueHighWater,
+                                               stack.queueHighWater());
+  }
+  if (controller) {
+    m.gmpPeriods = controller->periodsRun();
+    m.decisions = controller->decisionTotals();
+    m.commands = controller->commandsIssued();
+    m.staleMeasurementsUsed = controller->staleMeasurementsUsed();
+    m.limitsRestored = controller->limitsRestored();
+    m.flowsQuarantined = controller->flowsQuarantined();
+  }
+  if (hybridEngine) {
+    const hybrid::HybridStats& hs = hybridEngine->stats();
+    m.ffPeriods = hs.ffPeriods;
+    m.ffConverged = hs.ffConverged;
+    m.seededPackets = hs.seededPackets;
+    m.relinearizations = hs.relinearizations;
+    m.backgroundFlows = hs.backgroundFlows;
+    m.phantomBursts = hybridEngine->phantomBursts();
+  }
+  return m;
+}
+
+}  // namespace
+
 RunResult runScenario(const scenarios::Scenario& scenario,
                       const RunConfig& config) {
   if (const auto errors = validate(config, scenario); !errors.empty()) {
@@ -186,31 +235,11 @@ RunResult runScenario(const scenarios::Scenario& scenario,
   result.summary = summarize(rates, hops);
   result.normalizedSummary = summarizeNormalized(rates, weights, hops);
   result.queueDrops = net.totalQueueDrops();
-  result.crashDrops = net.totalCrashDrops();
-  result.deadNeighborDrops = net.totalDeadNeighborDrops();
-  result.framesSuppressed = net.framesSuppressed();
-  if (const phys::ChannelImpairments* imp = net.impairments()) {
-    result.framesImpaired = imp->framesDropped();
-  }
   if (controller) {
     result.violationHistory = controller->violationHistory();
     result.rateHistory = controller->rateHistory();
-    result.staleMeasurementsUsed = controller->staleMeasurementsUsed();
-    result.limitsRestored = controller->limitsRestored();
   }
-  if (hybridEngine) {
-    const hybrid::HybridStats& hs = hybridEngine->stats();
-    result.ffPeriods = hs.ffPeriods;
-    result.ffConverged = hs.ffConverged;
-    result.seededPackets = hs.seededPackets;
-    result.relinearizations = hs.relinearizations;
-    result.backgroundFlows = hs.backgroundFlows;
-    result.phantomBursts = hybridEngine->phantomBursts();
-  }
-  const sim::Simulator& sim = net.simulator();
-  result.eventsScheduled = sim.scheduledEvents();
-  result.eventsExecuted = sim.executedEvents();
-  result.eventsCancelled = sim.cancelledEvents();
+  result.metrics = collectMetrics(net, controller, hybridEngine);
   return result;
 }
 

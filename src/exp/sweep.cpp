@@ -192,7 +192,18 @@ void writeJson(std::ostream& os, const std::vector<SweepOutcome>& outcomes,
         out += std::to_string(flow.hops);
         out += '}';
       }
-      out += ']';
+      out += "],\"metrics\":{";
+      bool first = true;
+      analysis::forEachMetric(
+          o.result.metrics, [&out, &first](const char* name, std::int64_t v) {
+            if (!first) out += ',';
+            first = false;
+            out += '"';
+            out += name;
+            out += "\":";
+            out += std::to_string(v);
+          });
+      out += '}';
     } else {
       out += ",\"error\":";
       jsonEscape(out, o.error);

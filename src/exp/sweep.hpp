@@ -77,7 +77,9 @@ struct SweepSummary {
 SweepSummary summarize(const std::vector<SweepOutcome>& outcomes);
 
 /// Full sweep report as JSON: one record per run (in input order) plus
-/// the summary block. Stable field order; no external dependencies.
+/// the summary block. An ok run's record carries its RunMetrics as a
+/// "metrics" object, keyed and ordered by analysis::forEachMetric.
+/// Stable field order; no external dependencies.
 void writeJson(std::ostream& os, const std::vector<SweepOutcome>& outcomes,
                const SweepSummary& summary);
 

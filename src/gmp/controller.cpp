@@ -7,7 +7,6 @@
 #include "gmp/partition.hpp"
 #include "obs/json.hpp"
 #include "obs/profile.hpp"
-#include "obs/registry.hpp"
 #include "util/check.hpp"
 
 namespace maxmin::gmp {
@@ -101,7 +100,6 @@ Snapshot Controller::assembleSnapshot(
       measOf(n) = lastGoodMeas_[ni];
       bridgedNodes.insert(n);
       ++staleMeasurementsUsed_;
-      MAXMIN_COUNT("gmp.stale_substitutions", 1);
       if (trace_ != nullptr && trace_->wantsEvents()) {
         obs::JsonWriter w;
         w.beginObject();
@@ -165,8 +163,6 @@ Snapshot Controller::assembleSnapshot(
       ++partitionedPeriods_;
       flowsQuarantined_ +=
           static_cast<std::int64_t>(snap.quarantinedFlows.size());
-      MAXMIN_COUNT("gmp.quarantined_flow_periods",
-                   static_cast<std::int64_t>(snap.quarantinedFlows.size()));
       if (trace_ != nullptr && trace_->wantsEvents()) {
         obs::JsonWriter w;
         w.beginObject();
@@ -317,8 +313,8 @@ void Controller::finishPeriod(Snapshot snapshot) {
   lastSnapshot_ = std::move(snapshot);
   const Snapshot& snap = lastSnapshot_;
   lastReport_ = engine_.decide(snap);
-  MAXMIN_GAUGE("gmp.commands_per_period",
-               static_cast<std::int64_t>(lastReport_.commands.size()));
+  decisionTotals_ += lastReport_;
+  commandsIssued_ += static_cast<std::int64_t>(lastReport_.commands.size());
 
   // Remember each flow's limit as it was just before its path went
   // stale, so recovery can restore the old operating point directly
@@ -365,7 +361,6 @@ void Controller::finishPeriod(Snapshot snapshot) {
         it != preImpairmentLimit_.end()) {
       net_.setRateLimit(id, it->second);
       ++limitsRestored_;
-      MAXMIN_COUNT("gmp.limits_restored", 1);
       if (trace_ != nullptr && trace_->wantsEvents()) {
         obs::JsonWriter w;
         w.beginObject();

@@ -44,6 +44,9 @@ class Controller {
 
   [[nodiscard]] int periodsRun() const { return periods_; }
   const DecisionReport& lastReport() const { return lastReport_; }
+  /// Every period's DecisionReport counts summed, and its commands counted.
+  const DecisionCounts& decisionTotals() const { return decisionTotals_; }
+  [[nodiscard]] std::int64_t commandsIssued() const { return commandsIssued_; }
   const Snapshot& lastSnapshot() const { return lastSnapshot_; }
   const topo::ContentionStructure& contention() const { return contention_; }
 
@@ -138,6 +141,8 @@ class Controller {
 
   Snapshot lastSnapshot_;
   DecisionReport lastReport_;
+  DecisionCounts decisionTotals_;
+  std::int64_t commandsIssued_ = 0;
   std::vector<int> violationHistory_;
   std::vector<std::map<net::FlowId, double>> rateHistory_;
   int periods_ = 0;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/json.hpp"
-#include "obs/registry.hpp"
 #include "topology/dominating_set.hpp"
 #include "util/check.hpp"
 
@@ -93,7 +92,6 @@ void LinkStateDissemination::repairCenters(
     if (repaired == current) continue;
     current = std::move(repaired);
     ++relayRepairs_;
-    MAXMIN_COUNT("gmp.relay_repairs", 1);
     if (trace_ != nullptr && trace_->wantsEvents()) {
       obs::JsonWriter w;
       w.beginObject();
@@ -200,7 +198,6 @@ void LinkStateDissemination::onAckTimeout(const PendingKey& key) {
   }
   if (p.attempts >= reliability_->maxRetransmits) {
     ++deliveryFailures_;
-    MAXMIN_COUNT("gmp.delivery_failures", 1);
     if (trace_ != nullptr && trace_->wantsEvents()) {
       obs::JsonWriter w;
       w.beginObject();
@@ -216,7 +213,6 @@ void LinkStateDissemination::onAckTimeout(const PendingKey& key) {
   }
   ++p.attempts;
   ++retransmits_;
-  MAXMIN_COUNT("gmp.retransmits", 1);
   if (trace_ != nullptr && trace_->wantsEvents()) {
     obs::JsonWriter w;
     w.beginObject();

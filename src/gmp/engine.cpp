@@ -5,10 +5,22 @@
 #include <limits>
 
 #include "gmp/virtual_network.hpp"
-#include "obs/registry.hpp"
 #include "util/check.hpp"
 
 namespace maxmin::gmp {
+
+DecisionCounts& DecisionCounts::operator+=(const DecisionCounts& o) {
+  sourceBufferViolations += o.sourceBufferViolations;
+  bandwidthViolations += o.bandwidthViolations;
+  reduceRequests += o.reduceRequests;
+  halveRequests += o.halveRequests;
+  increaseRequests += o.increaseRequests;
+  doubleRequests += o.doubleRequests;
+  additiveIncreases += o.additiveIncreases;
+  limitsRemoved += o.limitsRemoved;
+  staleDecays += o.staleDecays;
+  return *this;
+}
 
 const char* linkTypeName(LinkType t) {
   switch (t) {
@@ -105,7 +117,6 @@ void Engine::decayImpairedFlows(const Snapshot& s,
         std::max(params_.minRatePps, base * params_.staleDecayFactor);
     report.commands.push_back(Command{f.id, Command::Kind::kSetLimit, target});
     ++report.staleDecays;
-    MAXMIN_COUNT("gmp.adjust.stale_decay", 1);
   }
 }
 
@@ -168,33 +179,21 @@ void Engine::checkSourceAndBufferConditions(const Snapshot& s,
     if (!std::isfinite(l1) || !std::isfinite(s1)) continue;  // nothing to equalize
     if (cmp_.equal(s1, l1)) continue;                        // satisfied
     ++report.sourceBufferViolations;
-    MAXMIN_COUNT("gmp.violations.source_buffer", 1);
 
     const bool wideGap = l1 > params_.bigGapFactor * s1;
     const double reduceFactor = wideGap ? 0.5 : 1.0 - params_.beta;
     const double increaseFactor = wideGap ? 2.0 : 1.0 + params_.beta;
 
-    // One call site per metric name: the instrumentation macros cache
-    // their registry handle in a per-site static, so the counter picked
-    // must be compile-time fixed at each site.
     const auto reduce = [&](std::size_t i) {
       requests[i].add(true, adjustBase(s.flows[i]) * reduceFactor);
       ++report.reduceRequests;
-      if (wideGap) {
-        MAXMIN_COUNT("gmp.adjust.halve", 1);
-      } else {
-        MAXMIN_COUNT("gmp.adjust.beta_down", 1);
-      }
+      if (wideGap) ++report.halveRequests;
     };
     const auto increase = [&](std::size_t i) {
       if (!s.flows[i].limitPps.has_value()) return;
       requests[i].add(false, adjustBase(s.flows[i]) * increaseFactor);
       ++report.increaseRequests;
-      if (wideGap) {
-        MAXMIN_COUNT("gmp.adjust.double", 1);
-      } else {
-        MAXMIN_COUNT("gmp.adjust.beta_up", 1);
-      }
+      if (wideGap) ++report.doubleRequests;
     };
 
     for (const VLinkState* vl : upstream) {
@@ -284,7 +283,6 @@ void Engine::checkBandwidthCondition(const Snapshot& s, const Live& live,
     }
     if (satisfiedSomewhere) continue;
     ++report.bandwidthViolations;
-    MAXMIN_COUNT("gmp.violations.bandwidth", 1);
 
     std::sort(members.begin(), members.end());
     members.erase(std::unique(members.begin(), members.end()), members.end());
@@ -297,7 +295,6 @@ void Engine::checkBandwidthCondition(const Snapshot& s, const Live& live,
             requests[i].add(true,
                             adjustBase(s.flows[i]) * (1.0 - params_.beta));
             ++report.reduceRequests;
-            MAXMIN_COUNT("gmp.adjust.beta_down", 1);
           });
         }
         if (vl.type == LinkType::kBandwidthSaturated &&
@@ -307,7 +304,6 @@ void Engine::checkBandwidthCondition(const Snapshot& s, const Live& live,
             requests[i].add(false,
                             adjustBase(s.flows[i]) * (1.0 + params_.beta));
             ++report.increaseRequests;
-            MAXMIN_COUNT("gmp.adjust.beta_up", 1);
           });
         }
       }
@@ -361,7 +357,6 @@ void Engine::resolveRequests(const Snapshot& s, const Live& live,
           f.id, Command::Kind::kSetLimit,
           *f.limitPps + params_.additiveIncreasePps});
       ++report.additiveIncreases;
-      MAXMIN_COUNT("gmp.adjust.additive", 1);
     } else {
       const int src = s.vnet->flowSource[i];
       const bool sourceSaturated =
@@ -371,7 +366,6 @@ void Engine::resolveRequests(const Snapshot& s, const Live& live,
       if (!sourceSaturated && clearlySlack) {
         report.commands.push_back(Command{f.id, Command::Kind::kRemoveLimit});
         ++report.limitsRemoved;
-        MAXMIN_COUNT("gmp.adjust.remove_limit", 1);
       }
     }
   }

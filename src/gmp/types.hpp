@@ -140,17 +140,27 @@ struct Command {
   double limitPps = 0.0;  ///< meaningful for kSetLimit
 };
 
-/// What one adjustment period decided, with diagnostics for tests and
-/// convergence monitoring.
-struct DecisionReport {
-  std::vector<Command> commands;
+/// Condition violations and adjustment requests of one period, or of a
+/// whole run when Controller::decisionTotals() sums them.
+struct DecisionCounts {
   int sourceBufferViolations = 0;  ///< source + buffer-saturated conditions
   int bandwidthViolations = 0;
   int reduceRequests = 0;
+  int halveRequests = 0;  ///< of reduceRequests: wide-gap halvings
   int increaseRequests = 0;
+  int doubleRequests = 0;  ///< of increaseRequests: wide-gap doublings
   int additiveIncreases = 0;
   int limitsRemoved = 0;
   int staleDecays = 0;  ///< conservative decays of flows on stale paths
+
+  DecisionCounts& operator+=(const DecisionCounts& o);
+  bool operator==(const DecisionCounts&) const = default;
+};
+
+/// What one adjustment period decided, with diagnostics for tests and
+/// convergence monitoring.
+struct DecisionReport : DecisionCounts {
+  std::vector<Command> commands;
 
   [[nodiscard]] bool conditionsSatisfied() const {
     return sourceBufferViolations == 0 && bandwidthViolations == 0;

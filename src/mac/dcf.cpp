@@ -1,12 +1,26 @@
 #include "mac/dcf.hpp"
 
-#include "obs/registry.hpp"
-
 #include <algorithm>
 
 #include "util/check.hpp"
 
 namespace maxmin::mac {
+
+DcfCounters& DcfCounters::operator+=(const DcfCounters& o) {
+  rtsSent += o.rtsSent;
+  dataSent += o.dataSent;
+  broadcastsSent += o.broadcastsSent;
+  txSuccesses += o.txSuccesses;
+  ctsTimeouts += o.ctsTimeouts;
+  ackTimeouts += o.ackTimeouts;
+  macDrops += o.macDrops;
+  backoffDraws += o.backoffDraws;
+  backoffCwSum += o.backoffCwSum;
+  backoffFreezes += o.backoffFreezes;
+  cwEscalations += o.cwEscalations;
+  eifsDeferrals += o.eifsDeferrals;
+  return *this;
+}
 
 Dcf::Dcf(sim::Simulator& sim, phys::Medium& medium, topo::NodeId self,
          FrameClient& client, MacParams params, Rng rng)
@@ -97,7 +111,7 @@ void Dcf::armWakeTimer() {
 void Dcf::freezeBackoff() {
   if (!accessTimer_.pending()) return;
   accessTimer_.cancel();
-  MAXMIN_COUNT("mac.backoff_freezes", 1);
+  ++counters_.backoffFreezes;
   // Credit whole slots elapsed since the countdown cleared DIFS.
   if (sim_.now() > countdownStart_) {
     const auto elapsed = static_cast<int>(
@@ -116,8 +130,8 @@ void Dcf::onChannelIdle() { refreshChannelState(); }
 
 void Dcf::drawBackoff() {
   backoffSlots_ = static_cast<int>(rng_.uniformInt(0, cw_));
-  MAXMIN_COUNT("mac.backoff_draws", 1);
-  MAXMIN_HIST("mac.backoff_cw", cw_);
+  ++counters_.backoffDraws;
+  counters_.backoffCwSum += static_cast<std::uint64_t>(cw_);
 }
 
 void Dcf::tryAccess() {
@@ -254,13 +268,11 @@ void Dcf::onOwnTxEnd() {
 
 void Dcf::onCtsTimeout() {
   ++counters_.ctsTimeouts;
-  MAXMIN_COUNT("mac.cts_timeouts", 1);
   retryAfterTimeout(/*longRetry=*/false);
 }
 
 void Dcf::onAckTimeout() {
   ++counters_.ackTimeouts;
-  MAXMIN_COUNT("mac.ack_timeouts", 1);
   retryAfterTimeout(/*longRetry=*/true);
 }
 
@@ -271,12 +283,11 @@ void Dcf::retryAfterTimeout(bool longRetry) {
       longRetry ? params_.longRetryLimit : params_.shortRetryLimit;
   if (++retries > limit) {
     ++counters_.macDrops;
-    MAXMIN_COUNT("mac.retry_limit_drops", 1);
     finishCurrent(/*success=*/false);
     return;
   }
   cw_ = std::min(2 * cw_ + 1, params_.cwMax);
-  MAXMIN_COUNT("mac.backoff_stage_escalations", 1);
+  ++counters_.cwEscalations;
   drawBackoff();
   haveBackoff_ = true;
   refreshChannelState();
@@ -324,7 +335,7 @@ void Dcf::onFrameReceived(const phys::Frame& frame) {
 void Dcf::onFrameCorrupted(const phys::Frame&) {
   // Could not decode: defer EIFS so the (inaudible) ACK of the collided
   // exchange is protected. This is where hidden-terminal unfairness bites.
-  MAXMIN_COUNT("mac.eifs_deferrals", 1);
+  ++counters_.eifsDeferrals;
   deferUntil_ = std::max(deferUntil_, sim_.now() + params_.eifs());
   armWakeTimer();
   refreshChannelState();

@@ -39,6 +39,14 @@ struct DcfCounters {
   std::uint64_t ctsTimeouts = 0;
   std::uint64_t ackTimeouts = 0;
   std::uint64_t macDrops = 0;  ///< retry limit exceeded
+  std::uint64_t backoffDraws = 0;
+  std::uint64_t backoffCwSum = 0;  ///< CW at each draw; / backoffDraws = mean
+  std::uint64_t backoffFreezes = 0;  ///< countdowns paused by a busy medium
+  std::uint64_t cwEscalations = 0;   ///< backoff stages entered on timeout
+  std::uint64_t eifsDeferrals = 0;   ///< EIFS after an undecodable frame
+
+  DcfCounters& operator+=(const DcfCounters& o);
+  bool operator==(const DcfCounters&) const = default;
 };
 
 class Dcf final : public phys::RadioListener {

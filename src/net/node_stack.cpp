@@ -1,7 +1,5 @@
 #include "net/node_stack.hpp"
 
-#include "obs/registry.hpp"
-
 #include <algorithm>
 #include <map>
 #include <utility>
@@ -135,7 +133,6 @@ int NodeStack::neighborRank(topo::NodeId nb) const {
 
 void NodeStack::enqueue(PacketPtr p) {
   PacketQueue& q = queueFor(queueSlotFor(*p));
-  MAXMIN_HIST("net.queue_occupancy", static_cast<std::int64_t>(q.size()));
   if (q.full()) {
     switch (ctx_.config().discipline) {
       case QueueDiscipline::kPerDestination:
@@ -147,17 +144,16 @@ void NodeStack::enqueue(PacketPtr p) {
         break;
       case QueueDiscipline::kPerFlow:
         ++dropsTail_;  // drop-tail on the arriving packet
-        MAXMIN_COUNT("net.drops_tail", 1);
         return;
       case QueueDiscipline::kSharedFifo:
         ++dropsTail_;  // "overwrite the packet at the tail of the queue"
-        MAXMIN_COUNT("net.drops_tail", 1);
         q.overwriteTail(std::move(p));
         return;
     }
   } else {
     q.pushBack(std::move(p), now());
   }
+  queueHighWater_ = std::max(queueHighWater_, q.size());
   if (mac_ != nullptr) mac_->notifyTrafficPending();
 }
 
@@ -288,7 +284,6 @@ void NodeStack::setOperational(bool up) {
     // node's "full" advertisements were about to justify.
     for (auto& [slot, q] : queues_) {
       dropsAtCrash_ += static_cast<std::int64_t>(q.size());
-      MAXMIN_COUNT("net.drops_at_crash", static_cast<std::int64_t>(q.size()));
       while (!q.empty()) q.popFront(now());
     }
     for (auto& [id, s] : sources_) s.timer->cancel();
@@ -413,11 +408,7 @@ std::optional<mac::TxRequest> NodeStack::nextTxRequest() {
       // Dead-neighbor liveness: packets routed through a written-off
       // next hop drain to drops here rather than wedging the queue (and
       // everything upstream of it) forever.
-      {
-        const std::int64_t drained = drainDeadFront(e);
-        dropsDeadNextHop_ += drained;
-        if (drained > 0) MAXMIN_COUNT("net.drops_dead_next_hop", drained);
-      }
+      dropsDeadNextHop_ += drainDeadFront(e);
       if (q.empty()) continue;
     }
     const int destSlot = destSlotOf(e);
@@ -434,7 +425,7 @@ std::optional<mac::TxRequest> NodeStack::nextTxRequest() {
               : 0;
       TimePoint expiry;
       if (heldByBackpressure(hop.rank, adSlot, expiry)) {
-        MAXMIN_COUNT("net.backpressure_stalls", 1);
+        ++backpressureStalls_;
         anyHeld = true;
         earliestExpiry = std::min(earliestExpiry, expiry);
         continue;
@@ -466,7 +457,6 @@ void NodeStack::onTxFailure(const mac::TxRequest& request) {
       // instead of requeueing into a guaranteed retry loop. The MAC is
       // freed to serve other queues immediately.
       ++dropsDeadNextHop_;
-      MAXMIN_COUNT("net.drops_dead_next_hop", 1);
       if (mac_ != nullptr) mac_->notifyTrafficPending();
       return;
     }

@@ -97,6 +97,11 @@ class NodeStack final : public mac::FrameClient {
 
   std::int64_t dropsTail() const { return dropsTail_; }
   std::int64_t duplicatesDropped() const { return duplicatesDropped_; }
+  /// Service passes that skipped a queue because its next hop advertised
+  /// a full buffer (congestion avoidance).
+  std::int64_t backpressureStalls() const { return backpressureStalls_; }
+  /// Most packets any one of this node's queues has held after an enqueue.
+  std::size_t queueHighWater() const { return queueHighWater_; }
 
   // --- fault handling --------------------------------------------------------
   /// Crash (`false`) or recover (`true`) this node's network layer. A
@@ -248,6 +253,8 @@ class NodeStack final : public mac::FrameClient {
   std::unordered_map<FlowId, std::int64_t, IdHash> admittedInWindow_;
 
   std::int64_t dropsTail_ = 0;
+  std::int64_t backpressureStalls_ = 0;
+  std::size_t queueHighWater_ = 0;
 
   /// 802.11-style duplicate suppression: a lost ACK makes the sender
   /// retransmit a DATA frame the receiver already has. Per-flow delivery

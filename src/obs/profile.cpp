@@ -1,11 +1,51 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <ostream>
 #include <vector>
 
 namespace maxmin::obs {
+
+void Histogram::record(std::int64_t v) {
+  if (v < 0) v = 0;
+  const int bucket =
+      v == 0 ? 0
+             : std::min(kBuckets - 1,
+                        64 - std::countl_zero(static_cast<std::uint64_t>(v)));
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
+}
+
+double Histogram::mean() const {
+  const std::int64_t n = count();
+  return n > 0 ? static_cast<double>(sum()) / static_cast<double>(n) : 0.0;
+}
+
+std::int64_t Histogram::percentile(double p) const {
+  const std::int64_t n = count();
+  if (n == 0) return 0;
+  if (p < 0.0) p = 0.0;
+  if (p > 1.0) p = 1.0;
+  const auto rank = static_cast<std::int64_t>(p * static_cast<double>(n - 1));
+  std::int64_t seen = 0;
+  for (int i = 0; i < kBuckets; ++i) {
+    seen += buckets_[i].load(std::memory_order_relaxed);
+    if (seen > rank) {
+      // Upper bound of bucket i: 0 for bucket 0, else 2^i - 1.
+      return i == 0 ? 0 : (std::int64_t{1} << i) - 1;
+    }
+  }
+  return std::int64_t{1} << (kBuckets - 1);
+}
+
+void Histogram::reset() {
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
+}
 
 Profiler& Profiler::global() {
   static Profiler instance;
@@ -64,7 +104,8 @@ void Profiler::printTable(std::ostream& os) const {
     if (a.totalNs != b.totalNs) return a.totalNs > b.totalNs;
     return std::string_view{a.name} < std::string_view{b.name};
   });
-  os << "self-profile (wall time per callback site)\n";
+  os << "self-profile (wall time per callback site, summed over every run "
+        "in this process)\n";
   os << "site                          calls     total_ms   mean_us   "
         "p50_us    p99_us\n";
   for (const Row& r : rows) {

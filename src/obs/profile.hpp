@@ -15,15 +15,51 @@
 //
 // Runtime-gated, always compiled: `maxmin-sim --profile` must work in the
 // default build. Disabled cost is one relaxed atomic load per scope.
+//
+// The profiler is process-wide: a --sweep's runs all record into the one
+// table, so its timings are totals over every run in the process. Per-run
+// counts live on analysis::RunResult instead (DESIGN.md §11).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
 
-#include "obs/registry.hpp"
+#define MAXMIN_OBS_CONCAT_INNER(a, b) a##b
+#define MAXMIN_OBS_CONCAT(a, b) MAXMIN_OBS_CONCAT_INNER(a, b)
+
+// Profiling is dormant in the common case; the hint keeps the recording
+// path out of line so a disabled site costs one predicted branch.
+#define MAXMIN_OBS_UNLIKELY(x) __builtin_expect(static_cast<bool>(x), 0)
 
 namespace maxmin::obs {
+
+/// Fixed-bucket histogram over non-negative integer samples. Bucket i
+/// holds samples whose value v satisfies 2^(i-1) <= v < 2^i (bucket 0
+/// holds v == 0), so the geometry is static — no rebalancing, and
+/// percentile queries are a prefix scan over 64 counters. Relaxed atomics:
+/// concurrent sweep workers may record into one site.
+class Histogram {
+ public:
+  static constexpr int kBuckets = 64;
+
+  void record(std::int64_t v);
+  [[nodiscard]] std::int64_t count() const {
+    return count_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::int64_t sum() const {
+    return sum_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] double mean() const;
+  /// Upper bound of the bucket containing the p-quantile (p in [0,1]).
+  [[nodiscard]] std::int64_t percentile(double p) const;
+  void reset();
+
+ private:
+  std::atomic<std::int64_t> buckets_[kBuckets] = {};
+  std::atomic<std::int64_t> count_{0};
+  std::atomic<std::int64_t> sum_{0};
+};
 
 using SiteId = int;
 

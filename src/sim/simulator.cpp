@@ -110,23 +110,6 @@ void Simulator::resetTiers() {
   windowEnd_ = now_;
 }
 
-// Reconcile the kernel's plain member counts with the metrics registry
-// (deltas since the previous publish; see the header declaration for the
-// boundary semantics). Out of line so both observability configurations
-// compile the header's hot paths identically.
-void Simulator::publishObsMetrics() {
-  MAXMIN_COUNT("sim.events_scheduled",
-               static_cast<std::int64_t>(scheduled_ - pubScheduled_));
-  MAXMIN_COUNT("sim.events_fired",
-               static_cast<std::int64_t>(executed_ - pubExecuted_));
-  MAXMIN_COUNT("sim.events_cancelled",
-               static_cast<std::int64_t>(cancelled_ - pubCancelled_));
-  MAXMIN_GAUGE("sim.pending_events", static_cast<std::int64_t>(maxLive_));
-  pubScheduled_ = scheduled_;
-  pubExecuted_ = executed_;
-  pubCancelled_ = cancelled_;
-}
-
 std::size_t Simulator::queuedKeys() const {
   std::size_t n = run_.size() + far_.size();
   for (const std::vector<Key>& b : buckets_) n += b.size();
@@ -138,7 +121,7 @@ std::size_t Simulator::queuedKeys() const {
 // cost per cancel constant. erase_if is stable, so live run order — and
 // with it pop order — is untouched.
 void Simulator::compact() {
-  MAXMIN_COUNT("sim.queue_compactions", 1);
+  ++compactions_;
   const auto dead = [this](const Key& k) { return !isLive(k); };
   run_.erase(run_.begin(), run_.begin() + static_cast<std::ptrdiff_t>(runPos_));
   runPos_ = 0;

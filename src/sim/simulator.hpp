@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "obs/profile.hpp"
-#include "obs/registry.hpp"
 #include "sim/event_fn.hpp"
 #include "util/check.hpp"
 #include "util/time.hpp"
@@ -159,7 +158,6 @@ class Simulator {
   void run() {
     while (step()) {
     }
-    publishObsMetrics();
   }
 
   /// Run events with timestamp <= `until`, then set the clock to `until`.
@@ -175,17 +173,19 @@ class Simulator {
     }
     MAXMIN_CHECK(now_ <= until);  // monotonic: step never overshoots
     now_ = until;
-    publishObsMetrics();
   }
 
   /// Number of pending (non-cancelled) events.
   std::size_t pendingEvents() const { return live_; }
 
-  /// Totals since construction (diagnostics / benches / golden lock):
-  /// keys queued, events executed, and pending events cancelled.
+  /// Totals since construction (diagnostics / benches / golden lock /
+  /// analysis::RunMetrics): keys queued, events executed, pending events
+  /// cancelled, the pending-event high-water mark, and tombstone sweeps.
   std::uint64_t scheduledEvents() const { return scheduled_; }
   std::uint64_t executedEvents() const { return executed_; }
   std::uint64_t cancelledEvents() const { return cancelled_; }
+  std::size_t maxPendingEvents() const { return maxLive_; }
+  std::uint64_t compactions() const { return compactions_; }
 
   /// Keys the queue's tiers hold right now: live keys, tombstones not yet
   /// dropped, and any consumed run prefix not yet released. Walks the
@@ -323,17 +323,6 @@ class Simulator {
     }
   }
 
-  /// Publish kernel activity to the metrics registry as deltas since the
-  /// last publish. Per-op instrumentation would bloat the inlined hot
-  /// paths even when dormant, so the kernel counts in plain members and
-  /// run()/runUntil() reconcile at their exit — counters therefore cover
-  /// activity up to the last completed run boundary, and enabling the
-  /// registry mid-run takes effect at that boundary. The markers advance
-  /// unconditionally so a later enable never back-credits earlier runs.
-  /// Defined out of line so the header's inline hot paths compile to the
-  /// same code whether or not observability is built in.
-  void publishObsMetrics();
-
   void insertIntoRun(const Key& key);
   void refillRun();
   void rebuildWindow();
@@ -370,10 +359,7 @@ class Simulator {
   std::uint64_t scheduled_ = 0;  ///< keys queued (reservations not counted)
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
-  // Publish markers: portion of each count already sent to the registry.
-  std::uint64_t pubScheduled_ = 0;
-  std::uint64_t pubExecuted_ = 0;
-  std::uint64_t pubCancelled_ = 0;
+  std::uint64_t compactions_ = 0;
 };
 
 }  // namespace maxmin::sim

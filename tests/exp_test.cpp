@@ -51,6 +51,9 @@ TEST(SweepRunner, ParallelMatchesSerialExactly) {
       EXPECT_EQ(serial[i].result.flows[f].ratePps,
                 parallel[i].result.flows[f].ratePps);
     }
+    // Counters are per run: concurrent runs cannot leak into each other.
+    EXPECT_TRUE(serial[i].result.metrics == parallel[i].result.metrics)
+        << serial[i].label;
   }
 }
 
@@ -129,6 +132,11 @@ TEST(SweepJson, WellFormedAndInInputOrder) {
   EXPECT_LT(first, second);
   EXPECT_NE(json.find("\"summary\""), std::string::npos);
   EXPECT_NE(json.find("\"i_mm\""), std::string::npos);
+  // Each ok row carries its RunMetrics, keyed by forEachMetric.
+  const auto metrics = json.find("\"metrics\":{\"events.scheduled\":");
+  ASSERT_NE(metrics, std::string::npos);
+  EXPECT_LT(metrics, second) << "the first row has its own metrics";
+  EXPECT_NE(json.find("\"metrics\":{", second), std::string::npos);
 }
 
 }  // namespace

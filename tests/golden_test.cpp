@@ -129,15 +129,15 @@ std::string render(const GoldenCase& c) {
       << "I_eq " << fmt(r.summary.ieq) << '\n'
       << "U " << fmt(r.summary.effectiveThroughputPps) << '\n'
       << "queue_drops " << r.queueDrops << '\n'
-      << "crash_drops " << r.crashDrops << '\n'
-      << "dead_neighbor_drops " << r.deadNeighborDrops << '\n'
-      << "frames_impaired " << r.framesImpaired << '\n'
-      << "frames_suppressed " << r.framesSuppressed << '\n'
+      << "crash_drops " << r.metrics.crashDrops << '\n'
+      << "dead_neighbor_drops " << r.metrics.deadNeighborDrops << '\n'
+      << "frames_impaired " << r.metrics.framesImpaired << '\n'
+      << "frames_suppressed " << r.metrics.framesSuppressed << '\n'
       // Kernel bookkeeping: the only lines a change to how events are
       // queued (not to what they do) may move.
-      << "events.scheduled " << r.eventsScheduled << '\n'
-      << "events.executed " << r.eventsExecuted << '\n'
-      << "events.cancelled " << r.eventsCancelled << '\n';
+      << "events.scheduled " << r.metrics.eventsScheduled << '\n'
+      << "events.executed " << r.metrics.eventsExecuted << '\n'
+      << "events.cancelled " << r.metrics.eventsCancelled << '\n';
   if (c.protocol == Protocol::kGmp) {
     out << "trace_fnv1a " << std::hex << fnv1a(traceText.str()) << std::dec
         << '\n';

@@ -203,9 +203,9 @@ TEST(HybridRun, FastForwardMatchesPureWithinTolerance) {
   cfg.hybrid.fastForward = true;
   const auto ff = analysis::runScenario(sc, cfg);
 
-  EXPECT_TRUE(ff.ffConverged);
-  EXPECT_GT(ff.ffPeriods, 0);
-  EXPECT_GT(ff.seededPackets, 0);
+  EXPECT_TRUE(ff.metrics.ffConverged);
+  EXPECT_GT(ff.metrics.ffPeriods, 0);
+  EXPECT_GT(ff.metrics.seededPackets, 0);
   EXPECT_NEAR(ff.summary.imm, pure.summary.imm, 0.05);
   EXPECT_NEAR(ff.summary.ieq, pure.summary.ieq, 0.02);
 }
@@ -220,9 +220,9 @@ TEST(HybridRun, BackgroundMatchesPureOnFig4) {
   cfg.hybrid.foreground = {0, 1};  // chain 0 stays packet-simulated
   const auto hyb = analysis::runScenario(sc, cfg);
 
-  EXPECT_EQ(hyb.backgroundFlows, 6);
-  EXPECT_GT(hyb.phantomBursts, 0);
-  EXPECT_GT(hyb.relinearizations, 0);
+  EXPECT_EQ(hyb.metrics.backgroundFlows, 6);
+  EXPECT_GT(hyb.metrics.phantomBursts, 0);
+  EXPECT_GT(hyb.metrics.relinearizations, 0);
   ASSERT_EQ(hyb.flows.size(), sc.flows.size());
   for (const auto& f : hyb.flows) {
     EXPECT_EQ(f.background, f.id != 0 && f.id != 1) << "flow " << f.name;
@@ -261,7 +261,7 @@ TEST(HybridRun, FixedSeedRepeatIsExact) {
   const auto b = analysis::runScenario(sc, cfg);
   EXPECT_EQ(a.summary.imm, b.summary.imm);
   EXPECT_EQ(a.summary.ieq, b.summary.ieq);
-  EXPECT_EQ(a.phantomBursts, b.phantomBursts);
+  EXPECT_EQ(a.metrics.phantomBursts, b.metrics.phantomBursts);
   ASSERT_EQ(a.flows.size(), b.flows.size());
   for (std::size_t i = 0; i < a.flows.size(); ++i) {
     EXPECT_EQ(a.flows[i].ratePps, b.flows[i].ratePps)

@@ -1,6 +1,6 @@
-// Observability plane: metrics registry semantics (including the two
-// gates), trace-sink determinism (fixed seed => byte-identical JSONL),
-// the profiler, and the trace -> replay round trip.
+// Observability plane: per-run layer counters (RunMetrics), trace-sink
+// determinism (fixed seed => byte-identical JSONL), the profiler, and the
+// trace -> replay round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,7 @@
 #include <locale>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,7 +16,6 @@
 #include "analysis/trace_replay.hpp"
 #include "obs/json.hpp"
 #include "obs/profile.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "scenarios/scenarios.hpp"
 #include "util/check.hpp"
@@ -24,49 +23,19 @@
 namespace maxmin {
 namespace {
 
-// The registry and profiler are process-global; every test leaves them
-// disabled and zeroed so suites compose in any order. Registration
-// deliberately survives reset() (macro sites cache references into the
-// registry), so assertions look up specific names instead of assuming an
-// empty table.
+// The profiler is process-global; every test leaves it disabled and
+// zeroed so suites compose in any order.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override { cleanup(); }
   void TearDown() override { cleanup(); }
   static void cleanup() {
-    obs::Registry::setEnabled(false);
-    obs::Registry::global().reset();
     obs::Profiler::setEnabled(false);
     obs::Profiler::global().reset();
   }
-  /// Current value of a registered counter; -1 when the name was never
-  /// registered in this process.
-  static std::int64_t counterValue(std::string_view name) {
-    for (const auto& [n, v] : obs::Registry::global().counterValues()) {
-      if (n == name) return v;
-    }
-    return -1;
-  }
 };
 
-// --- registry primitives ----------------------------------------------------
-
-TEST_F(ObsTest, CounterAccumulates) {
-  obs::Counter c;
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42);
-  c.reset();
-  EXPECT_EQ(c.value(), 0);
-}
-
-TEST_F(ObsTest, GaugeTracksHighWaterMark) {
-  obs::Gauge g;
-  g.set(7);
-  g.set(3);
-  EXPECT_EQ(g.value(), 3);
-  EXPECT_EQ(g.maxValue(), 7);
-}
+// --- histogram -------------------------------------------------------------
 
 TEST_F(ObsTest, HistogramBucketsByPowerOfTwo) {
   obs::Histogram h;
@@ -81,59 +50,39 @@ TEST_F(ObsTest, HistogramBucketsByPowerOfTwo) {
   EXPECT_EQ(h.percentile(0.0), 0);
 }
 
-TEST_F(ObsTest, RegistryNamesAreStableAndSorted) {
-  auto& r = obs::Registry::global();
-  r.counter("obs_test.b_second").add(2);
-  r.counter("obs_test.a_first").add(1);
-  EXPECT_EQ(&r.counter("obs_test.a_first"), &r.counter("obs_test.a_first"));
-  const auto values = r.counterValues();
-  ASSERT_GE(values.size(), 2u);
-  EXPECT_TRUE(std::is_sorted(
-      values.begin(), values.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; }));
-  EXPECT_EQ(counterValue("obs_test.a_first"), 1);
-  EXPECT_EQ(counterValue("obs_test.b_second"), 2);
-}
+// --- per-run metrics -------------------------------------------------------
 
-// --- the two gates ----------------------------------------------------------
-
-TEST_F(ObsTest, MacrosAreQuietWhenRuntimeDisabled) {
-  ASSERT_FALSE(obs::Registry::enabled());
-  MAXMIN_COUNT("obs_test.quiet", 1);
-  MAXMIN_GAUGE("obs_test.quiet_gauge", 5);
-  MAXMIN_HIST("obs_test.quiet_hist", 5);
-  // The name may not even register: a disabled run leaves no trace of
-  // the sites it passed through.
-  EXPECT_EQ(counterValue("obs_test.quiet"), -1);
-}
-
-TEST_F(ObsTest, MacrosRecordOnlyInObservabilityBuilds) {
-  obs::Registry::setEnabled(true);
-  MAXMIN_COUNT("obs_test.counted", 2);
-  MAXMIN_COUNT("obs_test.counted", 3);
-#if defined(MAXMIN_OBSERVABILITY) && MAXMIN_OBSERVABILITY
-  EXPECT_EQ(counterValue("obs_test.counted"), 5);
-#else
-  // Compiled out: the sites vanish entirely.
-  EXPECT_EQ(counterValue("obs_test.counted"), -1);
-#endif
-}
-
-TEST_F(ObsTest, InstrumentedRunFillsKernelCountersWhenEnabled) {
-  obs::Registry::setEnabled(true);
+TEST_F(ObsTest, RunMetricsCountEveryLayerInTheDefaultBuild) {
   analysis::RunConfig cfg;
   cfg.duration = Duration::seconds(20.0);
   cfg.warmup = Duration::seconds(10.0);
   cfg.seed = 5;
-  (void)analysis::runScenario(scenarios::fig3(), cfg);
-#if defined(MAXMIN_OBSERVABILITY) && MAXMIN_OBSERVABILITY
-  EXPECT_GT(counterValue("sim.events_scheduled"), 0);
-  EXPECT_GT(counterValue("sim.events_fired"), 0);
-  EXPECT_GT(counterValue("mac.backoff_draws"), 0);
-#else
-  EXPECT_EQ(counterValue("sim.events_scheduled"), -1);
-  EXPECT_EQ(counterValue("mac.backoff_draws"), -1);
-#endif
+  const analysis::RunMetrics m =
+      analysis::runScenario(scenarios::fig3(), cfg).metrics;
+  EXPECT_GT(m.eventsScheduled, 0u);
+  EXPECT_GT(m.eventsExecuted, 0u);
+  EXPECT_GT(m.mac.backoffDraws, 0u);
+  EXPECT_GT(m.mac.dataSent, 0u);
+  EXPECT_GT(m.gmpPeriods, 0);
+  EXPECT_GT(m.decisions.sourceBufferViolations +
+                m.decisions.bandwidthViolations,
+            0);
+  EXPECT_EQ(m.crashDrops, 0) << "fault-free run";
+  EXPECT_EQ(m.deadNeighborDrops, 0) << "fault-free run";
+  // Per run, not per process: the same config counts the same again.
+  EXPECT_TRUE(m == analysis::runScenario(scenarios::fig3(), cfg).metrics);
+}
+
+TEST_F(ObsTest, ForEachMetricNamesAreUnique) {
+  std::vector<std::string> names;
+  analysis::forEachMetric(analysis::RunMetrics{},
+                          [&names](const char* name, std::int64_t v) {
+                            names.emplace_back(name);
+                            EXPECT_EQ(v, 0) << name;
+                          });
+  EXPECT_FALSE(names.empty());
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
 }
 
 // --- JSON writer ------------------------------------------------------------
@@ -329,7 +278,6 @@ TEST_F(ObsTest, ProfiledRunMatchesUnprofiledResults) {
   cfg.seed = 3;
   const auto plain = analysis::runScenario(scenarios::fig3(), cfg);
   obs::Profiler::setEnabled(true);
-  obs::Registry::setEnabled(true);
   const auto profiled = analysis::runScenario(scenarios::fig3(), cfg);
   ASSERT_EQ(plain.flows.size(), profiled.flows.size());
   for (std::size_t i = 0; i < plain.flows.size(); ++i) {

@@ -476,9 +476,9 @@ TEST(GmpDegradation, Fig4CrashRecoveryWithBurstyControlLossReconverges) {
   for (const auto& [id, rate] : result.rateHistory.back()) {
     EXPECT_GT(rate, 0.0) << "flow " << id << " wedged after recovery";
   }
-  EXPECT_GT(result.crashDrops, 0) << "the crash flushed the relay's queues";
-  EXPECT_GT(result.staleMeasurementsUsed, 0);
-  EXPECT_GT(result.limitsRestored, 0)
+  EXPECT_GT(result.metrics.crashDrops, 0) << "the crash flushed the relay's queues";
+  EXPECT_GT(result.metrics.staleMeasurementsUsed, 0);
+  EXPECT_GT(result.metrics.limitsRestored, 0)
       << "recovery must restore pre-fault limits";
 }
 

@@ -7,7 +7,6 @@
 #   tools/emit_bench_kernel.sh --medium [build-dir] [out.json]
 #   tools/emit_bench_kernel.sh --topo [build-dir] [out.json]
 #   tools/emit_bench_kernel.sh --hybrid [build-dir] [out.json]
-#   tools/emit_bench_kernel.sh --obs-compare [off-build] [obs-build] [out.json]
 #
 # Defaults: build/ and BENCH_kernel.json at the repo root. The JSON is
 # google-benchmark's machine-readable format (context block with host
@@ -34,28 +33,7 @@
 # BENCH_hybrid.json with wall times, deltas, and speedups. Run after
 # any change to src/fluid/ or src/hybrid/ and commit the refreshed
 # JSON alongside it. Knobs: BENCH_HYBRID_REPS (default 2).
-#
-# --obs-compare runs the same filter against two builds — observability
-# compiled out (default preset) and compiled in but runtime-disabled
-# (obs preset) — and writes BENCH_obs.json with both result sets plus
-# the per-benchmark overhead. The dormant instrumentation budget is 2%
-# of event throughput; the gate has two tiers:
-#
-#   1. Code identity (decisive when it holds). The kernel publishes its
-#      counters at run boundaries precisely so the inlined hot paths
-#      compile identically with observability on or off; the script
-#      disassembles the benchmark bodies from both binaries and diffs
-#      them with addresses stripped. Identical code is a *structural*
-#      zero-overhead proof on the measured paths — stronger than any
-#      timing on a shared host — so the gate passes and the timing
-#      numbers below are recorded as the host's noise floor.
-#   2. Timing (decisive otherwise). The two binaries run back-to-back
-#      over many passes and each benchmark scores its *best* pass per
-#      build: throughput noise is one-sided (steal time, frequency
-#      dips, and co-located load only ever slow a run down), so the
-#      per-build ceilings are the clean speeds and their ratio bounds
-#      the instrumentation cost. The median of the per-pass paired
-#      ratios is reported alongside as a sanity cross-check.
+
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -207,117 +185,6 @@ print(f"pure {best['pure']:.2f}s; ff {best['ff']:.2f}s "
       f"({f['speedup_vs_pure']}x, dI_mm {f['delta_I_mm']}); "
       f"hybrid {best['hybrid']:.2f}s ({h['speedup_vs_pure']}x, "
       f"dI_mm {h['delta_I_mm']}, dI_eq {h['delta_I_eq']})")
-PY
-  echo "wrote $OUT"
-  exit 0
-fi
-
-# Long windows on purpose: the per-pass ratio is only as good as each
-# run's average, and short runs are at the mercy of host-noise bursts.
-bench_pass() { # build-dir out.json
-  "$1/bench/bench_micro" \
-    --benchmark_filter="$FILTER" \
-    --benchmark_min_time="${BENCH_OBS_MIN_TIME:-3}" \
-    --benchmark_out_format=json \
-    --benchmark_out="$2" >/dev/null
-}
-
-if [[ "${1:-}" == "--obs-compare" ]]; then
-  OFF_DIR="${2:-build}"
-  OBS_DIR="${3:-build-obs}"
-  OUT="${4:-BENCH_obs.json}"
-  PASSES="${BENCH_OBS_PASSES:-5}"
-  for d in "$OFF_DIR" "$OBS_DIR"; do
-    if [[ ! -x "$d/bench/bench_micro" ]]; then
-      echo "error: $d/bench/bench_micro not built" >&2
-      echo "hint: cmake -B $d -S . && cmake --build $d --target bench_micro" >&2
-      exit 1
-    fi
-  done
-  TMP="$(mktemp -d)"
-  trap 'rm -rf "$TMP"' EXIT
-  # Tier 1: structural check. Disassemble the benchmark bodies (which
-  # inline the kernel hot paths) from both binaries and compare them
-  # with addresses, immediates and symbol operands stripped.
-  IDENTICAL=0
-  if command -v objdump >/dev/null; then
-    for d in "$OFF_DIR" "$OBS_DIR"; do
-      objdump -d --no-addresses --no-show-raw-insn "$d/bench/bench_micro" |
-        awk '/^<.*BM_Event/{on=1} on{print} /^$/{on=0}' |
-        sed -E 's/0x[0-9a-f]+//g; s/<[^>]*>//g' > "$TMP/dis-${d//\//_}.txt"
-    done
-    if cmp -s "$TMP/dis-${OFF_DIR//\//_}.txt" "$TMP/dis-${OBS_DIR//\//_}.txt"; then
-      IDENTICAL=1
-      echo "hot-path disassembly identical across builds"
-    else
-      echo "hot-path disassembly differs; timing gate decides"
-    fi
-  else
-    echo "objdump unavailable; timing gate decides"
-  fi
-  for ((i = 0; i < PASSES; ++i)); do
-    echo "pass $((i + 1))/$PASSES"
-    bench_pass "$OFF_DIR" "$TMP/off-$i.json"
-    bench_pass "$OBS_DIR" "$TMP/obs-$i.json"
-  done
-  python3 - "$TMP" "$PASSES" "$OUT" "$IDENTICAL" <<'PY'
-import json, statistics, sys
-
-tmp, passes, out_path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-identical = sys.argv[4] == "1"
-BUDGET = 0.02  # dormant instrumentation may cost at most 2% throughput
-
-def load(prefix, i):
-    with open(f"{tmp}/{prefix}-{i}.json", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return doc["context"], {
-        b["name"]: b["items_per_second"]
-        for b in doc["benchmarks"] if "items_per_second" in b
-    }
-
-off_ctx, ratios, off_best, obs_best = None, {}, {}, {}
-for i in range(passes):
-    off_ctx, off = load("off", i)
-    _, obs = load("obs", i)
-    for name in off:
-        if name not in obs:
-            continue
-        ratios.setdefault(name, []).append(obs[name] / off[name])
-        off_best[name] = max(off_best.get(name, 0.0), off[name])
-        obs_best[name] = max(obs_best.get(name, 0.0), obs[name])
-rows, worst = [], 0.0
-for name in sorted(ratios):
-    overhead = 1.0 - obs_best[name] / off_best[name]
-    worst = max(worst, overhead)
-    rows.append({"benchmark": name,
-                 "obs_off_items_per_second": off_best[name],
-                 "obs_on_disabled_items_per_second": obs_best[name],
-                 "overhead_fraction": round(overhead, 5),
-                 "median_pass_ratio_overhead_fraction":
-                     round(1.0 - statistics.median(ratios[name]), 5)})
-report = {"context": off_ctx, "passes": passes,
-          "estimator": "best-of-pass-ceilings",
-          "budget_fraction": BUDGET,
-          "hot_path_code_identical": identical,
-          "instrumentation_overhead_fraction": 0.0 if identical else
-              round(worst, 5),
-          "worst_timing_delta_fraction": round(worst, 5),
-          "benchmarks": rows}
-with open(out_path, "w", encoding="utf-8") as fh:
-    json.dump(report, fh, indent=2)
-    fh.write("\n")
-for r in rows:
-    print(f"{r['benchmark']}: {r['overhead_fraction'] * 100:+.2f}%")
-if identical:
-    print(f"PASS: hot-path code identical (structural 0% overhead); "
-          f"worst timing delta {worst * 100:.2f}% is host noise floor")
-elif worst > BUDGET:
-    print(f"FAIL: worst overhead {worst * 100:.2f}% exceeds "
-          f"{BUDGET * 100:.0f}% budget", file=sys.stderr)
-    sys.exit(1)
-else:
-    print(f"worst overhead {worst * 100:.2f}% within "
-          f"{BUDGET * 100:.0f}% budget")
 PY
   echo "wrote $OUT"
   exit 0

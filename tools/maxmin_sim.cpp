@@ -32,7 +32,6 @@
 #include "analysis/trace_replay.hpp"
 #include "exp/sweep.hpp"
 #include "obs/profile.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "scenarios/scenarios.hpp"
 #include "util/table.hpp"
@@ -66,8 +65,7 @@ struct Options {
   bool hybrid = false;       // fluid background load (needs --foreground)
   std::string foreground;    // "0,3" or "auto:K": packet-simulated flows
   bool profile = false;   // per-site wall-time histograms on stderr
-  bool metrics = false;   // metrics-registry dump on stderr (needs
-                          // a MAXMIN_OBSERVABILITY=ON build to be non-empty)
+  bool metrics = false;   // each run's layer counters on stderr
   int chaos = 0;          // run N fuzzed fault schedules (0 = off)
   double chaosHorizon = 150.0;
   double chaosHeal = 56.0;
@@ -108,9 +106,10 @@ struct Options {
       << "                      with --faults/--per/--ge)\n"
       << "  --foreground LIST   packet-simulated flows under --hybrid: flow\n"
       << "                      ids like \"0,3\", or auto:K for the first K\n"
-      << "  --profile   print per-callback-site wall-time histograms\n"
-      << "  --metrics   print the metrics registry (counters are compiled\n"
-      << "              in only with -DMAXMIN_OBSERVABILITY=ON)\n"
+      << "  --profile   print per-callback-site wall-time histograms (one\n"
+      << "              process-wide table; a sweep sums all its runs)\n"
+      << "  --metrics   print each run's per-layer counters (kernel, phys,\n"
+      << "              mac, net, gmp, hybrid) on stderr\n"
       << "  --chaos N           fuzz N seeded fault schedules (seeds seed..seed+N-1)\n"
       << "                      against the scenario and check the self-healing\n"
       << "                      invariants; exit 1 and print a replayable script\n"
@@ -389,6 +388,16 @@ int runChaos(const scenarios::Scenario& scenario, const Options& options) {
   return failed == 0 ? 0 : 1;
 }
 
+/// The --metrics block of one run, on stderr; `label` names a sweep run.
+void printMetrics(const analysis::RunMetrics& m, const std::string& label) {
+  std::cerr << "metrics";
+  if (!label.empty()) std::cerr << ' ' << label;
+  std::cerr << ":\n";
+  analysis::forEachMetric(m, [](const char* name, std::int64_t v) {
+    std::cerr << "  " << name << " = " << v << '\n';
+  });
+}
+
 int runSweep(const scenarios::Scenario& scenario,
              const analysis::RunConfig& base, const Options& options) {
   if (options.runs <= 0) {
@@ -460,7 +469,11 @@ int runSweep(const scenarios::Scenario& scenario,
     agg.print(std::cout);
   }
   for (const auto& o : outcomes) {
-    if (!o.ok) std::cerr << o.label << ": " << o.error << '\n';
+    if (!o.ok) {
+      std::cerr << o.label << ": " << o.error << '\n';
+    } else if (options.metrics) {
+      printMetrics(o.result.metrics, o.label);
+    }
   }
 
   if (!options.json.empty()) {
@@ -483,7 +496,6 @@ int main(int argc, char** argv) {
   if (options.chaos > 0) return runChaos(scenario, options);
 
   if (options.profile) obs::Profiler::setEnabled(true);
-  if (options.metrics) obs::Registry::setEnabled(true);
   std::unique_ptr<obs::TraceSink> trace;
   if (!options.trace.empty()) {
     const auto level = obs::parseTraceLevel(options.traceLevel);
@@ -518,7 +530,11 @@ int main(int argc, char** argv) {
   }
   cfg.trace = trace.get();
 
-  if (options.sweep) return runSweep(scenario, cfg, options);
+  if (options.sweep) {
+    const int rc = runSweep(scenario, cfg, options);
+    if (options.profile) obs::Profiler::global().printTable(std::cerr);
+    return rc;
+  }
 
   analysis::RunResult result;
   try {
@@ -554,30 +570,26 @@ int main(int argc, char** argv) {
   metrics.addRow({"queue_drops", std::to_string(result.queueDrops)});
   const bool faulted =
       !options.faults.empty() || cfg.netBase.impairments.enabled();
+  const analysis::RunMetrics& m = result.metrics;
   if (faulted) {
-    metrics.addRow({"crash_drops", std::to_string(result.crashDrops)});
+    metrics.addRow({"crash_drops", std::to_string(m.crashDrops)});
+    metrics.addRow({"dead_nexthop_drops", std::to_string(m.deadNeighborDrops)});
+    metrics.addRow({"frames_impaired", std::to_string(m.framesImpaired)});
+    metrics.addRow({"frames_suppressed", std::to_string(m.framesSuppressed)});
     metrics.addRow(
-        {"dead_nexthop_drops", std::to_string(result.deadNeighborDrops)});
-    metrics.addRow({"frames_impaired", std::to_string(result.framesImpaired)});
-    metrics.addRow(
-        {"frames_suppressed", std::to_string(result.framesSuppressed)});
-    metrics.addRow({"stale_meas_used",
-                    std::to_string(result.staleMeasurementsUsed)});
-    metrics.addRow({"limits_restored", std::to_string(result.limitsRestored)});
+        {"stale_meas_used", std::to_string(m.staleMeasurementsUsed)});
+    metrics.addRow({"limits_restored", std::to_string(m.limitsRestored)});
   }
   if (cfg.hybrid.enabled()) {
     if (cfg.hybrid.fastForward) {
-      metrics.addRow({"ff_periods", std::to_string(result.ffPeriods)});
-      metrics.addRow({"ff_converged", result.ffConverged ? "1" : "0"});
-      metrics.addRow({"seeded_packets", std::to_string(result.seededPackets)});
+      metrics.addRow({"ff_periods", std::to_string(m.ffPeriods)});
+      metrics.addRow({"ff_converged", m.ffConverged ? "1" : "0"});
+      metrics.addRow({"seeded_packets", std::to_string(m.seededPackets)});
     }
     if (cfg.hybrid.background) {
-      metrics.addRow({"background_flows",
-                      std::to_string(result.backgroundFlows)});
-      metrics.addRow({"relinearizations",
-                      std::to_string(result.relinearizations)});
-      metrics.addRow({"phantom_bursts",
-                      std::to_string(result.phantomBursts)});
+      metrics.addRow({"background_flows", std::to_string(m.backgroundFlows)});
+      metrics.addRow({"relinearizations", std::to_string(m.relinearizations)});
+      metrics.addRow({"phantom_bursts", std::to_string(m.phantomBursts)});
     }
   }
 
@@ -597,6 +609,6 @@ int main(int argc, char** argv) {
   }
   // Diagnostics go to stderr so --csv output stays machine-clean.
   if (options.profile) obs::Profiler::global().printTable(std::cerr);
-  if (options.metrics) obs::Registry::global().printTable(std::cerr);
+  if (options.metrics) printMetrics(result.metrics, "");
   return 0;
 }
