@@ -1,6 +1,7 @@
 // Microbenchmarks for the PHY frame pipeline (phys::Medium): isolated
 // start/finish cost on constant-density random meshes, worst-case dense
-// same-instant bursts, and a dense macro scenario under the full DES.
+// same-instant bursts, and dense macro scenarios under the full DES (GMP,
+// and plain 802.11).
 // tools/emit_bench_kernel.sh --medium runs these and emits
 // BENCH_medium.json, the frame-pipeline performance trajectory artifact.
 #include <benchmark/benchmark.h>
@@ -128,6 +129,33 @@ void BM_MediumDenseMacro(benchmark::State& state) {
   state.SetLabel("items = simulator events");
 }
 BENCHMARK(BM_MediumDenseMacro)->Unit(benchmark::kMillisecond);
+
+/// Dense 802.11: denseMesh(11, N, 20) under plain DCF through
+/// Network::run, as simulator events per wall-second (and simulated
+/// seconds per wall-second, which fewer events can raise). At N=800 most
+/// nodes carry no flow, so this is where parked radios (no carrier-sense
+/// callbacks or NAV/EIFS wakes for nodes with nothing to send) pay off;
+/// N=200 is the short variant CI smoke-runs.
+void BM_MediumDenseDcf(benchmark::State& state) {
+  const auto sc =
+      scenarios::denseMesh(11, static_cast<int>(state.range(0)), 20);
+  net::NetworkConfig cfg = baselines::config80211({});
+  cfg.seed = 11;
+  net::Network net{sc.topology, cfg, sc.flows};
+  net.run(Duration::seconds(1.0));  // fill the queues
+  const std::uint64_t eventsBefore = net.simulator().executedEvents();
+  constexpr double kSliceSeconds = 0.25;
+  for (auto _ : state) {
+    net.run(Duration::seconds(kSliceSeconds));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      net.simulator().executedEvents() - eventsBefore));
+  state.counters["sim_s_per_s"] = benchmark::Counter(
+      kSliceSeconds * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.SetLabel("items = simulator events");
+}
+BENCHMARK(BM_MediumDenseDcf)->Arg(200)->Arg(800)->Unit(benchmark::kMillisecond);
 
 /// Topology construction at scale: grid-bucketed neighbor discovery +
 /// CSR assembly on a constant-density (~12 tx-degree) uniform layout.

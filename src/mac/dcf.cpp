@@ -39,12 +39,16 @@ Dcf::Dcf(sim::Simulator& sim, phys::Medium& medium, topo::NodeId self,
   medium_.attachRadio(self_, this);
 }
 
-void Dcf::notifyTrafficPending() { tryAccess(); }
+void Dcf::notifyTrafficPending() {
+  unpark();
+  tryAccess();
+}
 
 void Dcf::enqueueBroadcast(std::shared_ptr<const phys::ControlMessage> message,
                            DataSize sizeBytes) {
   MAXMIN_CHECK(message != nullptr);
   MAXMIN_CHECK(sizeBytes.asBytes() > 0);
+  unpark();
   broadcasts_.emplace_back(std::move(message), sizeBytes);
   tryAccess();
 }
@@ -63,6 +67,9 @@ void Dcf::accrueOccupancy(topo::NodeId nextHop, Duration airtime) {
 
 void Dcf::occupyChannel(Duration busyFor) {
   MAXMIN_CHECK(busyFor > Duration::zero());
+  // The lazy wake below relies on the wake timer being queued whenever a
+  // wake is due, which holds only while listening.
+  unpark();
   navEnd_ = std::max(navEnd_, sim_.now() + busyFor);
   // Lazy wake: if a wake is already pending it was armed for an earlier
   // (or equal) deadline, and its callback chains armWakeTimer() to cover
@@ -83,6 +90,7 @@ bool Dcf::virtuallyBusy() const {
 }
 
 void Dcf::refreshChannelState() {
+  if (parked_) return;  // unpark() rebuilds the result
   const bool busy = virtuallyBusy();
   if (busy && idle_) {
     idle_ = false;
@@ -125,6 +133,47 @@ void Dcf::onChannelBusy() { refreshChannelState(); }
 void Dcf::onChannelIdle() { refreshChannelState(); }
 
 // ---------------------------------------------------------------------------
+// Parking
+// ---------------------------------------------------------------------------
+//
+// A radio with no work gains nothing from carrier-sense callbacks or from
+// its NAV/EIFS wake: a busy edge runs freezeBackoff() with no access timer
+// to freeze, and an idle edge sets idleSince_ and runs a tryAccess() that
+// finds no work. Parking skips them and unpark() reconstructs their
+// outcome, so every later decision is the one the listening radio would
+// have made (DESIGN.md §12).
+
+void Dcf::parkIfIdle() {
+  if (accessTimer_.pending() || client_.hasBacklog()) return;
+  // A wake extended lazily by occupyChannel() re-arms from its own
+  // callback, drawing a sequence number at that instant; a held timer
+  // cannot reproduce that, so such a radio stays listening.
+  if (wakeTimer_.pending() && wakeTimer_.deadline() < reservedUntil()) return;
+  parked_ = true;
+  medium_.setListening(self_, false);
+  wakeTimer_.hold();  // armWakeTimer() now only moves the reservation
+}
+
+void Dcf::unpark() {
+  if (!parked_) return;
+  parked_ = false;
+  medium_.setListening(self_, true);
+  // Queue the wake at the position it would hold, unless it has passed.
+  wakeTimer_.release();
+  // A listening radio is idle iff it is not virtually busy — except at a
+  // NAV/EIFS expiry instant before its wake has run, where it is idle
+  // only if an energy edge at this instant already said so.
+  const TimePoint now = sim_.now();
+  const TimePoint energyIdle = medium_.energyIdleSince(self_);
+  idle_ = !virtuallyBusy() && (!wakeTimer_.pending() || energyIdle == now);
+  // The last idle edge was the latest of the energy fall and the
+  // reservation expiries (never earlier than the one seen before parking).
+  if (idle_) {
+    idleSince_ = std::max({idleSince_, energyIdle, navEnd_, deferUntil_});
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Contention
 // ---------------------------------------------------------------------------
 
@@ -138,7 +187,10 @@ void Dcf::tryAccess() {
   if (phase_ != Phase::kNone || responsePending_) return;
   if (!current_ && broadcasts_.empty()) {
     current_ = client_.nextTxRequest();
-    if (!current_) return;
+    if (!current_) {
+      parkIfIdle();
+      return;
+    }
     MAXMIN_CHECK(current_->nextHop != topo::kNoNode);
     MAXMIN_CHECK(current_->packet != nullptr);
   }
@@ -342,6 +394,7 @@ void Dcf::onFrameCorrupted(const phys::Frame&) {
 }
 
 void Dcf::handleAddressedFrame(const phys::Frame& frame) {
+  unpark();
   switch (frame.kind) {
     case phys::FrameKind::kRts: {
       if (sim_.now() < navEnd_) return;  // NAV forbids responding

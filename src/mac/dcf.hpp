@@ -115,6 +115,14 @@ class Dcf final : public phys::RadioListener {
   void armWakeTimer();          ///< wake at NAV/EIFS expiry
   void freezeBackoff();
 
+  // --- parking (DESIGN.md §12) -------------------------------------------
+  /// With nothing to send, stop listening and hold the wake timer.
+  void parkIfIdle();
+  /// Resume listening and rebuild what the skipped callbacks would have
+  /// left in idle_/idleSince_ and the wake timer. Called first by every
+  /// entry point that can give the radio work.
+  void unpark();
+
   // --- contention --------------------------------------------------------
   void tryAccess();
   void accessGranted();
@@ -145,6 +153,7 @@ class Dcf final : public phys::RadioListener {
   Rng rng_;
 
   // Channel / contention state.
+  bool parked_ = false;  ///< not listening; channel state rebuilt on unpark
   bool idle_ = true;
   TimePoint idleSince_;
   TimePoint navEnd_;

@@ -29,6 +29,12 @@ class FrameClient {
   /// appears later.
   virtual std::optional<TxRequest> nextTxRequest() = 0;
 
+  /// True while the upper layer holds packets it may offer later, even
+  /// if nextTxRequest() has nothing now. When false the MAC may park —
+  /// stop tracking carrier sense — until notifyTrafficPending(). The
+  /// default never lets it park.
+  [[nodiscard]] virtual bool hasBacklog() const { return true; }
+
   /// Link-layer delivery confirmed (ACK received).
   virtual void onTxSuccess(const TxRequest& request) = 0;
 

@@ -439,6 +439,11 @@ std::optional<mac::TxRequest> NodeStack::nextTxRequest() {
   return std::nullopt;
 }
 
+bool NodeStack::hasBacklog() const {
+  return std::any_of(queues_.begin(), queues_.end(),
+                     [](const SlotQueue& e) { return !e.q.empty(); });
+}
+
 void NodeStack::onTxSuccess(const mac::TxRequest& request) {
   if (failingNeighbors_ > 0) noteNeighborAlive(request.nextHop);
   LinkAccumulator& s = downSample_[request.packet->dst];

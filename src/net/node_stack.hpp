@@ -127,6 +127,8 @@ class NodeStack final : public mac::FrameClient {
 
   // --- mac::FrameClient ------------------------------------------------------
   std::optional<mac::TxRequest> nextTxRequest() override;
+  /// Any queue non-empty.
+  bool hasBacklog() const override;
   void onTxSuccess(const mac::TxRequest& request) override;
   void onTxFailure(const mac::TxRequest& request) override;
   void onDataReceived(const phys::Frame& frame) override;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <ostream>
+#include <string_view>
 #include <vector>
 
 namespace maxmin::obs {
@@ -59,15 +60,18 @@ std::atomic<bool>& Profiler::enabledFlag() {
 
 SiteId Profiler::site(const char* name) {
   // Linear probe over the registered prefix: registration happens once
-  // per static site, so O(sites) here is irrelevant.
-  const int n = siteCount_.load(std::memory_order_acquire);
+  // per static site, so O(sites) here is irrelevant. Under the lock the
+  // lookup and the append are one step, so two threads registering one
+  // name get one id.
+  const std::lock_guard<std::mutex> lock{registration_};
+  const int n = siteCount_.load(std::memory_order_relaxed);
   for (int i = 0; i < n; ++i) {
-    if (sites_[i].name == name) return i;
+    if (std::string_view{sites_[i].name} == name) return i;
   }
-  const int id = siteCount_.fetch_add(1, std::memory_order_acq_rel);
-  if (id >= kMaxSites) return kMaxSites - 1;  // overflow bucket
-  sites_[id].name = name;
-  return id;
+  if (n == kMaxSites) return kMaxSites - 1;  // overflow bucket
+  sites_[n].name = name;
+  siteCount_.store(n + 1, std::memory_order_release);  // publish the name
+  return n;
 }
 
 std::int64_t Profiler::wallNanos() {
@@ -77,14 +81,12 @@ std::int64_t Profiler::wallNanos() {
 }
 
 void Profiler::reset() {
-  const int n = std::min(siteCount_.load(std::memory_order_acquire),
-                         static_cast<int>(kMaxSites));
+  const int n = siteCount_.load(std::memory_order_acquire);
   for (int i = 0; i < n; ++i) sites_[i].hist.reset();
 }
 
 void Profiler::printTable(std::ostream& os) const {
-  const int n = std::min(siteCount_.load(std::memory_order_acquire),
-                         static_cast<int>(kMaxSites));
+  const int n = siteCount_.load(std::memory_order_acquire);
   struct Row {
     const char* name;
     std::int64_t calls;
@@ -96,7 +98,7 @@ void Profiler::printTable(std::ostream& os) const {
   std::vector<Row> rows;
   for (int i = 0; i < n; ++i) {
     const Site& s = sites_[i];
-    if (s.name == nullptr || s.hist.count() == 0) continue;
+    if (s.hist.count() == 0) continue;
     rows.push_back(Row{s.name, s.hist.count(), s.hist.sum(), s.hist.mean(),
                        s.hist.percentile(0.5), s.hist.percentile(0.99)});
   }

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <mutex>
 
 #define MAXMIN_OBS_CONCAT_INNER(a, b) a##b
 #define MAXMIN_OBS_CONCAT(a, b) MAXMIN_OBS_CONCAT_INNER(a, b)
@@ -76,8 +77,9 @@ class Profiler {
     enabledFlag().store(on, std::memory_order_relaxed);
   }
 
-  /// Register a site (idempotent per name); returns its stable id.
-  /// `name` must be a string literal or otherwise outlive the profiler.
+  /// Register a site (idempotent per name: equal strings get one id, from
+  /// any thread); returns its stable id. `name` must be a string literal
+  /// or otherwise outlive the profiler.
   SiteId site(const char* name);
 
   void record(SiteId id, std::int64_t nanos) {
@@ -102,6 +104,10 @@ class Profiler {
 
   static std::atomic<bool>& enabledFlag();
 
+  /// Serialises site(); registration is cold (once per static site).
+  std::mutex registration_;
+  /// Sites whose name is written; stored after the name (release), so a
+  /// reader that loads it (acquire) sees every name below it.
   std::atomic<int> siteCount_{0};
   Site sites_[kMaxSites];
 };

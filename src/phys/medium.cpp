@@ -25,6 +25,8 @@ Medium::Medium(sim::Simulator& sim, const topo::Topology& topo)
   const auto n = static_cast<std::size_t>(topo.numNodes());
   radios_.assign(n, nullptr);
   energy_.assign(n, 0);
+  listening_.assign(n, 0);
+  energyIdleSince_.assign(n, TimePoint{});
   transmitting_.assign(n, 0);
 
   // Range relations are read straight from the topology's CSR rows; the
@@ -52,20 +54,21 @@ void Medium::attachRadio(topo::NodeId id, RadioListener* listener) {
   auto& slot = radios_.at(static_cast<std::size_t>(id));
   MAXMIN_CHECK_MSG(slot == nullptr, "radio " << id << " attached twice");
   slot = listener;
+  listening_[static_cast<std::size_t>(id)] = 1;
 }
 
+// Only listening radios (attached, not parked) are called back.
 void Medium::raiseEnergy(topo::NodeId at) {
-  auto& e = energy_[static_cast<std::size_t>(at)];
-  if (++e == 1) {
-    if (auto* r = radios_[static_cast<std::size_t>(at)]) r->onChannelBusy();
-  }
+  const auto i = static_cast<std::size_t>(at);
+  if (++energy_[i] == 1 && listening_[i] != 0) radios_[i]->onChannelBusy();
 }
 
 void Medium::lowerEnergy(topo::NodeId at) {
-  auto& e = energy_[static_cast<std::size_t>(at)];
-  MAXMIN_CHECK(e > 0);
-  if (--e == 0) {
-    if (auto* r = radios_[static_cast<std::size_t>(at)]) r->onChannelIdle();
+  const auto i = static_cast<std::size_t>(at);
+  MAXMIN_CHECK(energy_[i] > 0);
+  if (--energy_[i] == 0) {
+    energyIdleSince_[i] = sim_.now();
+    if (listening_[i] != 0) radios_[i]->onChannelIdle();
   }
 }
 

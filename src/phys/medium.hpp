@@ -76,6 +76,20 @@ class Medium {
   /// the first transmission. The listener must outlive the medium.
   void attachRadio(topo::NodeId id, RadioListener* listener);
 
+  /// Whether node `id`'s radio gets onChannelBusy()/onChannelIdle().
+  /// On at attachRadio(); a parked MAC (nothing to send) turns it off and
+  /// rebuilds its channel state from senseBusy() and energyIdleSince()
+  /// when it turns it back on. Frame receptions are delivered either way.
+  void setListening(topo::NodeId id, bool on) {
+    listening_[static_cast<std::size_t>(id)] = on ? 1 : 0;
+  }
+
+  /// When node `id`'s sensed energy last fell to zero (time zero if it
+  /// never has), kept whether or not the radio is listening.
+  [[nodiscard]] TimePoint energyIdleSince(topo::NodeId id) const {
+    return energyIdleSince_[static_cast<std::size_t>(id)];
+  }
+
   /// Attach a fault plane (nullptr detaches). A down sender's frames
   /// radiate nothing (a "null transmission" that keeps the MAC's timing
   /// invariants); a down receiver — or a cut link — silently hears
@@ -179,6 +193,8 @@ class Medium {
   const topo::Topology& topo_;
   std::vector<RadioListener*> radios_;
   std::vector<int> energy_;               // sensed transmitter count per node
+  std::vector<std::uint8_t> listening_;   // radio takes busy/idle callbacks
+  std::vector<TimePoint> energyIdleSince_;
   std::vector<std::uint8_t> transmitting_;
 
   // Transmission records: indexed by slot, recycled via freeSlots_.

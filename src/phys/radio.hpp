@@ -10,7 +10,8 @@ class RadioListener {
   virtual ~RadioListener() = default;
 
   /// Sensed energy rose above zero (channel busy). Own transmissions are
-  /// not reported; the MAC knows when it is transmitting.
+  /// not reported; the MAC knows when it is transmitting. This and
+  /// onChannelIdle() reach only listening radios (Medium::setListening).
   virtual void onChannelBusy() = 0;
 
   /// Sensed energy fell to zero (channel idle).

@@ -44,6 +44,13 @@ void appendSeconds(std::ostringstream& os, double seconds) {
   os << formatDoubleFixed(buf, sizeof buf, seconds, 6);
 }
 
+/// Churn means are kept as parsed, not on the microsecond grid, so they go
+/// out as the shortest text that parses back to the same double.
+void appendMean(std::ostringstream& os, double seconds) {
+  char buf[40];
+  os << formatDoubleShortest(buf, sizeof buf, seconds);
+}
+
 }  // namespace
 
 std::string toScriptText(const FaultScript& script) {
@@ -69,9 +76,9 @@ std::string toScriptText(const FaultScript& script) {
       os << script.churn.nodes[i];
     }
     os << " up=";
-    appendSeconds(os, script.churn.meanUpSeconds);
+    appendMean(os, script.churn.meanUpSeconds);
     os << " down=";
-    appendSeconds(os, script.churn.meanDownSeconds);
+    appendMean(os, script.churn.meanDownSeconds);
     if (script.churn.start != TimePoint::origin()) {
       os << " from=";
       appendSeconds(os, script.churn.start.asSeconds());

@@ -48,6 +48,8 @@ struct FaultEvent {
   std::int32_t node = -1;
   std::int32_t peer = -1;            ///< second endpoint for kLink*
   Duration skew = Duration::zero();  ///< for kClockSkew
+
+  bool operator==(const FaultEvent&) const = default;
 };
 
 const char* faultEventKindName(FaultEvent::Kind kind);
@@ -67,6 +69,7 @@ struct ChurnConfig {
   [[nodiscard]] bool enabled() const {
     return !nodes.empty() && meanUpSeconds > 0.0 && meanDownSeconds > 0.0;
   }
+  bool operator==(const ChurnConfig&) const = default;
 };
 
 /// A full fault schedule: scripted events plus optional churn.
@@ -75,6 +78,7 @@ struct FaultScript {
   ChurnConfig churn;
 
   [[nodiscard]] bool empty() const { return events.empty() && !churn.enabled(); }
+  bool operator==(const FaultScript&) const = default;
 };
 
 /// Parse the line-oriented fault-script format used by `maxmin-sim
@@ -96,11 +100,12 @@ FaultScript parseFaultScript(std::string_view text);
 
 /// Serialize a script back into the exact grammar parseFaultScript
 /// accepts, one statement per line — the replay format the chaos fuzzer
-/// emits alongside a failing seed. Round-trips exactly for every event
-/// time on the microsecond grid: "%.6f" names the tick exactly and the
-/// parser rounds the decimal text to the nearest microsecond, so a value
-/// like 8.1 s (no exact double) cannot re-quantize one tick low — chaos
-/// schedules on 250 ms quantum edges included.
+/// emits alongside a failing seed. Every parsed script round-trips
+/// exactly. Times and skews are on the microsecond grid: "%.6f" names
+/// the tick exactly and the parser rounds the decimal text to the nearest
+/// microsecond, so a value like 8.1 s (no exact double) cannot
+/// re-quantize one tick low — chaos schedules on 250 ms quantum edges
+/// included. Churn means are printed in their shortest exact form.
 std::string toScriptText(const FaultScript& script);
 
 /// Observer of fault transitions (e.g. net::Network flushing a crashed

@@ -81,11 +81,18 @@ class Simulator {
   /// exactly where an event scheduled at reservation time would have:
   /// after every event at `when` issued before the reservation, before
   /// every one issued after it. The caller must not queue at a position
-  /// already popped — when > now(), or seq above the running event's.
+  /// already popped (see hasRun()).
   [[nodiscard]] EventId scheduleAtSeq(TimePoint when, std::uint64_t seq,
                                       EventFn fn) {
     MAXMIN_CHECK(seq < nextSeq_);
+    MAXMIN_CHECK(!hasRun(when, seq));
     return emplaceEvent(when, seq, std::move(fn));
+  }
+
+  /// True if the event loop is past position (when, seq): an event queued
+  /// there would already have run (or is the one running now).
+  [[nodiscard]] bool hasRun(TimePoint when, std::uint64_t seq) const {
+    return when < now_ || (when == lastRunWhen_ && seq < lastRunSeqEnd_);
   }
 
   /// Fire-and-forget variants for events that are never cancelled — the
@@ -123,6 +130,8 @@ class Simulator {
     const Key top = run_[runPos_++];
     MAXMIN_CHECK(top.when >= now_);
     now_ = top.when;
+    lastRunWhen_ = top.when;
+    lastRunSeqEnd_ = top.seq + 1;
     Record& r = record(top.slot);
     // The run is time-ordered while the slab is allocation-ordered, so the
     // next record is rarely in cache; overlap its fetch with this callback.
@@ -356,6 +365,8 @@ class Simulator {
   std::size_t dead_ = 0;     ///< tombstone keys still in some tier
   std::size_t maxLive_ = 0;  ///< high-water mark of live_
   std::uint64_t nextSeq_ = 0;
+  TimePoint lastRunWhen_;           ///< key of the event popped last:
+  std::uint64_t lastRunSeqEnd_ = 0; ///< its time and seq + 1 (0: none yet)
   std::uint64_t scheduled_ = 0;  ///< keys queued (reservations not counted)
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;

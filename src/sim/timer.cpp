@@ -17,6 +17,8 @@ void Timer::arm(Duration delay, EventFn fn) {
     deferred_ = queuedWhen_ <= deadline_;
     if (deferred_) return;
     sim_->cancel(id_);
+  } else if (held_) {
+    return;  // release() queues the reservation
   }
   queue();
 }
@@ -41,7 +43,27 @@ void Timer::cancel() {
   if (id_ != kInvalidEventId) {
     sim_->cancel(id_);
     id_ = kInvalidEventId;
+  }
+  fn_.reset();  // also drops a held reservation
+}
+
+void Timer::hold() {
+  held_ = true;
+  if (id_ != kInvalidEventId) {
+    sim_->cancel(id_);
+    id_ = kInvalidEventId;
+  }
+}
+
+void Timer::release() {
+  held_ = false;
+  // fn_ is set exactly while an arming has neither fired nor been
+  // cancelled.
+  if (!fn_) return;
+  if (sim_->hasRun(deadline_, seq_)) {
     fn_.reset();
+  } else {
+    queue();
   }
 }
 

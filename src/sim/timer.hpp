@@ -13,6 +13,12 @@
 // common DCF/NodeStack pattern — pushing a pending deadline out again and
 // again — costs one reservation per arm instead of a tombstone and a
 // sorted insert. Re-arming earlier, and cancel(), stay eager.
+//
+// A timer can also be held: hold() takes its queued key off the queue but
+// keeps the reserved (deadline, seq), arm() while held only moves that
+// reservation, and release() queues the callback at exactly that
+// position — or drops it if the event loop is already past it. A parked
+// DCF radio holds its NAV/EIFS wake this way (DESIGN.md §12).
 #pragma once
 
 #include "sim/event_fn.hpp"
@@ -33,7 +39,17 @@ class Timer {
 
   void cancel();
 
+  /// Stop queuing: drop the queued key, keep the reservation. Re-arms
+  /// until release() reserve their position without queuing anything.
+  void hold();
+  /// End hold(): queue the reserved callback where it would have run, or
+  /// drop it if that position has passed.
+  void release();
+
+  /// Queued to fire (never while held).
   [[nodiscard]] bool pending() const { return id_ != kInvalidEventId; }
+  /// When the last arming fires (or fired).
+  [[nodiscard]] TimePoint deadline() const { return deadline_; }
 
  private:
   /// Queue the thunk at the current arming's (deadline_, seq_).
@@ -46,6 +62,7 @@ class Timer {
   TimePoint deadline_;            ///< current arming; >= queuedWhen_
   std::uint64_t seq_ = 0;         ///< its reserved sequence number
   bool deferred_ = false;  ///< the queued key is not at (deadline_, seq_)
+  bool held_ = false;      ///< between hold() and release()
   EventFn fn_;
 };
 

@@ -43,6 +43,14 @@ inline std::string_view formatDoubleFixed(char* buf, std::size_t size,
   return {buf, static_cast<std::size_t>(res.ptr - buf)};
 }
 
+/// Format `v` as the shortest text that parses back to exactly `v`.
+inline std::string_view formatDoubleShortest(char* buf, std::size_t size,
+                                             double v) {
+  const auto res = std::to_chars(buf, buf + size, v);
+  MAXMIN_CHECK_MSG(res.ec == std::errc{}, "double format buffer too small");
+  return {buf, static_cast<std::size_t>(res.ptr - buf)};
+}
+
 inline void appendDouble(std::string& out, double v, int precision = 17) {
   char buf[64];
   out.append(formatDouble(buf, sizeof buf, v, precision));

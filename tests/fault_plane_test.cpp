@@ -4,10 +4,16 @@
 // the Gilbert-Elliott channel impairment statistics.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cctype>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "phys/impairment.hpp"
+#include "sim/chaos.hpp"
 #include "sim/fault_plane.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -104,6 +110,163 @@ struct RecordingListener final : sim::FaultListener {
     linkEvents.emplace_back(a, b, up);
   }
 };
+
+// --- fuzzing -----------------------------------------------------------------
+
+/// Seeded mutation fuzzer for parseFaultScript (no libFuzzer): every input
+/// either parses or throws std::invalid_argument with a message, and
+/// every script that parses survives toScriptText -> parse unchanged.
+class FaultScriptFuzzer {
+ public:
+  explicit FaultScriptFuzzer(std::uint64_t seed) : rng_{seed} {
+    // Every statement of the grammar (sim/fault_plane.hpp), alone and in
+    // combination, plus serialized scripts.
+    corpus_ = {
+        "crash 3 10",
+        "recover 3 20.5",
+        "linkdown 1 2 5",
+        "linkup 1 2 7.25",
+        "skew 4 2.5",
+        "skew 4 -0 12",
+        "churn nodes=1,2,3 up=30 down=5 from=10 until=200",
+        "churn nodes=0 up=0.1234567 down=1e-3",
+        "crash 0 1; recover 0 2 # flap\nlinkdown 0 1 3;linkup 0 1 4",
+        "# comment only\n\n;;  \t\n",
+        "skew 7 0.000001 0.000001\nchurn nodes=5,,6 up=1 down=2\n",
+    };
+    sim::FaultScript built;
+    built.events.push_back({TimePoint::origin() + Duration::micros(8'100'000),
+                            sim::FaultEvent::Kind::kClockSkew, 2, -1,
+                            Duration::micros(4'100)});
+    built.churn.nodes = {4, 9};
+    built.churn.meanUpSeconds = 1.0 / 3.0;
+    built.churn.meanDownSeconds = 2.5;
+    built.churn.start = at(3.0);
+    built.churn.stop = at(90.0);
+    corpus_.push_back(sim::toScriptText(built));
+    sim::ChaosConfig chaos;
+    chaos.numNodes = 6;
+    chaos.relayNodes = {1, 2};
+    chaos.links = {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}};
+    Rng chaosRng = Rng{seed}.stream("chaos");
+    corpus_.push_back(
+        sim::toScriptText(sim::generateChaosSchedule(chaos, chaosRng)));
+  }
+
+  /// A seed with one to three mutations applied.
+  std::string next() {
+    std::string text = pick(corpus_);
+    const auto rounds = rng_.uniformInt(1, 3);
+    for (std::int64_t i = 0; i < rounds; ++i) {
+      switch (rng_.uniformInt(0, 2)) {
+        case 0: flipByte(text); break;
+        case 1: spliceToken(text); break;
+        default: swapNumber(text); break;
+      }
+    }
+    return text;
+  }
+
+ private:
+  static constexpr std::string_view kBytes =
+      "0123456789 .-+eE;#=,\n\t\0xnaifcrshkdwup\xff";
+  static constexpr std::array<std::string_view, 12> kNumbers = {
+      "nan", "1e300", "-0", "3x", "", "inf", "-1", "1e9",
+      "1e-7", "2147483648", "0x10", "1000000000.000001"};
+
+  template <typename T>
+  const T& pick(const std::vector<T>& v) {
+    return v[static_cast<std::size_t>(
+        rng_.uniformInt(0, static_cast<std::int64_t>(v.size()) - 1))];
+  }
+  std::size_t index(std::size_t size) {
+    return static_cast<std::size_t>(
+        rng_.uniformInt(0, static_cast<std::int64_t>(size) - 1));
+  }
+
+  void flipByte(std::string& text) {
+    if (text.empty()) return;
+    text[index(text.size())] = kBytes[index(kBytes.size())];
+  }
+
+  /// Byte ranges of the whitespace-separated tokens of `text`.
+  static std::vector<std::pair<std::size_t, std::size_t>> tokens(
+      const std::string& text) {
+    std::vector<std::pair<std::size_t, std::size_t>> out;
+    std::size_t i = 0;
+    auto space = [&text](std::size_t k) {
+      return std::isspace(static_cast<unsigned char>(text[k])) != 0;
+    };
+    while (i < text.size()) {
+      while (i < text.size() && space(i)) ++i;
+      const std::size_t start = i;
+      while (i < text.size() && !space(i)) ++i;
+      if (i > start) out.emplace_back(start, i - start);
+    }
+    return out;
+  }
+
+  /// Replace, duplicate or drop a token, using a token of another seed.
+  void spliceToken(std::string& text) {
+    const auto mine = tokens(text);
+    const std::string& donor = pick(corpus_);
+    const auto theirs = tokens(donor);
+    if (mine.empty() || theirs.empty()) return;
+    const auto [at, len] = mine[index(mine.size())];
+    const auto [from, flen] = theirs[index(theirs.size())];
+    const std::string piece = donor.substr(from, flen);
+    switch (rng_.uniformInt(0, 2)) {
+      case 0: text.replace(at, len, piece); break;
+      case 1: text.insert(at, piece + " "); break;
+      default: text.erase(at, len); break;
+    }
+  }
+
+  /// Replace a token — or the value of a key=value token — by one of the
+  /// numbers parsers get wrong.
+  void swapNumber(std::string& text) {
+    const auto mine = tokens(text);
+    if (mine.empty()) return;
+    auto [at, len] = mine[index(mine.size())];
+    if (const auto eq = text.substr(at, len).find('=');
+        eq != std::string::npos) {
+      at += eq + 1;
+      len -= eq + 1;
+    }
+    text.replace(at, len, kNumbers[index(kNumbers.size())]);
+  }
+
+  Rng rng_;
+  std::vector<std::string> corpus_;
+};
+
+TEST(FaultScriptParse, FuzzedInputsParseOrFailWithAMessage) {
+  FaultScriptFuzzer fuzz{20261017};
+  int parsed = 0;
+  int rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string input = fuzz.next();
+    SCOPED_TRACE(::testing::Message()
+                 << "input #" << i << ": '" << input << "'");
+    sim::FaultScript script;
+    try {
+      script = sim::parseFaultScript(input);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string_view{e.what()}, "");
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    const std::string text = sim::toScriptText(script);
+    sim::FaultScript again;
+    ASSERT_NO_THROW(again = sim::parseFaultScript(text)) << text;
+    EXPECT_EQ(again, script) << text;
+    EXPECT_EQ(sim::toScriptText(again), text);
+  }
+  // The corpus keeps both paths busy.
+  EXPECT_GT(parsed, 50);
+  EXPECT_GT(rejected, 50);
+}
 
 TEST(FaultPlane, ScriptedEventsDriveState) {
   sim::Simulator simulator;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "mac/dcf.hpp"
@@ -13,9 +15,12 @@ namespace maxmin::mac {
 namespace {
 
 /// Minimal upper layer: a FIFO of link-layer sends toward a fixed next hop.
+/// By default it reports a backlog at all times (FrameClient's default),
+/// so its MAC never parks; with `parks` it reports its FIFO's state.
 class StubClient final : public FrameClient {
  public:
-  explicit StubClient(topo::NodeId self) : self_{self} {}
+  explicit StubClient(topo::NodeId self, bool parks = false)
+      : self_{self}, parks_{parks} {}
 
   void queuePackets(topo::NodeId nextHop, int count, DataSize size) {
     for (int i = 0; i < count; ++i) {
@@ -35,6 +40,7 @@ class StubClient final : public FrameClient {
     pending_.pop_front();
     return r;
   }
+  bool hasBacklog() const override { return !parks_ || !pending_.empty(); }
   void onTxSuccess(const TxRequest&) override { ++successes; }
   void onTxFailure(const TxRequest&) override { ++failures; }
   void onDataReceived(const phys::Frame& f) override {
@@ -55,18 +61,19 @@ class StubClient final : public FrameClient {
 
  private:
   topo::NodeId self_;
+  bool parks_;
   std::int64_t seq_ = 0;
   std::deque<TxRequest> pending_;
 };
 
 struct MacFixture {
   explicit MacFixture(std::vector<topo::Point> pts, MacParams params = {},
-                      topo::RadioRanges ranges = {})
+                      topo::RadioRanges ranges = {}, bool parks = false)
       : topo{topo::Topology::fromPositions(std::move(pts), ranges)},
         medium{sim, topo} {
     Rng root{99};
     for (topo::NodeId n = 0; n < topo.numNodes(); ++n) {
-      clients.push_back(std::make_unique<StubClient>(n));
+      clients.push_back(std::make_unique<StubClient>(n, parks));
       macs.push_back(std::make_unique<Dcf>(sim, medium, n, *clients.back(),
                                            params, root.fork()));
     }
@@ -335,6 +342,299 @@ TEST(Dcf, CollidedBroadcastsAreLostSilently) {
     if (fr.kind == phys::FrameKind::kControl) ++controls;
   }
   EXPECT_LE(controls, 2);
+}
+
+// ---------------------------------------------------------------------------
+// Parked radios
+// ---------------------------------------------------------------------------
+
+/// Every transmission start, delivery and corruption, in order.
+class FrameLog final : public phys::MediumObserver {
+ public:
+  struct Entry {
+    char what;  ///< 'S'tart, 'D'elivery, 'C'orruption
+    TimePoint at;
+    topo::NodeId transmitter;
+    topo::NodeId node;  ///< addressee ('S') or receiver
+    phys::FrameKind kind;
+    bool operator==(const Entry&) const = default;
+  };
+
+  void onTransmissionStart(const phys::Frame& f, TimePoint at) override {
+    entries.push_back({'S', at, f.transmitter, f.addressee, f.kind});
+  }
+  void onDelivery(const phys::Frame& f, topo::NodeId r, TimePoint at) override {
+    entries.push_back({'D', at, f.transmitter, r, f.kind});
+    // An overheard reservation: the receiver's NAV runs to here.
+    if (f.addressee != r && f.navAfterEnd > Duration::zero()) {
+      navExpiries[r].push_back(at + f.navAfterEnd);
+    }
+  }
+  void onCorruption(const phys::Frame& f, topo::NodeId r,
+                    TimePoint at) override {
+    entries.push_back({'C', at, f.transmitter, r, f.kind});
+    eifsExpiries[r].push_back(at + MacParams{}.eifs());
+  }
+
+  std::vector<Entry> entries;
+  std::map<topo::NodeId, std::vector<TimePoint>> navExpiries;
+  std::map<topo::NodeId, std::vector<TimePoint>> eifsExpiries;
+};
+
+enum class Work { kUnicast, kBroadcast, kOccupy };
+
+/// Work handed to an idle node at `at`: queued before the kernel reaches
+/// the node's NAV/EIFS wake at that instant, or (`afterWake`) after it.
+struct Injection {
+  TimePoint at;
+  bool afterWake = false;
+  Work work = Work::kUnicast;
+};
+
+struct ParkRun {
+  std::vector<FrameLog::Entry> frames;
+  std::vector<DcfCounters> counters;
+  std::uint64_t scheduled = 0;
+  std::map<topo::NodeId, std::vector<TimePoint>> navExpiries;
+  std::map<topo::NodeId, std::vector<TimePoint>> eifsExpiries;
+};
+
+constexpr topo::NodeId kIdleNode = 2;
+
+/// Hidden terminals on a line, 200 m apart: 0 -> 1 and 4 -> 3 saturate
+/// the channel; 0 and 4 (800 m) cannot sense each other. Node 2 decodes
+/// 1 and 3 (NAV from their CTS/ACK) and senses everyone, so it loses
+/// overlapping frames (EIFS); it sends nothing unless `inject` gives it
+/// work. Nodes 1 and 3 only answer.
+ParkRun runHiddenLine(bool parks, const std::optional<Injection>& inject) {
+  MacFixture f{{{0, 0}, {200, 0}, {400, 0}, {600, 0}, {800, 0}},
+               MacParams{},
+               topo::RadioRanges{},
+               parks};
+  FrameLog log;
+  f.medium.setObserver(&log);
+  f.clients[0]->queuePackets(1, 100000, kPayload);
+  f.clients[4]->queuePackets(3, 100000, kPayload);
+  f.macs[0]->notifyTrafficPending();
+  f.macs[4]->notifyTrafficPending();
+  auto give = [&f, work = inject ? inject->work : Work::kUnicast] {
+    switch (work) {
+      case Work::kUnicast:
+        f.clients[kIdleNode]->queuePackets(1, 2, kPayload);
+        f.macs[kIdleNode]->notifyTrafficPending();
+        break;
+      case Work::kBroadcast:
+        f.macs[kIdleNode]->enqueueBroadcast(std::make_shared<TestMessage>(3),
+                                            DataSize::bytes(64));
+        break;
+      case Work::kOccupy:
+        f.macs[kIdleNode]->occupyChannel(Duration::micros(300));
+        break;
+    }
+  };
+  if (inject) {
+    // Scheduled now, the injection runs before any wake reserved later
+    // for the same instant; re-posted at that instant, after all of them.
+    if (inject->afterWake) {
+      f.sim.postAt(inject->at,
+                   [&f, give] { f.sim.post(Duration::zero(), give); });
+    } else {
+      f.sim.postAt(inject->at, give);
+    }
+  }
+  f.sim.runUntil(TimePoint::origin() + Duration::millis(60));
+  ParkRun run;
+  run.frames = std::move(log.entries);
+  for (const auto& mac : f.macs) run.counters.push_back(mac->counters());
+  run.scheduled = f.sim.scheduledEvents();
+  run.navExpiries = std::move(log.navExpiries);
+  run.eifsExpiries = std::move(log.eifsExpiries);
+  return run;
+}
+
+TEST(Dcf, ParkedRadiosMatchAlwaysListeningRadios) {
+  // Both runs differ only in the clients' hasBacklog(): the default
+  // (always true) never parks, the other parks every radio with nothing
+  // queued. Work arriving at a parked radio exactly at its NAV or EIFS
+  // expiry — before or after the wake it would have run then — must
+  // produce the same frames and counters.
+  const ParkRun plain = runHiddenLine(false, std::nullopt);
+  ASSERT_GT(plain.counters[0].txSuccesses, 10u);
+  ASSERT_GT(plain.counters[2].eifsDeferrals, 5u);  // node 2 loses frames
+
+  std::vector<Injection> injections;
+  auto pick = [&injections](const std::vector<TimePoint>& expiries) {
+    int taken = 0;
+    for (const TimePoint t : expiries) {
+      if (t < TimePoint::origin() + Duration::millis(5)) continue;
+      if (taken++ == 3) break;
+      for (const bool afterWake : {false, true}) {
+        const auto work = static_cast<Work>(injections.size() % 3);
+        injections.push_back({t, afterWake, work});
+      }
+    }
+    return taken;
+  };
+  ASSERT_GE(pick(plain.navExpiries.at(kIdleNode)), 3);
+  ASSERT_GE(pick(plain.eifsExpiries.at(kIdleNode)), 3);
+  // Instants with no reservation ending: the radio may have sat idle
+  // since an energy edge later than any NAV/EIFS expiry.
+  std::vector<TimePoint> other;
+  for (std::int64_t us = 6'317; us < 40'000; us += 2'903) {
+    other.push_back(TimePoint::origin() + Duration::micros(us));
+  }
+  pick(other);
+
+  const ParkRun parked = runHiddenLine(true, std::nullopt);
+  EXPECT_EQ(parked.frames, plain.frames);
+  EXPECT_EQ(parked.counters, plain.counters);
+  EXPECT_LT(parked.scheduled, plain.scheduled);
+
+  for (const Injection& inj : injections) {
+    SCOPED_TRACE(::testing::Message()
+                 << "work " << static_cast<int>(inj.work) << " at "
+                 << inj.at << (inj.afterWake ? " after" : " before")
+                 << " the wake");
+    const ParkRun a = runHiddenLine(false, inj);
+    const ParkRun b = runHiddenLine(true, inj);
+    if (inj.work != Work::kOccupy) {
+      ASSERT_NE(a.frames, plain.frames);  // node 2 did transmit
+    }
+    EXPECT_EQ(b.frames, a.frames);
+    EXPECT_EQ(b.counters, a.counters);
+    EXPECT_LT(b.scheduled, a.scheduled);
+  }
+}
+
+/// A radio that only transmits what a test script tells it to.
+class ScriptedRadio final : public phys::RadioListener {
+ public:
+  void onChannelBusy() override {}
+  void onChannelIdle() override {}
+  void onFrameReceived(const phys::Frame&) override {}
+  void onFrameCorrupted(const phys::Frame&) override {}
+};
+
+/// The last thing that kept node P busy before it is given work.
+enum class Edge {
+  kNav,     ///< a NAV from an overheard frame expires
+  kEifs,    ///< an EIFS expires as a sensed frame ends
+  kEnergy,  ///< a frame P only senses ended 20 us before
+};
+
+/// Node P (0) is given one packet for Q (1) at the instant its channel
+/// view is hardest to rebuild. J (2) and K (3) are scripted radios: P
+/// decodes J and only senses K.
+///  * kNav: J's frame ends at 1100 us and P defers for its NAV (500 us).
+///  * kEifs: K overlaps J's frame, so P loses it and defers EIFS, and
+///    K's frame ends exactly when the EIFS expires.
+///  * kEnergy: K sends twice, P parks after the first frame and the
+///    second ends 20 us (< DIFS) before the work arrives.
+/// The work is queued after the energy edge at that instant and before
+/// P's wake there, or (`afterWake`) after the wake. At `jamAt` J starts
+/// another frame, queued right after the work: when P's access timer is
+/// due at that instant too, their order decides who transmits.
+ParkRun runScriptedExpiry(bool parks, Edge edge, bool afterWake,
+                          std::optional<TimePoint> jamAt) {
+  constexpr topo::NodeId kP = 0, kQ = 1, kJ = 2, kK = 3;
+  const MacParams params;
+  sim::Simulator sim;
+  const topo::Topology topo = topo::Topology::fromPositions(
+      {{0, 0}, {200, 0}, {0, 200}, {-400, 0}}, topo::RadioRanges{});
+  phys::Medium medium{sim, topo};
+  FrameLog log;
+  medium.setObserver(&log);
+  StubClient p{kP, parks};
+  StubClient q{kQ, parks};
+  Rng root{7};
+  Dcf macP{sim, medium, kP, p, params, root.fork()};
+  Dcf macQ{sim, medium, kQ, q, params, root.fork()};
+  ScriptedRadio j;
+  ScriptedRadio k;
+  medium.attachRadio(kJ, &j);
+  medium.attachRadio(kK, &k);
+
+  auto send = [&medium](topo::NodeId from, topo::NodeId to, Duration len,
+                        Duration nav) {
+    phys::Frame fr;
+    fr.kind = phys::FrameKind::kRts;
+    fr.transmitter = from;
+    fr.addressee = to;
+    fr.duration = len;
+    fr.navAfterEnd = nav;
+    medium.startTransmission(std::move(fr));
+  };
+  const TimePoint t0 = TimePoint::origin();
+  auto at = [t0](std::int64_t us) { return t0 + Duration::micros(us); };
+  const Duration hundred = Duration::micros(100);
+  TimePoint workAt;
+  switch (edge) {
+    case Edge::kNav:
+      workAt = at(1600);
+      sim.postAt(at(1000),
+                 [&] { send(kJ, kK, hundred, Duration::micros(500)); });
+      break;
+    case Edge::kEifs:
+      workAt = at(1100) + params.eifs();
+      sim.postAt(at(1000), [&] { send(kJ, kK, hundred, Duration::zero()); });
+      sim.postAt(at(1050), [&] {
+        send(kK, kJ, workAt - at(1050), Duration::zero());
+      });
+      break;
+    case Edge::kEnergy:
+      workAt = at(1620);
+      sim.postAt(at(1000), [&] { send(kK, kJ, hundred, Duration::zero()); });
+      sim.postAt(at(1500), [&] { send(kK, kJ, hundred, Duration::zero()); });
+      break;
+  }
+  auto work = [&] {
+    p.queuePackets(kQ, 1, kPayload);
+    macP.notifyTrafficPending();
+    if (jamAt) {
+      sim.postAt(*jamAt, [&] { send(kJ, kK, hundred, Duration::zero()); });
+    }
+  };
+  // Queued at 1075 us: after K's first frame's end (queued at 1050 us)
+  // and before P's wake (its position is reserved at 1100 us).
+  sim.postAt(at(1075), [&] {
+    if (afterWake) {
+      sim.postAt(workAt, [&] { sim.post(Duration::zero(), work); });
+    } else {
+      sim.postAt(workAt, work);
+    }
+  });
+  sim.runUntil(t0 + Duration::millis(20));
+  ParkRun run;
+  run.frames = std::move(log.entries);
+  run.counters = {macP.counters(), macQ.counters()};
+  run.scheduled = sim.scheduledEvents();
+  return run;
+}
+
+TEST(Dcf, ParkedRadioRebuildsChannelStateAtExpiryInstants) {
+  for (const Edge edge : {Edge::kNav, Edge::kEifs, Edge::kEnergy}) {
+    for (const bool afterWake : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "edge " << static_cast<int>(edge) << ", work "
+                   << (afterWake ? "after" : "before") << " the wake");
+      // P's first RTS goes out on a backoff slot boundary; J jams exactly
+      // that instant in the runs compared below.
+      const ParkRun calib = runScriptedExpiry(false, edge, afterWake, {});
+      std::optional<TimePoint> rts;
+      for (const auto& e : calib.frames) {
+        if (e.what == 'S' && e.transmitter == 0) {
+          rts = e.at;
+          break;
+        }
+      }
+      ASSERT_TRUE(rts.has_value());
+      const ParkRun a = runScriptedExpiry(false, edge, afterWake, rts);
+      const ParkRun b = runScriptedExpiry(true, edge, afterWake, rts);
+      EXPECT_EQ(b.frames, a.frames);
+      EXPECT_EQ(b.counters, a.counters);
+      EXPECT_EQ(a.counters[0].txSuccesses, 1u);
+    }
+  }
 }
 
 }  // namespace

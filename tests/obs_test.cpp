@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <locale>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -250,6 +254,39 @@ TEST_F(ObsTest, ProfilerSitesAreIdempotent) {
   const obs::SiteId a = p.site("obs_test.site_a");
   EXPECT_EQ(p.site("obs_test.site_a"), a);
   EXPECT_NE(p.site("obs_test.site_b"), a);
+}
+
+TEST_F(ObsTest, ConcurrentSiteRegistrationGivesOneIdPerName) {
+  // Threads race to register overlapping names, each walking the list
+  // from its own offset: every name must get exactly one id, and every
+  // thread must see that id.
+  static constexpr std::array<const char*, 8> kNames = {
+      "obs_test.race_0", "obs_test.race_1", "obs_test.race_2",
+      "obs_test.race_3", "obs_test.race_4", "obs_test.race_5",
+      "obs_test.race_6", "obs_test.race_7"};
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<obs::SiteId>> ids(
+      kThreads, std::vector<obs::SiteId>(kNames.size()));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &ids, &go] {
+      while (!go.load()) {
+      }
+      for (std::size_t k = 0; k < kNames.size(); ++k) {
+        const std::size_t i = (k + 3 * t) % kNames.size();
+        ids[t][i] = obs::Profiler::global().site(kNames[i]);
+      }
+    });
+  }
+  go.store(true);
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 1; t < kThreads; ++t) EXPECT_EQ(ids[t], ids[0]);
+  EXPECT_EQ(std::set<obs::SiteId>(ids[0].begin(), ids[0].end()).size(),
+            kNames.size());
+  // Equal text at another address is the same site.
+  static const std::string copy{kNames[5]};
+  EXPECT_EQ(obs::Profiler::global().site(copy.c_str()), ids[0][5]);
 }
 
 TEST_F(ObsTest, ScopedProfileRecordsOnlyWhenEnabled) {

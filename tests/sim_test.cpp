@@ -368,6 +368,46 @@ TEST(Timer, DestructionCancelsDeferredKey) {
   EXPECT_FALSE(fired);
 }
 
+TEST(Timer, HeldTimerReleasesAtItsReservedPosition) {
+  // Held, a timer queues nothing and re-arms only move its reservation;
+  // released, it fires exactly where the last arm would have fired.
+  Simulator s;
+  Timer t{s};
+  std::vector<int> order;
+  t.arm(Duration::micros(5), [&] { order.push_back(0); });
+  t.hold();
+  EXPECT_FALSE(t.pending());
+  EXPECT_EQ(s.pendingEvents(), 0u);
+  s.post(Duration::micros(10), [&] { order.push_back(1); });
+  // Released at 10 us, before the position the next arm reserves there:
+  // it is still ahead, so the callback is queued at it, before event 3.
+  s.postAt(TimePoint{} + Duration::micros(10), [&] {
+    t.release();
+    EXPECT_TRUE(t.pending());
+  });
+  t.arm(Duration::micros(10), [&] { order.push_back(2); });
+  EXPECT_FALSE(t.pending());
+  s.post(Duration::micros(10), [&] { order.push_back(3); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Timer, ReleasePastItsPositionDropsTheCallback) {
+  for (const bool sameInstant : {false, true}) {
+    Simulator s;
+    Timer t{s};
+    bool fired = false;
+    s.post(Duration::micros(10), [] {});
+    t.arm(Duration::micros(10), [&] { fired = true; });
+    t.hold();
+    // The reserved (10 us, seq) passes before the release runs.
+    s.post(Duration::micros(sameInstant ? 10 : 11), [&] { t.release(); });
+    s.run();
+    EXPECT_FALSE(fired) << (sameInstant ? "same instant" : "later");
+    EXPECT_FALSE(t.pending());
+  }
+}
+
 TEST(PeriodicTimer, StopDuringDeferralNeverFires) {
   for (const std::int64_t stopAtUs : {0, 7}) {
     Simulator s;

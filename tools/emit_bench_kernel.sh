@@ -14,7 +14,8 @@
 #
 # --medium runs the frame-pipeline benchmarks (bench/bench_medium:
 # start/finish cycles and dense same-instant bursts at N in {50,200,800},
-# plus the dense macro scenario) and writes BENCH_medium.json — the
+# plus the dense macro scenarios: GMP at N=60, 802.11 at N in {200,800})
+# and writes BENCH_medium.json — the
 # Medium performance trajectory artifact. Run after any change to
 # src/phys/ or src/topology/ and commit the refreshed JSON alongside it.
 #
@@ -38,7 +39,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FILTER='BM_(Event(QueueScheduleRun|QueueSteadyState|QueueSameInstantBursts|Cancellation|QueueLongRun)|TimerRearm)'
-MEDIUM_FILTER='BM_Medium(StartFinish|DenseBurst|DenseMacro|SparseStartFinish)'
+MEDIUM_FILTER='BM_Medium(StartFinish|DenseBurst|DenseMacro|DenseDcf|SparseStartFinish)'
 TOPO_FILTER='BM_TopologyConstruct'
 
 run_bench() { # build-dir bench-binary filter out.json

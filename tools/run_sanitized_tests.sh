@@ -11,12 +11,13 @@
 #               (SweepRunner's thread pool and atomic work claiming),
 #               sim_test and des_property_test (the kernel the workers
 #               run run-per-thread; TSan proves the "distinct Simulators
-#               share no state" argument, not just asserts it).
+#               share no state" argument, not just asserts it) and
+#               obs_test (the process-wide profiler's site registry).
 #         all   both lanes in sequence.
 #
 #   tools/run_sanitized_tests.sh                    # asan, full suite
 #   tools/run_sanitized_tests.sh asan 'fault|robust'
-#   tools/run_sanitized_tests.sh tsan               # exp/sim/DES suites
+#   tools/run_sanitized_tests.sh tsan               # exp/sim/DES/obs suites
 #   tools/run_sanitized_tests.sh all
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,7 +50,7 @@ case "$LANE" in
     export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
     # Suites with real concurrency, selected by binary label (see
     # tests/CMakeLists.txt); everything else is single-threaded by design.
-    run_lane tsan "$FILTER" -L '^(exp_test|sim_test|des_property_test)$'
+    run_lane tsan "$FILTER" -L '^(exp_test|sim_test|des_property_test|obs_test)$'
     ;;
   all)
     "$0" asan "$FILTER"
