@@ -78,7 +78,7 @@ BENCHMARK(BM_EventQueueSteadyState)->Arg(100)->Arg(10000);
 
 // Same-instant bursts: many events at identical timestamps (period
 // boundaries in GMP fire every node's window close at once); stresses
-// FIFO tie-breaking and the sorted-run insert path.
+// FIFO tie-breaking on seq in the heap.
 void BM_EventQueueSameInstantBursts(benchmark::State& state) {
   constexpr int kBursts = 100;
   constexpr int kPerBurst = 100;
@@ -144,10 +144,10 @@ void BM_TimerRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerRearm);
 
-// One long calendar window: a far sentinel stretches the window, so 10^6
-// events with 64 pending all pass through a single active run. The
-// max_queued_keys counter (sampled every 1024 events) shows the run stays
-// sized by its pending keys, not by everything it has popped.
+// One long stretch behind a far sentinel: 10^6 events with 64 pending
+// pass through the queue. The max_queued_keys counter (sampled every 1024
+// events) shows the queue stays sized by its pending keys, not by
+// everything it has popped.
 void BM_EventQueueLongRun(benchmark::State& state) {
   constexpr std::int64_t kLive = 64;
   constexpr std::int64_t kEvents = 1'000'000;

@@ -1,7 +1,10 @@
 #include "analysis/trace_replay.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "util/check.hpp"
@@ -14,7 +17,8 @@ namespace {
 // schema (objects, arrays, strings with the writer's escapes, numbers,
 // booleans, null). The writer is ours, so unsupported JSON (exponents
 // are fine; \uXXXX beyond the writer's \u0000 is not) simply fails the
-// parse and surfaces as a malformed-line error with context.
+// parse and surfaces as a malformed-line error with context. Nesting is
+// capped so a hostile line cannot exhaust the stack.
 struct JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
   Type type = Type::kNull;
@@ -57,11 +61,21 @@ class JsonParser {
     ++pos_;
   }
 
+  /// The writer nests at most four deep (period → vlinks → vlink →
+  /// primaryFlows).
+  static constexpr int kMaxDepth = 64;
+
   JsonValue value() {
     skipWs();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        MAXMIN_CHECK_MSG(++depth_ <= kMaxDepth,
+                         "JSON nested deeper than " << kMaxDepth);
+        JsonValue v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': return string();
       case 't':
       case 'f': return boolean();
@@ -186,6 +200,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 double numberField(const JsonValue& obj, const std::string& key) {
@@ -193,6 +208,47 @@ double numberField(const JsonValue& obj, const std::string& key) {
   MAXMIN_CHECK_MSG(v != nullptr && v->type == JsonValue::Type::kNumber,
                    "trace record missing numeric field \"" << key << "\"");
   return v->number;
+}
+
+/// A whole-number field within [lo, hi]. The bounds stay within ±2^53,
+/// where every integer is exact as a double, so the cast is defined.
+std::int64_t integerField(const JsonValue& obj, const std::string& key,
+                          std::int64_t lo, std::int64_t hi) {
+  const double x = numberField(obj, key);
+  MAXMIN_CHECK_MSG(std::trunc(x) == x && x >= static_cast<double>(lo) &&
+                       x <= static_cast<double>(hi),
+                   "\"" << key << "\" must be an integer in [" << lo << ", "
+                        << hi << "], got " << x);
+  return static_cast<std::int64_t>(x);
+}
+
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+/// The period record on one trace line, or nothing for an event record.
+std::optional<ReplayPeriod> parsePeriodLine(std::string_view line) {
+  const JsonValue root = JsonParser{line}.parse();
+  const JsonValue* record = root.find("record");
+  MAXMIN_CHECK_MSG(record != nullptr &&
+                       record->type == JsonValue::Type::kString,
+                   "no \"record\" field");
+  if (record->string != "period") return std::nullopt;  // event-level detail
+
+  ReplayPeriod p;
+  p.period = static_cast<int>(integerField(root, "period", 0, kIntMax));
+  p.timeUs = integerField(root, "timeUs", 0, std::int64_t{1} << 53);
+  const JsonValue* flows = root.find("flows");
+  MAXMIN_CHECK_MSG(flows != nullptr && flows->type == JsonValue::Type::kArray,
+                   "no \"flows\" array");
+  for (const JsonValue& f : flows->array) {
+    const auto id = static_cast<net::FlowId>(integerField(f, "id", 0, kIntMax));
+    const double rate = numberField(f, "ratePps");
+    MAXMIN_CHECK_MSG(std::isfinite(rate) && rate >= 0.0,
+                     "\"ratePps\" must be finite and >= 0, got " << rate);
+    p.ratesPps[id] = rate;
+    p.hops[id] = static_cast<int>(integerField(f, "hops", 1, kIntMax));
+  }
+  p.summary = summarize(p.ratesPps, p.hops);
+  return p;
 }
 
 }  // namespace
@@ -218,32 +274,11 @@ TraceReplay traceReplay(std::istream& in) {
   while (std::getline(in, line)) {
     ++lineNo;
     if (line.empty()) continue;
-    JsonValue root;
     try {
-      root = JsonParser{line}.parse();
+      if (auto p = parsePeriodLine(line)) replay.periods.push_back(std::move(*p));
     } catch (const InvariantViolation& e) {
       MAXMIN_CHECK_MSG(false, "trace line " << lineNo << ": " << e.what());
     }
-    const JsonValue* record = root.find("record");
-    MAXMIN_CHECK_MSG(record != nullptr &&
-                         record->type == JsonValue::Type::kString,
-                     "trace line " << lineNo << ": no \"record\" field");
-    if (record->string != "period") continue;  // event-level detail
-
-    ReplayPeriod p;
-    p.period = static_cast<int>(numberField(root, "period"));
-    p.timeUs = static_cast<std::int64_t>(numberField(root, "timeUs"));
-    const JsonValue* flows = root.find("flows");
-    MAXMIN_CHECK_MSG(flows != nullptr &&
-                         flows->type == JsonValue::Type::kArray,
-                     "trace line " << lineNo << ": no \"flows\" array");
-    for (const JsonValue& f : flows->array) {
-      const auto id = static_cast<net::FlowId>(numberField(f, "id"));
-      p.ratesPps[id] = numberField(f, "ratePps");
-      p.hops[id] = static_cast<int>(numberField(f, "hops"));
-    }
-    p.summary = summarize(p.ratesPps, p.hops);
-    replay.periods.push_back(std::move(p));
   }
   return replay;
 }

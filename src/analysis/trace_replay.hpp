@@ -35,7 +35,10 @@ struct TraceReplay {
 
 /// Parse a JSONL trace stream, keeping records with "record":"period"
 /// (event-level records are skipped). Malformed lines throw
-/// util::InvariantViolation with the offending line number.
+/// util::InvariantViolation with the offending line number: bad JSON,
+/// nesting beyond the writer's depth, a missing field, a "period",
+/// "timeUs", "id" or "hops" that is not an in-range integer ("hops" >= 1),
+/// or a "ratePps" that is negative or not finite.
 TraceReplay traceReplay(std::istream& in);
 
 /// Convenience: open and replay a trace file (throws if unreadable).

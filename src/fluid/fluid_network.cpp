@@ -87,15 +87,17 @@ FluidState FluidNetwork::evaluate() const {
   // the clique that last constrained it: that clique holds the flow's
   // bottleneck link. Loads are maintained incrementally — only the
   // cliques of the flows just rescaled are touched — so an iteration is
-  // O(|worst clique| x path length) and allocation-free.
-  const double slack = opts_.utilizationSlack;
+  // O(|worst clique| x path length) and allocation-free. A clique is
+  // overloaded when its utilization exceeds 1 + kUtilizationSlack.
+  constexpr int kMaxIterations = 10000;
+  constexpr double kUtilizationSlack = 1e-9;
   // A clique whose own fluid load is this small cannot be rescued by
   // scaling (its overload is all external occupancy); skip it so the
   // loop terminates.
   const double minScalableLoad = capacity_ * 1e-15;
   stats_ = SolveStats{};
-  for (; stats_.iterations < opts_.maxIterations; ++stats_.iterations) {
-    double worst = 1.0 + slack;
+  for (; stats_.iterations < kMaxIterations; ++stats_.iterations) {
+    double worst = 1.0 + kUtilizationSlack;
     std::int64_t worstClique = -1;
     for (std::size_t c = 0; c < m; ++c) {
       const double utilization = ws_.load[c] / capacity_ + extClique_[c];
@@ -111,7 +113,10 @@ FluidState FluidNetwork::evaluate() const {
     const auto wc = static_cast<std::size_t>(worstClique);
     const double avail = std::max(0.0, 1.0 - extClique_[wc]);
     double factor = std::min(1.0, avail * capacity_ / ws_.load[wc]);
-    factor = 1.0 - opts_.damping * (1.0 - factor);
+    // The undamped step, rounded as the damped form with damping 1.0
+    // rounded it: for factor < 0.5, 1 - (1 - factor) can differ from
+    // factor in the last bit, so the round trip keeps rates bit-identical.
+    factor = 1.0 - (1.0 - factor);
     for (const auto& [i, k] : incidence_.cliqueFlows.row(wc)) {
       const double delta = ws_.rate[i] * (factor - 1.0);
       ws_.rate[i] += delta;

@@ -49,18 +49,6 @@ struct FluidState {
   std::map<topo::Link, double> occupancy;
 };
 
-/// Settings of the demand-proportional scaling iteration; every
-/// FluidNetwork runs with these defaults.
-struct SolverOptions {
-  /// Fraction of the exact rescale step applied each iteration; 1.0 is
-  /// the undamped historical behavior, smaller values trade iterations
-  /// for smoother trajectories when external occupancy jumps per period.
-  double damping = 1.0;
-  int maxIterations = 10000;
-  /// A clique is considered overloaded when utilization > 1 + slack.
-  double utilizationSlack = 1e-9;
-};
-
 /// Diagnostics for the most recent evaluate().
 struct SolveStats {
   int iterations = 0;
@@ -115,7 +103,6 @@ class FluidNetwork {
   topo::ContentionStructure contention_;
   topo::FlowIncidence incidence_;
   double capacity_;
-  SolverOptions opts_;
 
   /// External occupancy per contention link index and its per-clique sum.
   std::vector<double> extLink_;

@@ -16,7 +16,6 @@ struct HybridConfig {
   /// movement as a fraction of clique capacity (GMP's additive probing
   /// never stops exactly, so this is an EWMA threshold).
   double ffTol = 0.02;
-  int ffMaxPeriods = 400;
 
   /// Partition flows: `foreground` ids are packet-simulated end to end,
   /// everything else is advanced by the fluid solver and radiated into
@@ -24,10 +23,6 @@ struct HybridConfig {
   /// measurement-period boundary.
   bool background = false;
   std::vector<net::FlowId> foreground;
-  /// Phantom packets folded into one channel reservation. Larger values
-  /// cut the background event rate proportionally at the cost of
-  /// coarser busy/idle granularity the foreground MAC sees.
-  int bgBatch = 4;
 
   [[nodiscard]] bool enabled() const { return fastForward || background; }
 };

@@ -11,6 +11,12 @@
 namespace maxmin::hybrid {
 namespace {
 
+/// Fluid GMP periods the fast-forward iterates at most before t=0.
+constexpr int kFastForwardMaxPeriods = 400;
+/// Phantom packets per background channel reservation: more cuts the
+/// event rate proportionally but coarsens the busy/idle the MACs see.
+constexpr int kBgBatch = 4;
+
 bool isForeground(const HybridConfig& cfg, net::FlowId id) {
   if (!cfg.background) return true;
   return std::ranges::find(cfg.foreground, id) != cfg.foreground.end();
@@ -75,11 +81,10 @@ Engine::Engine(net::Network& net, gmp::Controller& controller,
     // share of idle time dynamically. Reserving the nominal per-packet
     // time instead overcharges dense neighbourhoods by ~25%.
     const mac::MacParams& mp = net_.config().mac;
-    MAXMIN_CHECK_MSG(cfg_.bgBatch >= 1, "bgBatch must be at least 1");
     bgLoad_.emplace(net_,
                     mp.exchangeAirtime(net_.config().packetSize) +
                         mp.difs() + mp.slotTime * 2,
-                    cfg_.bgBatch);
+                    kBgBatch);
     std::set<topo::NodeId> senders;
     for (const auto& path : bgFluid_->paths()) {
       for (std::size_t h = 0; h + 1 < path.size(); ++h) senders.insert(path[h]);
@@ -106,7 +111,7 @@ void Engine::fastForward() {
                           contention};
   fluid::FluidGmpHarness harness{all, gmpParams_};
   const fluid::FixedPointResult fp =
-      harness.runToFixedPoint(cfg_.ffTol, cfg_.ffMaxPeriods);
+      harness.runToFixedPoint(cfg_.ffTol, kFastForwardMaxPeriods);
   stats_.ffPeriods = fp.periods;
   stats_.ffConverged = fp.converged;
   stats_.ffResidual = fp.residual;

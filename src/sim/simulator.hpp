@@ -6,21 +6,15 @@
 // which is what makes exp::SweepRunner's run-per-thread parallelism safe.
 //
 // Internals (see DESIGN.md §8): event callbacks live in a slab indexed by a
-// free list; an EventId packs {slot, generation} so cancelling a fired or
-// stale id is a two-compare no-op — there is no tombstone *set* to leak.
-// Cancel is an O(1) generation bump that strands a dead key in the queue;
-// dead keys are skipped (and accounted) when they surface and swept out
-// whenever they outnumber live ones, and the active run releases its
-// consumed prefix as it grows, so memory stays O(live events) and
-// pendingEvents() — live keys exactly — can never underflow.
+// free list; an EventId packs {slot, generation}, so cancelling a fired or
+// stale id is a two-compare no-op. Cancel bumps the generation and strands
+// a dead key in the queue; dead keys are skipped when they surface and
+// swept out whenever they outnumber live ones, so memory stays O(live).
 //
-// Pending event keys {when, seq, slot, gen} sit in a three-tier calendar:
-// an unsorted far pool beyond the current time window, time buckets
-// partitioning the window, and a sorted active run that pops by cursor.
-// Every tier partitions by timestamp and the active run is sorted by the
-// full (when, seq) key, so pop order is the exact total order regardless
-// of window or bucket geometry — determinism is structural, not tuned.
-// Push and pop are amortized O(1) against the heap's O(log n).
+// Pending keys {when, seq, slot, gen} sit in one vector kept as a 4-ary
+// min-heap on (when, seq). seq is unique, so pop order is the exact total
+// order however keys were pushed. The 4-ary fan-out halves a binary heap's
+// depth and reads a node's children from two adjacent cache lines.
 //
 // A sequence number can be reserved ahead of queuing (reserveSeq() +
 // scheduleAtSeq()); sim::Timer uses this to re-arm to a later deadline
@@ -32,6 +26,7 @@
 // without LTO.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -117,7 +112,10 @@ class Simulator {
     // holds a different generation. Either way the stale handle matches
     // nothing. A matching generation means the event is pending.
     if (r.gen != genOf(id)) return;
-    retire(slot);
+    ++r.gen;
+    r.fn.reset();
+    r.nextFree = freeHead_;
+    freeHead_ = slot;
     --live_;
     ++dead_;  // its queue key is now a tombstone; dropped at pop/compact
     ++cancelled_;
@@ -126,18 +124,17 @@ class Simulator {
 
   /// Execute the single next event. Returns false if the queue is empty.
   bool step() {
-    if (!ensureRunFront()) return false;
-    const Key top = run_[runPos_++];
+    if (!ensureFront()) return false;
+    const Key top = heap_.front();
+    popFront();
     MAXMIN_CHECK(top.when >= now_);
     now_ = top.when;
     lastRunWhen_ = top.when;
     lastRunSeqEnd_ = top.seq + 1;
     Record& r = record(top.slot);
-    // The run is time-ordered while the slab is allocation-ordered, so the
-    // next record is rarely in cache; overlap its fetch with this callback.
-    if (runPos_ < run_.size()) {
-      __builtin_prefetch(&record(run_[runPos_].slot));
-    }
+    // The heap is time-ordered while the slab is allocation-ordered, so
+    // the next record is rarely in cache; overlap its fetch with this one.
+    if (!heap_.empty()) __builtin_prefetch(&record(heap_.front().slot));
     // Bump the generation *before* invoking so outstanding ids (including
     // a self-cancel from inside the callback) are already stale. Chunked
     // slab storage never moves, so the callback runs in place — no move
@@ -176,8 +173,8 @@ class Simulator {
                      "runUntil would move the clock backwards: "
                          << until << " < now " << now_);
     // Single pop path: step() pops the true next event once
-    // ensureRunFront() has surfaced it at the run cursor.
-    while (ensureRunFront() && run_[runPos_].when <= until) {
+    // ensureFront() has surfaced it at the heap's root.
+    while (ensureFront() && heap_.front().when <= until) {
       step();
     }
     MAXMIN_CHECK(now_ <= until);  // monotonic: step never overshoots
@@ -196,17 +193,15 @@ class Simulator {
   std::size_t maxPendingEvents() const { return maxLive_; }
   std::uint64_t compactions() const { return compactions_; }
 
-  /// Keys the queue's tiers hold right now: live keys, tombstones not yet
-  /// dropped, and any consumed run prefix not yet released. Walks the
-  /// bucket array; for tests and diagnostics, not the hot path.
-  [[nodiscard]] std::size_t queuedKeys() const;
+  /// Keys the queue holds right now: live keys plus tombstones not yet
+  /// dropped (tests and diagnostics).
+  [[nodiscard]] std::size_t queuedKeys() const { return heap_.size(); }
 
  private:
   /// Below this many tombstones, compaction isn't worth the sweep.
   static constexpr std::size_t kCompactMinDead = 64;
-  /// Below this many popped keys, releasing the run's prefix isn't worth
-  /// the memmove.
-  static constexpr std::size_t kTrimMinPopped = 64;
+  /// Children per heap node.
+  static constexpr std::size_t kArity = 4;
   static constexpr std::uint32_t kFreeListEnd = 0xffffffffu;
   /// Records per slab chunk. Chunks are allocated once and never move,
   /// which is what lets step() invoke callbacks in place.
@@ -224,8 +219,8 @@ class Simulator {
   };
   static_assert(sizeof(Record) == 64);
 
-  /// Queue element. Carries the ordering key (when, seq) inline so sorts
-  /// and scans stay within contiguous arrays instead of chasing slab
+  /// Queue element. Carries the ordering key (when, seq) inline so heap
+  /// sifts stay within one contiguous array instead of chasing slab
   /// pointers, plus the {slot, gen} identity of the event.
   struct Key {
     TimePoint when;
@@ -288,81 +283,64 @@ class Simulator {
     return makeId(slot, r.gen);
   }
 
-  /// Bump the slot's generation (invalidating outstanding ids), release
-  /// the callback, return the slot to the free list. Used by cancel();
-  /// step() inlines the same sequence around the in-place invoke.
-  void retire(std::uint32_t slot) {
-    Record& r = record(slot);
-    ++r.gen;
-    r.fn.reset();
-    r.nextFree = freeHead_;
-    freeHead_ = slot;
-  }
-
-  /// Route a key to the tier covering its timestamp.
+  /// Sift a new key up from the heap's tail.
   void pushKey(const Key& key) {
-    if (key.when >= windowEnd_) {
-      far_.push_back(key);
-    } else if (key.when >= runEnd_) {
-      buckets_[bucketIndex(key.when)].push_back(key);
-    } else {
-      insertIntoRun(key);
+    std::size_t i = heap_.size();
+    heap_.push_back(key);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!earlier(key, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
     }
+    heap_[i] = key;
   }
 
-  std::size_t bucketIndex(TimePoint when) const {
-    return static_cast<std::size_t>((when - windowStart_).asMicros() /
-                                    bucketWidthUs_);
+  /// Drop the root: the tail key takes its place and sifts down.
+  void popFront() {
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) siftDown(0, last);
   }
 
-  /// Advance tiers until the next live key sits at run_[runPos_].
-  /// Returns false when no live events remain.
-  bool ensureRunFront() {
+  /// Place `key` at hole `i`, moving it down past earlier children. By
+  /// value: the hole's old key may be the argument.
+  void siftDown(std::size_t i, const Key key) {
+    const std::size_t n = heap_.size();
     for (;;) {
-      while (runPos_ < run_.size()) {
-        if (isLive(run_[runPos_])) return true;
-        ++runPos_;  // drop tombstone
-        --dead_;
+      const std::size_t first = kArity * i + 1;
+      if (first >= n) break;
+      const std::size_t end = std::min(first + kArity, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (earlier(heap_[c], heap_[best])) best = c;
       }
-      if (live_ == 0) {
-        resetTiers();
-        return false;
-      }
-      refillRun();  // a refilled run may still lead with tombstones
+      if (!earlier(heap_[best], key)) break;
+      heap_[i] = heap_[best];
+      i = best;
     }
+    heap_[i] = key;
   }
 
-  void insertIntoRun(const Key& key);
-  void refillRun();
-  void rebuildWindow();
-  void resetTiers();
+  /// Pop tombstones until a live key is at the root. Returns false when no
+  /// live events remain.
+  bool ensureFront() {
+    while (!heap_.empty() && !isLive(heap_.front())) {
+      popFront();
+      --dead_;
+    }
+    return !heap_.empty();
+  }
+
   void compact();
 
   TimePoint now_;
   std::vector<std::unique_ptr<Record[]>> chunks_;  ///< stable slab storage
   std::uint32_t slotCount_ = 0;            ///< slots handed out so far
   std::uint32_t freeHead_ = kFreeListEnd;  ///< head of the free-slot chain
-
-  // --- calendar tiers ------------------------------------------------------
-  // Invariant time partition: run_ covers [now_, runEnd_), buckets_ cover
-  // [windowStart_, windowEnd_) beyond the run, far_ covers [windowEnd_, inf).
-  std::vector<Key> run_;    ///< sorted active run; popped via runPos_
-  std::size_t runPos_ = 0;  ///< cursor into run_
-  TimePoint runEnd_;        ///< run_ holds every pending key before this
-  std::vector<std::vector<Key>> buckets_;  ///< unsorted per-interval keys
-  std::size_t activeBuckets_ = 0;  ///< buckets in the current window; the
-                                   ///< array itself only ever grows, so
-                                   ///< bucket capacity survives window
-                                   ///< rebuilds and steady-state windows
-                                   ///< never re-allocate
-  std::size_t nextBucket_ = 0;             ///< first bucket not yet drained
-  TimePoint windowStart_;
-  TimePoint windowEnd_;  ///< == windowStart_ when no window is active
-  std::int64_t bucketWidthUs_ = 1;
-  std::vector<Key> far_;  ///< unsorted keys at/after windowEnd_
-
+  std::vector<Key> heap_;                  ///< 4-ary min-heap on (when, seq)
   std::size_t live_ = 0;     ///< pending (non-cancelled) events
-  std::size_t dead_ = 0;     ///< tombstone keys still in some tier
+  std::size_t dead_ = 0;     ///< tombstone keys still in the heap
   std::size_t maxLive_ = 0;  ///< high-water mark of live_
   std::uint64_t nextSeq_ = 0;
   TimePoint lastRunWhen_;           ///< key of the event popped last:

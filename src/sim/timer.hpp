@@ -12,7 +12,7 @@
 // exactly the position cancel + schedule would have given it, while the
 // common DCF/NodeStack pattern — pushing a pending deadline out again and
 // again — costs one reservation per arm instead of a tombstone and a
-// sorted insert. Re-arming earlier, and cancel(), stay eager.
+// heap push. Re-arming earlier, and cancel(), stay eager.
 //
 // A timer can also be held: hold() takes its queued key off the queue but
 // keeps the reserved (deadline, seq), arm() while held only moves that

@@ -157,11 +157,9 @@ TEST(MediumDenseBurst, MatchesGoldenCountersFromLinearScanImplementation) {
 TEST(MediumAllocation, SteadyStateStartFinishIsAllocationFree) {
   DenseFixture f;
   // Warm every pool to its high-water mark: transmission records, spill
-  // blocks, reverse-index lists, the DES kernel's event slabs. The
-  // kernel's calendar tiers recycle buffers by swapping them through the
-  // bucket array, so per-buffer capacity takes a few window cycles to
-  // converge to the orbit's high-water mark — hence several warmup
-  // patterns, not one.
+  // blocks, reverse-index lists, the DES kernel's event slabs and heap
+  // vector. Several warmup patterns, not one, so every pool has seen the
+  // pattern's peak before counting starts.
   for (int i = 0; i < 6; ++i) f.runBurstPattern();
   const std::size_t slotsWarm = f.medium.activeSlotHighWater();
   const std::size_t blocksWarm = f.medium.spillBlockHighWater();
@@ -195,8 +193,8 @@ TEST(MediumAllocation, SilentPathSharesRecycledRecords) {
   f.medium.setFaultPlane(&faults);
   faults.start();
   f.sim.run();  // node 3 is down from here on
-  // Warm pools with node 3's transmissions silent (same multi-cycle
-  // warmup as above so the kernel's rotating tier buffers converge).
+  // Warm pools with node 3's transmissions silent (same multi-pattern
+  // warmup as above).
   for (int i = 0; i < 6; ++i) f.runBurstPattern();
   const std::size_t slotsWarm = f.medium.activeSlotHighWater();
 

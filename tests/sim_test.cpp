@@ -4,12 +4,16 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace maxmin::sim {
 namespace {
@@ -190,8 +194,9 @@ TEST(Simulator, RunUntilNowWithPendingSameInstantEvents) {
 }
 
 TEST(Simulator, FifoPreservedAcrossWindowRebuilds) {
-  // Schedule batches far enough apart that the calendar queue rebuilds
-  // its window between them; FIFO within each instant must survive.
+  // Batches of same-instant events far apart in time, all queued before
+  // any runs: the heap reshapes many times between pops of one instant,
+  // and FIFO within each instant must survive.
   Simulator s;
   std::vector<int> order;
   for (int batch = 0; batch < 5; ++batch) {
@@ -209,10 +214,9 @@ TEST(Simulator, FifoPreservedAcrossWindowRebuilds) {
 }
 
 TEST(Simulator, QueueMemoryStaysBoundedByLiveEventsInOneWindow) {
-  // A far sentinel stretches the calendar window, so every event below is
-  // pushed into one window's active run; 10^6 of them pass through with
-  // at most kLive + 1 pending. The keys held must track the live count,
-  // not the number of keys ever popped from the run.
+  // A far sentinel stays queued while 10^6 events pass through with at
+  // most kLive + 1 pending. The keys held must track the live count, not
+  // the number of keys ever queued.
   Simulator s;
   s.post(Duration::seconds(1000.0), [] {});
   constexpr std::int64_t kLive = 64;
@@ -233,6 +237,166 @@ TEST(Simulator, QueueMemoryStaysBoundedByLiveEventsInOneWindow) {
   EXPECT_EQ(fired, kEvents);
   EXPECT_EQ(s.pendingEvents(), 1u);  // the sentinel
   EXPECT_LE(maxKeys, std::size_t{4} * std::max<std::size_t>(kLive, 256));
+}
+
+// Reference-order property: seeded random scripts drive the kernel
+// (schedule/post at equal and distinct instants, cancels of live, fired,
+// cancelled and never-issued ids, reserveSeq + scheduleAtSeq, runUntil
+// cut points), from outside the loop and from inside callbacks, while an
+// independent std::set of (when, seq) keys predicts every pop.
+class ReferenceOrderScript {
+ public:
+  explicit ReferenceOrderScript(std::uint64_t seed) : rng_{seed} {}
+
+  void run(int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      const auto ops = pick(0, 6);
+      for (std::int64_t i = 0; i < ops; ++i) randomOp();
+      if (pick(0, 15) == 0) cancelBurst();
+      const TimePoint cut = sim_.now() + Duration::micros(pick(0, 40));
+      sim_.runUntil(cut);
+      EXPECT_EQ(sim_.now(), cut);
+      EXPECT_TRUE(model_.empty() || model_.begin()->first > cut.asMicros())
+          << "an event at or before the cut did not run";
+      EXPECT_EQ(sim_.pendingEvents(), model_.size());
+    }
+    sim_.run();
+    EXPECT_TRUE(model_.empty());
+    EXPECT_EQ(sim_.pendingEvents(), 0u);
+    EXPECT_EQ(sim_.executedEvents(), executed_);
+    EXPECT_GT(executed_, 1000u);
+    EXPECT_GT(sim_.compactions(), 0u) << "script never compacted";
+    EXPECT_EQ(mismatches_, 0) << "pops out of (when, seq) order";
+  }
+
+ private:
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (when µs, seq)
+
+  std::int64_t pick(std::int64_t lo, std::int64_t hi) {
+    return rng_.uniformInt(lo, hi);
+  }
+
+  /// Mostly the current instant or a handful of near ones, so equal
+  /// timestamps are common; now and then a far one.
+  TimePoint when() {
+    const std::int64_t d = pick(0, 9) == 0 ? pick(0, 100000) : pick(0, 4);
+    return sim_.now() + Duration::micros(d);
+  }
+
+  EventFn body(Key k) {
+    return [this, k] { fire(k); };
+  }
+
+  void fire(Key k) {
+    ++executed_;
+    if (model_.empty() || *model_.begin() != k ||
+        sim_.now().asMicros() != k.first) {
+      ++mismatches_;
+    }
+    model_.erase(k);
+    lastRun_ = k;
+    const auto ops = pick(0, 2);
+    for (std::int64_t i = 0; i < ops; ++i) randomOp();
+  }
+
+  void queued(Key k, EventId id) {
+    model_.insert(k);
+    keyOf_[id] = k;
+    ids_.push_back(id);
+  }
+
+  void schedule() {
+    const TimePoint t = when();
+    const Key k{t.asMicros(), nextSeq_++};
+    const EventId id = pick(0, 1) == 0
+                           ? sim_.schedule(t - sim_.now(), body(k))
+                           : sim_.scheduleAt(t, body(k));
+    queued(k, id);
+  }
+
+  void cancel(EventId id) {
+    const std::size_t before = sim_.pendingEvents();
+    sim_.cancel(id);
+    const auto it = keyOf_.find(id);
+    if (it != keyOf_.end()) {
+      model_.erase(it->second);  // no-op for a fired or cancelled id
+      keyOf_.erase(it);
+    }
+    // A cancel that strands a tombstone leaves at most max(64, live) of
+    // them: past that it compacts.
+    if (sim_.pendingEvents() < before) {
+      EXPECT_LE(sim_.queuedKeys() - sim_.pendingEvents(),
+                std::max<std::size_t>(64, sim_.pendingEvents()));
+    }
+  }
+
+  void randomOp() {
+    switch (pick(0, 6)) {
+      case 0:
+      case 1: schedule(); break;
+      case 2: {
+        const TimePoint t = when();
+        const Key k{t.asMicros(), nextSeq_++};
+        sim_.post(t - sim_.now(), body(k));
+        model_.insert(k);
+        break;
+      }
+      case 3:
+        if (ids_.empty() || pick(0, 7) == 0) {
+          cancel(pick(0, 1) == 0 ? kInvalidEventId : 0xdeadbeefcafe1234ull);
+        } else {
+          cancel(ids_[static_cast<std::size_t>(
+              pick(0, static_cast<std::int64_t>(ids_.size()) - 1))]);
+        }
+        break;
+      case 4: {
+        const std::uint64_t seq = sim_.reserveSeq();
+        EXPECT_EQ(seq, nextSeq_++);
+        reserved_.emplace_back(when().asMicros(), seq);
+        break;
+      }
+      default:
+        if (!reserved_.empty()) {
+          const auto i = static_cast<std::size_t>(
+              pick(0, static_cast<std::int64_t>(reserved_.size()) - 1));
+          const Key k = reserved_[i];
+          reserved_.erase(reserved_.begin() + static_cast<std::ptrdiff_t>(i));
+          const TimePoint t = TimePoint::fromMicros(k.first);
+          const bool passed = k.first < sim_.now().asMicros() || k <= lastRun_;
+          EXPECT_EQ(sim_.hasRun(t, k.second), passed);
+          if (!passed) queued(k, sim_.scheduleAtSeq(t, k.second, body(k)));
+        }
+        break;
+    }
+  }
+
+  /// Queue a batch and cancel most of it, so tombstones outnumber live
+  /// keys and the queue compacts.
+  void cancelBurst() {
+    const std::size_t first = ids_.size();
+    for (int i = 0; i < 200; ++i) schedule();
+    for (std::size_t i = first; i < ids_.size(); ++i) {
+      if (pick(0, 9) != 0) cancel(ids_[i]);
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  std::set<Key> model_;
+  std::map<EventId, Key> keyOf_;  ///< every queued id and its key
+  std::vector<EventId> ids_;      ///< every id issued, stale ones included
+  std::vector<Key> reserved_;     ///< reservations not yet queued
+  std::uint64_t nextSeq_ = 0;
+  Key lastRun_{-1, 0};
+  std::uint64_t executed_ = 0;
+  int mismatches_ = 0;
+};
+
+TEST(Simulator, PopOrderMatchesReferenceModel) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    ReferenceOrderScript{seed}.run(3000);
+  }
 }
 
 TEST(EventFn, OversizedCaptureFallsBackToHeap) {

@@ -59,7 +59,7 @@ struct Options {
   std::string ge;         // "pGoodToBad:pBadToGood:lossBad"
   std::string impairScope = "all";
   std::string trace;      // JSONL trace output path; empty = no tracing
-  std::string traceLevel = "period";  // period|event
+  obs::TraceLevel traceLevel = obs::TraceLevel::kPeriod;
   bool fastForward = false;  // fluid fast-forward before t=0
   double ffTol = 0.02;       // fast-forward convergence tolerance
   bool hybrid = false;       // fluid background load (needs --foreground)
@@ -171,6 +171,11 @@ Options parse(int argc, char** argv) {
       o.runs = parseNumber<int>(arg, value());
     } else if (arg == "--jobs") {
       o.jobs = parseNumber<int>(arg, value());
+      if (o.jobs < 0) {
+        std::cerr << "--jobs expects 0 (all cores) or a thread count, got "
+                  << o.jobs << '\n';
+        std::exit(2);
+      }
     } else if (arg == "--json") {
       o.json = value();
     } else if (arg == "--faults") {
@@ -184,7 +189,14 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--trace") {
       o.trace = value();
     } else if (arg == "--trace-level") {
-      o.traceLevel = value();
+      const std::string name = value();
+      const auto level = obs::parseTraceLevel(name);
+      if (!level) {
+        std::cerr << "unknown --trace-level '" << name
+                  << "' (expected period|event)\n";
+        std::exit(2);
+      }
+      o.traceLevel = *level;
     } else if (arg == "--fast-forward") {
       o.fastForward = true;
     } else if (arg == "--ff-tol") {
@@ -498,13 +510,7 @@ int main(int argc, char** argv) {
   if (options.profile) obs::Profiler::setEnabled(true);
   std::unique_ptr<obs::TraceSink> trace;
   if (!options.trace.empty()) {
-    const auto level = obs::parseTraceLevel(options.traceLevel);
-    if (!level) {
-      std::cerr << "unknown --trace-level '" << options.traceLevel
-                << "' (expected period|event)\n";
-      return 2;
-    }
-    trace = obs::TraceSink::openFile(options.trace, *level);
+    trace = obs::TraceSink::openFile(options.trace, options.traceLevel);
     if (!trace) {
       std::cerr << "cannot write trace file " << options.trace << "\n";
       return 2;
