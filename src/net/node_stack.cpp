@@ -496,6 +496,9 @@ void NodeStack::onDataReceived(const phys::Frame& frame) {
 
 std::vector<phys::BufferStateAd> NodeStack::currentBufferState() {
   std::vector<phys::BufferStateAd> ads;
+  // Buffer state is piggybacked only for the congestion-avoidance scheme
+  // (paper §2.2); without it no receiver reads the ads.
+  if (!ctx_.config().congestionAvoidance) return ads;
   switch (ctx_.config().discipline) {
     case QueueDiscipline::kPerDestination:
       // Destination order — slot order — since the ads ride on every
@@ -517,7 +520,7 @@ std::vector<phys::BufferStateAd> NodeStack::currentBufferState() {
       }
       break;
     case QueueDiscipline::kPerFlow:
-      break;  // 2PP does not use the congestion-avoidance scheme
+      break;  // per-flow queues (2PP) advertise nothing
   }
   return ads;
 }
@@ -534,7 +537,8 @@ void NodeStack::onControlReceived(const phys::Frame& frame) {
 void NodeStack::onFrameDecoded(const phys::Frame& frame) {
   // Decoding anything from a neighbor proves it is alive again.
   if (failingNeighbors_ > 0) noteNeighborAlive(frame.transmitter);
-  if (frame.bufferState.empty()) return;
+  // Only the congestion-avoidance scheme reads neighbors' buffer state.
+  if (frame.bufferState.empty() || !ctx_.config().congestionAvoidance) return;
   const int rank = neighborRank(frame.transmitter);
   MAXMIN_CHECK_MSG(rank >= 0, "decoded a frame from non-neighbour "
                                   << frame.transmitter << " at " << self_);

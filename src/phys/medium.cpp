@@ -1,7 +1,6 @@
 #include "phys/medium.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 #include <utility>
 
@@ -28,24 +27,24 @@ Medium::Medium(sim::Simulator& sim, const topo::Topology& topo)
   listening_.assign(n, 0);
   energyIdleSince_.assign(n, TimePoint{});
   transmitting_.assign(n, 0);
+  disturbed_.assign(n, 0);
 
   // Range relations are read straight from the topology's CSR rows; the
-  // only derived quantity is the largest tx out-degree (spill sizing).
+  // only derived quantities are the largest tx out-degree (spill sizing)
+  // and the largest cs-degree (edge scratch sizing).
+  std::size_t maxCsDegree = 0;
   for (std::size_t a = 0; a < n; ++a) {
-    maxTxDegree_ = std::max(
-        maxTxDegree_, topo.neighbors(static_cast<topo::NodeId>(a)).size());
+    const auto id = static_cast<topo::NodeId>(a);
+    maxTxDegree_ = std::max(maxTxDegree_, topo.neighbors(id).size());
+    maxCsDegree = std::max(maxCsDegree, topo.csNeighbors(id).size());
   }
 
   // Preallocate every per-frame structure to its lifetime bound: at most
-  // one active transmission per node, at most in-degree concurrent
-  // receptions per receiver. Steady-state start/finish never allocates.
+  // one active transmission per node. Steady-state start/finish never
+  // allocates.
   active_.reserve(n);
   freeSlots_.reserve(n);
-  rxAt_.resize(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    rxAt_[a].reserve(topo.neighbors(static_cast<topo::NodeId>(a)).size());
-  }
-  rxPendingBits_.assign((n + 63) / 64, 0);
+  edges_.assign(maxCsDegree, topo::kNoNode);
   finishScratch_.reserve(maxTxDegree_);
 }
 
@@ -57,19 +56,20 @@ void Medium::attachRadio(topo::NodeId id, RadioListener* listener) {
   listening_[static_cast<std::size_t>(id)] = 1;
 }
 
-// Only listening radios (attached, not parked) are called back.
-void Medium::raiseEnergy(topo::NodeId at) {
-  const auto i = static_cast<std::size_t>(at);
-  if (++energy_[i] == 1 && listening_[i] != 0) radios_[i]->onChannelBusy();
-}
-
-void Medium::lowerEnergy(topo::NodeId at) {
-  const auto i = static_cast<std::size_t>(at);
-  MAXMIN_CHECK(energy_[i] > 0);
-  if (--energy_[i] == 0) {
-    energyIdleSince_[i] = sim_.now();
-    if (listening_[i] != 0) radios_[i]->onChannelIdle();
+// Only listening radios (attached, not parked) are called back. A
+// callback may park or unpark its own radio, never start a transmission:
+// a busy edge only freezes, and an idle edge opens a DIFS (> 0) wait.
+void Medium::runEdgeCallbacks(std::size_t count, bool busy) {
+  inEdgeCallbacks_ = true;
+  for (std::size_t k = 0; k < count; ++k) {
+    RadioListener* radio = radios_[static_cast<std::size_t>(edges_[k])];
+    if (busy) {
+      radio->onChannelBusy();
+    } else {
+      radio->onChannelIdle();
+    }
   }
+  inEdgeCallbacks_ = false;
 }
 
 std::uint32_t Medium::acquireSlot() {
@@ -108,36 +108,11 @@ void Medium::releaseRxStorage(ActiveTx& tx) {
   tx.rxCount = 0;
 }
 
-void Medium::indexReceptions(std::uint32_t slot) {
-  ActiveTx& tx = active_[slot];
-  const PendingRx* rxs = receptions(tx);
-  for (std::uint32_t i = 0; i < tx.rxCount; ++i) {
-    const auto r = static_cast<std::size_t>(rxs[i].receiver);
-    if (rxAt_[r].empty()) {
-      rxPendingBits_[r / 64] |= std::uint64_t{1} << (r % 64);
-    }
-    rxAt_[r].push_back(RxRef{slot, i});
-  }
-}
-
-void Medium::unindexReception(topo::NodeId receiver, std::uint32_t slot) {
-  auto& refs = rxAt_[static_cast<std::size_t>(receiver)];
-  for (auto& ref : refs) {
-    if (ref.slot == slot) {
-      ref = refs.back();
-      refs.pop_back();
-      break;
-    }
-  }
-  if (refs.empty()) {
-    const auto r = static_cast<std::size_t>(receiver);
-    rxPendingBits_[r / 64] &= ~(std::uint64_t{1} << (r % 64));
-  }
-}
-
 void Medium::startTransmission(Frame frame) {
   const topo::NodeId sender = frame.transmitter;
   MAXMIN_CHECK(sender >= 0 && sender < topo_.numNodes());
+  MAXMIN_CHECK_MSG(!inEdgeCallbacks_,
+                   "node " << sender << " started inside a busy/idle callback");
   MAXMIN_CHECK_MSG(transmitting_[static_cast<std::size_t>(sender)] == 0,
                    "node " << sender << " already transmitting");
   const Duration duration = frame.duration;
@@ -149,14 +124,14 @@ void Medium::startTransmission(Frame frame) {
   const std::uint32_t slot = acquireSlot();
   ActiveTx& tx = active_[slot];
   tx.frame = std::move(frame);
-  tx.end = sim_.now() + duration;
   tx.rxCount = 0;
   tx.spillBlock = kNoBlock;
 
   // A crashed sender's MAC still walks its transmit state machine (it
   // cannot know it is dead), but its radio emits nothing: no energy, no
-  // receptions, no interference. The timing of the null transmission is
-  // preserved so the MAC's busy/idle invariants survive recovery.
+  // receptions, no interference — so it stamps no epoch either. The
+  // timing of the null transmission is preserved so the MAC's busy/idle
+  // invariants survive recovery.
   tx.silent = faults_ != nullptr && !faults_->nodeUp(sender);
   if (tx.silent) {
     ++framesSuppressed_;
@@ -179,53 +154,26 @@ void Medium::startTransmission(Frame frame) {
   }
   tx.rxCount = count;
 
-  corruptReceptionsSensing(sender);
-
-  // A node beginning to transmit loses anything it was receiving.
-  for (const RxRef& ref : rxAt_[static_cast<std::size_t>(sender)]) {
-    receptions(active_[ref.slot])[ref.index].corrupted = true;
+  // The energy pass. Stamping this start's epoch on every node that
+  // senses it — and on the sender, which loses anything it was receiving
+  // — is what corrupts the receptions already in flight there: their
+  // frames carry older epochs (finishTransmission).
+  const std::uint64_t epoch = ++epoch_;
+  tx.epoch = epoch;
+  disturbed_[static_cast<std::size_t>(sender)] = epoch;
+  std::size_t due = 0;  // edges_ entries whose busy edge is due
+  for (const topo::NodeId nb : topo_.csNeighbors(sender)) {
+    const auto i = static_cast<std::size_t>(nb);
+    edges_[due] = nb;
+    due += static_cast<std::size_t>((energy_[i] == 0) & (listening_[i] != 0));
+    ++energy_[i];
+    disturbed_[i] = epoch;
   }
-
-  for (const topo::NodeId nb : topo_.csNeighbors(sender)) raiseEnergy(nb);
-
-  indexReceptions(slot);
+  runEdgeCallbacks(due, /*busy=*/true);
 
   if (observer_ != nullptr) observer_->onTransmissionStart(tx.frame, sim_.now());
   // Fire-and-forget: completion is unconditional (see above).
   sim_.post(duration, [this, slot] { finishTransmission(slot); });
-}
-
-void Medium::corruptReceptionsSensing(topo::NodeId sender) {
-  // This transmission corrupts any in-flight reception at a node that
-  // senses it — never a scan of every active transmission's reception
-  // list. Dense topologies intersect the sender's packed carrier-sense
-  // row with the pending-reception bitset (word-wise AND); sparse ones
-  // (no n²-bit matrices) probe one pending bit per cs CSR neighbor,
-  // O(cs-degree) regardless of N.
-  if (topo_.hasDenseAdjacency()) {
-    const std::uint64_t* csRow = topo_.csAdjacency().row(sender);
-    for (std::size_t w = 0; w < rxPendingBits_.size(); ++w) {
-      std::uint64_t hits = csRow[w] & rxPendingBits_[w];
-      while (hits != 0) {
-        const auto r = static_cast<std::size_t>(w * 64) +
-                       static_cast<std::size_t>(std::countr_zero(hits));
-        hits &= hits - 1;
-        for (const RxRef& ref : rxAt_[r]) {
-          receptions(active_[ref.slot])[ref.index].corrupted = true;
-        }
-      }
-    }
-  } else {
-    for (const topo::NodeId nb : topo_.csNeighbors(sender)) {
-      const auto r = static_cast<std::size_t>(nb);
-      if ((rxPendingBits_[r / 64] & (std::uint64_t{1} << (r % 64))) == 0) {
-        continue;
-      }
-      for (const RxRef& ref : rxAt_[r]) {
-        receptions(active_[ref.slot])[ref.index].corrupted = true;
-      }
-    }
-  }
 }
 
 void Medium::finishTransmission(std::size_t slot) {
@@ -237,21 +185,38 @@ void Medium::finishTransmission(std::size_t slot) {
   // Move the frame and receptions out and recycle the record before
   // running callbacks, which may start new transmissions immediately
   // (SIFS=0 is not allowed, but zero-delay follow-ups in tests are) and
-  // reuse this slot or its spill block.
+  // reuse this slot or its spill block. A reception whose receiver a
+  // later start disturbed is settled here, before any callback can stamp
+  // a newer epoch.
   const bool silent = tx.silent;
   const Frame frame = std::move(tx.frame);
   tx.frame.transmitter = topo::kNoNode;
   const PendingRx* rxs = receptions(tx);
-  finishScratch_.assign(rxs, rxs + tx.rxCount);
-  for (const PendingRx& rx : finishScratch_) {
-    unindexReception(rx.receiver, static_cast<std::uint32_t>(slot));
+  finishScratch_.resize(tx.rxCount);
+  for (std::uint32_t k = 0; k < tx.rxCount; ++k) {
+    const auto r = static_cast<std::size_t>(rxs[k].receiver);
+    finishScratch_[k] = PendingRx{
+        rxs[k].receiver, rxs[k].corrupted || disturbed_[r] > tx.epoch};
   }
   releaseRxStorage(tx);
   freeSlots_.push_back(static_cast<std::uint32_t>(slot));
 
   if (silent) return;  // nothing was radiated
 
-  for (const topo::NodeId nb : topo_.csNeighbors(sender)) lowerEnergy(nb);
+  const TimePoint now = sim_.now();
+  std::size_t due = 0;  // edges_ entries whose idle edge is due
+  bool underflow = false;
+  for (const topo::NodeId nb : topo_.csNeighbors(sender)) {
+    const auto i = static_cast<std::size_t>(nb);
+    const int energy = --energy_[i];
+    underflow |= energy < 0;
+    const bool fell = energy == 0;
+    energyIdleSince_[i] = fell ? now : energyIdleSince_[i];
+    edges_[due] = nb;
+    due += static_cast<std::size_t>(fell & (listening_[i] != 0));
+  }
+  MAXMIN_CHECK_MSG(!underflow, "energy below zero near node " << sender);
+  runEdgeCallbacks(due, /*busy=*/false);
 
   for (const PendingRx& rx : finishScratch_) {
     auto* radio = radios_[static_cast<std::size_t>(rx.receiver)];
@@ -264,8 +229,9 @@ void Medium::finishTransmission(std::size_t slot) {
       ++framesSuppressed_;
       continue;
     }
-    // Receptions that end while the receiver transmits are lost even if
-    // the overlap began after the corruption scan (same-instant starts).
+    // A receiver that is sending now loses the frame, also when its own
+    // start was silent (a crashed node's null transmission stamps no
+    // epoch).
     bool corrupt =
         rx.corrupted || transmitting_[static_cast<std::size_t>(rx.receiver)] != 0;
     // Channel impairment: a frame that survived interference can still

@@ -17,13 +17,15 @@
 //  * range relations are the topology's own CSR neighbor rows, consumed
 //    in place (no per-Medium copy) — membership comes precomputed,
 //    never from a distance computation;
-//  * a reverse per-receiver reception index (rxAt_ + the rxPendingBits_
-//    bitset) lets a new transmission corrupt exactly the nodes that both
-//    sense it and hold in-flight receptions. Below the topology's dense
-//    threshold that is a word-wise AND of the packed csAdjacency row
-//    with the pending bitset; above it (no n²-bit matrices) the scan
-//    walks the sender's sorted cs CSR row and tests one pending bit per
-//    cs-neighbor — O(cs-degree), independent of N (DESIGN.md §14);
+//  * a start or finish walks the sender's cs row once, branch-free: it
+//    moves each neighbor's energy count, stamps the start's epoch into
+//    disturbed_, and lists the listening radios whose count crossed zero;
+//    their busy/idle callbacks run afterwards, in row order;
+//  * corruption is decided by epoch, not by an index of in-flight
+//    receptions: a reception dies if its receiver was busy or sending
+//    when it began, if a later start disturbed the receiver, or if the
+//    receiver is sending when it ends. Cost is O(cs-degree) per frame,
+//    independent of N and of the topology's dense threshold;
 //  * pending receptions live inline in the transmission record (<= 8
 //    receivers) or in a pooled spill arena block; records are recycled
 //    through a free list shared by the silent and radiating paths.
@@ -138,13 +140,7 @@ class Medium {
  private:
   struct PendingRx {
     topo::NodeId receiver;
-    bool corrupted;
-  };
-  /// Reverse-index entry: active_[slot]'s reception #index targets the
-  /// node whose rxAt_ list holds this entry.
-  struct RxRef {
-    std::uint32_t slot;
-    std::uint32_t index;
+    bool corrupted;  ///< receiver was busy or sending when the frame began
   };
 
   static constexpr std::uint32_t kInlineRx = 8;
@@ -152,21 +148,20 @@ class Medium {
 
   struct ActiveTx {
     Frame frame;
-    TimePoint end;
     bool silent = false;  ///< sender was down: nothing radiated
+    std::uint64_t epoch = 0;  ///< disturbed_ stamp of this start
     std::uint32_t rxCount = 0;
     std::uint32_t spillBlock = kNoBlock;  ///< arena block when degree > kInlineRx
     std::array<PendingRx, kInlineRx> inlineRx;
   };
 
   void finishTransmission(std::size_t slot);
-  void raiseEnergy(topo::NodeId at);
-  void lowerEnergy(topo::NodeId at);
 
-  /// Corrupt every in-flight reception at a node that senses `sender`
-  /// (dense: packed cs-row AND pending bitset; sparse: per-cs-neighbor
-  /// bit probe).
-  void corruptReceptionsSensing(topo::NodeId sender);
+  /// Busy (or idle) callbacks for the first `count` entries of edges_,
+  /// the listening radios whose energy the last pass moved across zero.
+  /// Each reads only its own node's state, so running them after the
+  /// whole pass is exact (DESIGN.md §12).
+  void runEdgeCallbacks(std::size_t count, bool busy);
 
   /// Pop a recycled transmission record (or extend within the reserved
   /// capacity). One helper for the silent and radiating paths.
@@ -184,11 +179,6 @@ class Medium {
   }
   void releaseRxStorage(ActiveTx& tx);
 
-  /// Register / drop the reverse-index entries for a transmission's
-  /// pending receptions, maintaining the rxPendingBits_ bitset.
-  void indexReceptions(std::uint32_t slot);
-  void unindexReception(topo::NodeId receiver, std::uint32_t slot);
-
   sim::Simulator& sim_;
   const topo::Topology& topo_;
   std::vector<RadioListener*> radios_;
@@ -196,6 +186,11 @@ class Medium {
   std::vector<std::uint8_t> listening_;   // radio takes busy/idle callbacks
   std::vector<TimePoint> energyIdleSince_;
   std::vector<std::uint8_t> transmitting_;
+  // Per node, the epoch of the last radiating start that raised its
+  // energy or was its own; a reception is lost if its receiver's stamp
+  // passes the epoch of the frame's own start.
+  std::vector<std::uint64_t> disturbed_;
+  std::uint64_t epoch_ = 0;
 
   // Transmission records: indexed by slot, recycled via freeSlots_.
   // Reserved to numNodes at construction (<= one active tx per node), so
@@ -210,14 +205,11 @@ class Medium {
   std::vector<std::uint32_t> freeBlocks_;
   std::size_t maxTxDegree_ = 0;
 
-  // Reverse reception index: per receiver, the in-flight receptions
-  // targeting it (capacity = in-degree, reserved at construction); plus
-  // one bit per node saying "this node holds pending receptions", so the
-  // corruption scan is csRow(sender) AND rxPendingBits_ (dense) or a
-  // per-cs-neighbor bit probe (sparse). The range relations themselves
-  // are read straight from topo_'s CSR rows — the Medium holds no copy.
-  std::vector<std::vector<RxRef>> rxAt_;
-  std::vector<std::uint64_t> rxPendingBits_;
+  // Scratch for the energy pass: the node ids whose busy/idle edge is
+  // due. Sized to the largest cs-degree, so the pass writes every
+  // neighbor unconditionally and only advances past the edges.
+  std::vector<topo::NodeId> edges_;
+  bool inEdgeCallbacks_ = false;
 
   // Scratch for finishTransmission: receptions are copied out before the
   // slot is recycled because delivery callbacks may start transmissions

@@ -2,12 +2,10 @@
 // stored as rows of uint64_t words so membership is a single bit test
 // and row intersections are word-wise ANDs.
 //
-// This is the frame-pipeline view of the radio graph. The geometric
-// predicates (Topology::areNeighbors / inCsRange) cost a squared-distance
-// comparison per call; per-frame code instead asks the precomputed matrix
-// (phys::Medium's corruption scan intersects a row with its pending-
-// reception bitset). Rows are contiguous, so scanning a row at N = 800 is
-// 13 sequential words, not 800 pointer-chased distance computations.
+// Topology materializes one per relation below its dense threshold, so
+// membership (Topology::areNeighbors / inCsRange) is a bit test rather
+// than a squared-distance comparison or a CSR binary search. Rows are
+// contiguous, so scanning a row at N = 800 is 13 sequential words.
 // ConflictGraph reuses the same layout indexed by link instead of node.
 #pragma once
 

@@ -10,12 +10,10 @@
 // The canonical representation of both relations is CSR: one flat
 // NodeId array plus per-node offsets, ascending within each row. Below
 // kDenseAdjacencyMaxNodes the packed AdjacencyMatrix bitsets are also
-// materialized (O(1) membership tests; word-wise row intersections in
-// phys::Medium's corruption scan). Above it the n^2-bit matrices would
-// dominate memory (~600 MB per relation at N = 50k), so only the CSR
-// arrays exist and membership is a binary search of the row — callers
-// on the frame hot path branch on hasDenseAdjacency() and fall back to
-// sorted-CSR merges (DESIGN.md §14).
+// materialized (O(1) membership tests). Above it the n^2-bit matrices
+// would dominate memory (~600 MB per relation at N = 50k), so only the
+// CSR arrays exist and membership is a binary search of the row; the
+// frame hot path (phys::Medium) reads only the CSR rows (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>

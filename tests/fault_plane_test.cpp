@@ -21,6 +21,8 @@
 namespace maxmin {
 namespace {
 
+using std::string_view_literals::operator""sv;
+
 TimePoint at(double seconds) {
   return TimePoint::origin() + Duration::seconds(seconds);
 }
@@ -168,8 +170,11 @@ class FaultScriptFuzzer {
   }
 
  private:
+  // The literal holds a NUL, so its length comes from the literal itself
+  // (the ""sv suffix), not from a strlen that would stop at the NUL.
   static constexpr std::string_view kBytes =
-      "0123456789 .-+eE;#=,\n\t\0xnaifcrshkdwup\xff";
+      "0123456789 .-+eE;#=,\n\t\0xnaifcrshkdwup\xff"sv;
+  static_assert(kBytes.size() == 38);
   static constexpr std::array<std::string_view, 12> kNumbers = {
       "nan", "1e300", "-0", "3x", "", "inf", "-1", "1e9",
       "1e-7", "2147483648", "0x10", "1000000000.000001"};

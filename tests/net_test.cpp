@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
+#include <tuple>
+#include <vector>
 
+#include "baselines/configs.hpp"
 #include "net/network.hpp"
 #include "net/packet_queue.hpp"
 
@@ -300,6 +304,75 @@ TEST(Network, ClearedBufferAdvertisementUnblocksImmediately) {
   net.stack(0).onFrameDecoded(clear);
   net.run(Duration::millis(500));
   EXPECT_GT(net.delivered(0), 50);
+}
+
+// Without congestion avoidance (the 802.11 and 2PP baselines) nothing
+// reads neighbors' buffer state, so frames carry no ads and a decoded ad
+// — even one clearing a "full" bit — is ignored: no cached state, no
+// wake-up of the MAC. A 3-node chain where node 2 overhears node 1 is run
+// twice, once with a full/clear ad pair injected at node 2 every 137 us;
+// apart from the injection events the two runs must be identical.
+TEST(Network, BufferStateAdsOnlyUnderCongestionAvoidance) {
+  NetworkConfig base;
+  base.seed = 25;
+  for (const NetworkConfig& cfg :
+       {baselines::config80211(base), baselines::config2pp(base)}) {
+    auto runChain = [&cfg](bool injectAds) {
+      Network net{chainTopo(3), cfg, {makeFlow(0, 0, 1, 1.0, 400.0)}};
+      sim::Simulator& sim = net.simulator();
+      std::uint64_t posted = 0;  // injection events
+      std::function<void()> inject = [&] {
+        phys::Frame ad;
+        ad.kind = phys::FrameKind::kAck;
+        ad.transmitter = 1;
+        ad.addressee = 0;
+        ad.bufferState = {phys::BufferStateAd{topo::kNoNode, true}};
+        net.stack(2).onFrameDecoded(ad);
+        ad.bufferState = {phys::BufferStateAd{topo::kNoNode, false}};
+        net.stack(2).onFrameDecoded(ad);
+        ++posted;
+        sim.post(Duration::micros(137), inject);
+      };
+      if (injectAds) {
+        ++posted;
+        sim.post(Duration::micros(137), inject);
+      }
+      net.run(Duration::seconds(1.0));
+      for (topo::NodeId n = 0; n < 3; ++n) {
+        EXPECT_TRUE(net.stack(n).currentBufferState().empty()) << "node " << n;
+      }
+      std::vector<mac::DcfCounters> macs;
+      for (topo::NodeId n = 0; n < 3; ++n) {
+        macs.push_back(net.macOf(n).counters());
+      }
+      return std::tuple{sim.scheduledEvents() - posted,
+                        sim.cancelledEvents(), net.delivered(0),
+                        net.framesDelivered(), macs};
+    };
+    const auto plain = runChain(false);
+    EXPECT_GT(std::get<2>(plain), 300);
+    EXPECT_EQ(runChain(true), plain);
+  }
+}
+
+TEST(Network, GmpBufferStateAdsInDestinationSlotOrder) {
+  // Congestion avoidance on (GMP): one ad per destination queue this
+  // node holds, in destination-slot order — they ride on every frame and
+  // their order is part of the deterministic replay.
+  NetworkConfig cfg = baselines::configGmp();
+  cfg.seed = 26;
+  Network net{chainTopo(5), cfg,
+              {makeFlow(0, 0, 4), makeFlow(1, 0, 2), makeFlow(2, 0, 3),
+               makeFlow(3, 0, 1)}};
+  net.run(Duration::seconds(1.0));
+  const std::vector<phys::BufferStateAd> ads =
+      net.stack(0).currentBufferState();
+  ASSERT_EQ(static_cast<int>(ads.size()), net.numDestinations());
+  for (int slot = 0; slot < net.numDestinations(); ++slot) {
+    EXPECT_EQ(ads[static_cast<std::size_t>(slot)].destination,
+              net.destination(slot))
+        << "slot " << slot;
+  }
 }
 
 TEST(Network, DuplicateSuppressionAccountsForLostAcks) {

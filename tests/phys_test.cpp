@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <queue>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "phys/frame_trace.hpp"
 
 #include "phys/medium.hpp"
+#include "sim/fault_plane.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -181,10 +187,10 @@ TEST(Medium, SimultaneousStartBothCorrupted) {
 }
 
 
-// Above the dense-adjacency threshold the corruption scan switches from
-// a word-wise AND over the packed cs row to per-cs-neighbor bit probes.
-// Both paths must produce identical deliveries, corruptions, and
-// busy/idle transitions on the same frame schedule.
+// The medium reads only the topology's CSR rows, so a topology built
+// with and without the packed adjacency matrices must produce identical
+// deliveries, corruptions, and busy/idle transitions on the same frame
+// schedule.
 TEST(Medium, SparseCorruptionScanMatchesDense) {
   Rng rng{314};
   std::vector<topo::Point> pts;
@@ -230,6 +236,392 @@ TEST(Medium, SparseCorruptionScanMatchesDense) {
     EXPECT_EQ(dense.radios[i].idleTransitions, sparse.radios[i].idleTransitions)
         << "node " << n;
   }
+}
+
+TEST(Medium, StartInsideBusyCallbackRejected) {
+  // Busy/idle callbacks run after the energy pass; a start from inside
+  // one would see a half-finished pass, so the medium refuses it.
+  struct Starter final : RadioListener {
+    Medium* medium = nullptr;
+    void onChannelBusy() override {
+      medium->startTransmission(makeFrame(1, 0, 50));
+    }
+    void onChannelIdle() override {}
+    void onFrameReceived(const Frame&) override {}
+    void onFrameCorrupted(const Frame&) override {}
+  };
+  sim::Simulator sim;
+  const auto topo = topo::Topology::fromPositions({{0, 0}, {200, 0}});
+  Medium medium{sim, topo};
+  RecordingRadio quiet;
+  Starter starter;
+  starter.medium = &medium;
+  medium.attachRadio(0, &quiet);
+  medium.attachRadio(1, &starter);
+  EXPECT_THROW(medium.startTransmission(makeFrame(0, 1, 50)),
+               InvariantViolation);
+}
+
+// --- reference model ---------------------------------------------------------
+//
+// A seeded script of starts and node crashes/recoveries is driven through
+// Medium and through a brute-force model that keeps every transmission's
+// interval in event order (start and finish event indices) and decides
+// each verdict and each busy/idle edge by scanning all intervals. The two
+// must agree entry for entry: deliveries, corruptions, and the global
+// order of busy/idle callbacks.
+
+struct ScriptStep {
+  std::int64_t atUs;
+  topo::NodeId from;
+  topo::NodeId to;
+  std::int64_t durationUs;
+};
+
+struct ReferenceScript {
+  std::vector<ScriptStep> steps;  // ascending atUs; ties run in list order
+  sim::FaultScript faults;        // crash/recover 5 us off the 10 us grid
+};
+
+/// Each script step schedules the step this many places after it.
+constexpr std::size_t kStepLookahead = 2;
+
+/// Parked radios (no busy/idle callbacks) in the reference runs.
+bool parkedInReference(topo::NodeId n) { return n % 7 == 3; }
+
+std::string logEntry(std::int64_t us, char kind, topo::NodeId node,
+                     topo::NodeId from = topo::kNoNode) {
+  std::ostringstream os;
+  os << "t=" << us << ' ' << kind << " at " << node;
+  if (from != topo::kNoNode) os << " from " << from;
+  return os.str();
+}
+
+ReferenceScript makeReferenceScript(const topo::Topology& topo,
+                                    std::uint64_t seed) {
+  Rng rng{seed};
+  const auto n = topo.numNodes();
+  auto randomNeighbor = [&](topo::NodeId a) {
+    const auto nb = topo.neighbors(a);
+    return nb.empty() ? topo::kNoNode
+                      : nb[static_cast<std::size_t>(rng.uniformInt(
+                            0, static_cast<std::int64_t>(nb.size()) - 1))];
+  };
+  ReferenceScript script;
+  auto crash = [&](topo::NodeId node, std::int64_t downUs, std::int64_t upUs) {
+    script.faults.events.push_back(sim::FaultEvent{
+        TimePoint::origin() + Duration::micros(downUs),
+        sim::FaultEvent::Kind::kNodeDown, node});
+    script.faults.events.push_back(sim::FaultEvent{
+        TimePoint::origin() + Duration::micros(upUs),
+        sim::FaultEvent::Kind::kNodeUp, node});
+  };
+
+  // Background traffic on a 10 us grid: same-instant starts (step 0),
+  // same-instant starts and finishes (grid-aligned durations), and a
+  // bias toward senders next to the previous one, which are often in
+  // the middle of receiving it.
+  std::int64_t t = 0;
+  topo::NodeId last = 0;
+  for (int i = 0; i < 1500; ++i) {
+    t += rng.chance(0.3) ? 0 : 10 * rng.uniformInt(1, 25);
+    topo::NodeId from = static_cast<topo::NodeId>(rng.uniformInt(0, n - 1));
+    if (rng.chance(0.4)) {
+      if (const topo::NodeId nb = randomNeighbor(last); nb != topo::kNoNode) {
+        from = nb;
+      }
+    }
+    script.steps.push_back(
+        ScriptStep{t, from, randomNeighbor(from), 10 * rng.uniformInt(1, 30)});
+    last = from;
+    if (rng.chance(0.03)) {
+      const auto node = static_cast<topo::NodeId>(rng.uniformInt(0, n - 1));
+      const std::int64_t down = t + 10 * rng.uniformInt(0, 20) + 5;
+      crash(node, down, down + 10 * rng.uniformInt(1, 20));
+    }
+  }
+  // Silent starts inside receptions: a receiver crashes, starts a null
+  // transmission, ends it and recovers while a long frame to it is still
+  // on the air. Such a start corrupts nothing: it radiates nothing.
+  for (int i = 0; i < 100; ++i) {
+    const std::int64_t at = 10 * rng.uniformInt(0, t / 10);
+    const auto a = static_cast<topo::NodeId>(rng.uniformInt(0, n - 1));
+    const topo::NodeId r = randomNeighbor(a);
+    if (r == topo::kNoNode) continue;
+    script.steps.push_back(ScriptStep{at, a, r, 400});
+    crash(r, at + 15, at + 95);
+    script.steps.push_back(ScriptStep{at + 20, r, a, 50});
+  }
+  std::stable_sort(script.steps.begin(), script.steps.end(),
+                   [](const ScriptStep& x, const ScriptStep& y) {
+                     return x.atUs < y.atUs;
+                   });
+  std::stable_sort(script.faults.events.begin(), script.faults.events.end(),
+                   [](const sim::FaultEvent& x, const sim::FaultEvent& y) {
+                     return x.at < y.at;
+                   });
+  return script;
+}
+
+/// What the model saw, to show the script exercised every interaction.
+struct ReferenceCoverage {
+  int sameInstantStarts = 0;
+  int finishThenStartSameInstant = 0;
+  int startThenFinishSameInstant = 0;
+  int receiverStartsMidReception = 0;
+  int silentStartInsideDelivery = 0;
+  int multiEdgePasses = 0;
+  int delivered = 0;
+  int corrupted = 0;
+};
+
+std::vector<std::string> runReferenceModel(const topo::Topology& topo,
+                                           const ReferenceScript& script,
+                                           ReferenceCoverage& cover) {
+  constexpr int kOpen = INT32_MAX;  // finish event not reached yet
+  struct Tx {
+    topo::NodeId from;
+    bool silent;
+    int startIdx;
+    int finishIdx;
+  };
+  struct Event {
+    std::int64_t atUs;
+    std::uint64_t seq;
+    int kind;  // 0 fault, 1 step, 2 finish
+    std::size_t ref;
+    bool operator>(const Event& o) const {
+      return atUs != o.atUs ? atUs > o.atUs : seq > o.seq;
+    }
+  };
+  const auto n = static_cast<std::size_t>(topo.numNodes());
+  std::vector<Tx> txs;
+  std::vector<int> sending(n, -1);  // tx index per node
+  std::vector<bool> up(n, true);
+  std::vector<std::string> log;
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+  std::uint64_t seq = 0;
+  // The real run schedules its faults first (FaultPlane::start), then
+  // the first two steps; every later step is scheduled two steps ahead,
+  // so a finish and a start at one instant come in either order.
+  for (std::size_t i = 0; i < script.faults.events.size(); ++i) {
+    const auto us =
+        (script.faults.events[i].at - TimePoint::origin()).asMicros();
+    queue.push(Event{us, seq++, 0, i});
+  }
+  for (std::size_t i = 0; i < kStepLookahead; ++i) {
+    queue.push(Event{script.steps[i].atUs, seq++, 1, i});
+  }
+
+  auto senses = [&](topo::NodeId v) {  // radiating transmissions heard at v
+    int count = 0;
+    for (const Tx& u : txs) {
+      if (!u.silent && u.finishIdx == kOpen && topo.inCsRange(u.from, v)) {
+        ++count;
+      }
+    }
+    return count;
+  };
+  auto lostAt = [&](const Tx& tx, topo::NodeId r) {
+    for (const Tx& u : txs) {
+      if (&u == &tx) continue;
+      const bool overlaps =
+          u.startIdx < tx.finishIdx && u.finishIdx > tx.startIdx;
+      if (!u.silent && overlaps && topo.inCsRange(u.from, r)) return true;
+      if (u.from != r) continue;
+      const bool atStart =
+          u.startIdx < tx.startIdx && u.finishIdx > tx.startIdx;
+      const bool atEnd =
+          u.startIdx < tx.finishIdx && u.finishIdx > tx.finishIdx;
+      const bool radiatedInside =
+          !u.silent && u.startIdx > tx.startIdx && u.startIdx < tx.finishIdx;
+      if (atStart || atEnd || radiatedInside) return true;
+    }
+    return false;
+  };
+
+  int eventIdx = 0;
+  std::int64_t lastStartUs = -1;
+  std::int64_t lastFinishUs = -1;
+  while (!queue.empty()) {
+    const Event e = queue.top();
+    queue.pop();
+    const int idx = eventIdx++;
+    if (e.kind == 0) {
+      const sim::FaultEvent& f = script.faults.events[e.ref];
+      up[static_cast<std::size_t>(f.node)] =
+          f.kind == sim::FaultEvent::Kind::kNodeUp;
+    } else if (e.kind == 1) {
+      const ScriptStep& step = script.steps[e.ref];
+      const auto s = static_cast<std::size_t>(step.from);
+      if (sending[s] < 0) {
+        if (lastStartUs == e.atUs) ++cover.sameInstantStarts;
+        if (lastFinishUs == e.atUs) ++cover.finishThenStartSameInstant;
+        lastStartUs = e.atUs;
+        const bool silent = !up[s];
+        for (const Tx& u : txs) {
+          if (!u.silent && u.finishIdx == kOpen &&
+              topo.areNeighbors(u.from, step.from)) {
+            ++cover.receiverStartsMidReception;
+            break;
+          }
+        }
+        sending[s] = static_cast<int>(txs.size());
+        txs.push_back(Tx{step.from, silent, idx, kOpen});
+        queue.push(Event{e.atUs + step.durationUs, seq++, 2,
+                         static_cast<std::size_t>(sending[s])});
+        if (!silent) {
+          int edges = 0;
+          for (const topo::NodeId v : topo.csNeighbors(step.from)) {
+            if (!parkedInReference(v) && senses(v) == 1) {
+              log.push_back(logEntry(e.atUs, 'B', v));
+              ++edges;
+            }
+          }
+          cover.multiEdgePasses += edges >= 2 ? 1 : 0;
+        }
+      }
+      if (const std::size_t next = e.ref + kStepLookahead;
+          next < script.steps.size()) {
+        queue.push(Event{script.steps[next].atUs, seq++, 1, next});
+      }
+    } else {
+      Tx& tx = txs[e.ref];
+      tx.finishIdx = idx;
+      sending[static_cast<std::size_t>(tx.from)] = -1;
+      if (lastStartUs == e.atUs) ++cover.startThenFinishSameInstant;
+      lastFinishUs = e.atUs;
+      if (tx.silent) continue;
+      for (const topo::NodeId v : topo.csNeighbors(tx.from)) {
+        if (!parkedInReference(v) && senses(v) == 0) {
+          log.push_back(logEntry(e.atUs, 'I', v));
+        }
+      }
+      for (const topo::NodeId r : topo.neighbors(tx.from)) {
+        if (!up[static_cast<std::size_t>(r)] ||
+            !up[static_cast<std::size_t>(tx.from)]) {
+          continue;  // suppressed: a down end hears nothing
+        }
+        const bool lost = lostAt(tx, r);
+        log.push_back(logEntry(e.atUs, lost ? 'C' : 'D', r, tx.from));
+        ++(lost ? cover.corrupted : cover.delivered);
+        if (lost) continue;
+        for (const Tx& u : txs) {
+          if (u.from == r && u.silent && u.startIdx > tx.startIdx &&
+              u.finishIdx < tx.finishIdx) {
+            ++cover.silentStartInsideDelivery;
+            break;
+          }
+        }
+      }
+    }
+  }
+  return log;
+}
+
+/// Logs, in arrival order, every callback the medium makes.
+class LoggingRadio final : public RadioListener {
+ public:
+  LoggingRadio(const sim::Simulator& sim, topo::NodeId self,
+               std::vector<std::string>& log)
+      : sim_{sim}, self_{self}, log_{log} {}
+  void onChannelBusy() override { log_.push_back(logEntry(now(), 'B', self_)); }
+  void onChannelIdle() override { log_.push_back(logEntry(now(), 'I', self_)); }
+  void onFrameReceived(const Frame& f) override {
+    log_.push_back(logEntry(now(), 'D', self_, f.transmitter));
+  }
+  void onFrameCorrupted(const Frame& f) override {
+    log_.push_back(logEntry(now(), 'C', self_, f.transmitter));
+  }
+
+ private:
+  std::int64_t now() const {
+    return (sim_.now() - TimePoint::origin()).asMicros();
+  }
+  const sim::Simulator& sim_;
+  topo::NodeId self_;
+  std::vector<std::string>& log_;
+};
+
+std::vector<std::string> runReferenceMedium(const topo::Topology& topo,
+                                            const ReferenceScript& script) {
+  sim::Simulator sim;
+  Medium medium{sim, topo};
+  std::vector<std::string> log;
+  std::vector<LoggingRadio> radios;
+  radios.reserve(static_cast<std::size_t>(topo.numNodes()));
+  for (topo::NodeId v = 0; v < topo.numNodes(); ++v) {
+    radios.emplace_back(sim, v, log);
+    medium.attachRadio(v, &radios.back());
+    if (parkedInReference(v)) medium.setListening(v, false);
+  }
+  sim::FaultPlane plane{sim, topo.numNodes(), script.faults, Rng{1}};
+  medium.setFaultPlane(&plane);
+  plane.start();
+
+  std::function<void(std::size_t)> runStep = [&](std::size_t i) {
+    const ScriptStep& step = script.steps[i];
+    if (!medium.isTransmitting(step.from)) {
+      medium.startTransmission(makeFrame(step.from, step.to, step.durationUs));
+    }
+    if (const std::size_t next = i + kStepLookahead;
+        next < script.steps.size()) {
+      sim.post(Duration::micros(script.steps[next].atUs - step.atUs),
+               [&runStep, next] { runStep(next); });
+    }
+  };
+  for (std::size_t i = 0; i < kStepLookahead; ++i) {
+    sim.post(Duration::micros(script.steps[i].atUs),
+             [&runStep, i] { runStep(i); });
+  }
+  sim.run();
+  return log;
+}
+
+TEST(Medium, MatchesBruteForceIntervalModel) {
+  ReferenceCoverage cover;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng placement{seed};
+    std::vector<topo::Point> pts;
+    for (int i = 0; i < 30; ++i) {
+      pts.push_back(
+          {placement.uniformReal(0, 1100), placement.uniformReal(0, 1100)});
+    }
+    const auto dense = topo::Topology::fromPositions(pts);
+    const auto sparse =
+        topo::Topology::fromPositions(pts, {}, topo::TopologyOptions{0});
+    ASSERT_TRUE(dense.hasDenseAdjacency());
+    ASSERT_FALSE(sparse.hasDenseAdjacency());
+
+    const ReferenceScript script = makeReferenceScript(dense, seed);
+    const std::vector<std::string> expected =
+        runReferenceModel(dense, script, cover);
+    for (const topo::Topology* topo : {&dense, &sparse}) {
+      const std::vector<std::string> actual = runReferenceMedium(*topo, script);
+      const std::size_t common = std::min(actual.size(), expected.size());
+      const auto diverge = static_cast<std::size_t>(
+          std::mismatch(actual.begin(), actual.begin() + common,
+                        expected.begin())
+              .first -
+          actual.begin());
+      const char* name = topo == &dense ? "dense" : "sparse";
+      ASSERT_EQ(diverge, common)
+          << name << " #" << diverge << ": medium says '" << actual[diverge]
+          << "', model says '" << expected[diverge] << "'";
+      ASSERT_EQ(actual.size(), expected.size()) << name;
+    }
+  }
+  // The scripts reach every interaction the epoch rule and the deferred
+  // edge callbacks have to get right.
+  EXPECT_GT(cover.sameInstantStarts, 0);
+  EXPECT_GT(cover.finishThenStartSameInstant, 0);
+  EXPECT_GT(cover.startThenFinishSameInstant, 0);
+  EXPECT_GT(cover.receiverStartsMidReception, 0);
+  EXPECT_GT(cover.silentStartInsideDelivery, 0);
+  EXPECT_GT(cover.multiEdgePasses, 0);
+  EXPECT_GT(cover.delivered, 0);
+  EXPECT_GT(cover.corrupted, 0);
 }
 
 TEST(FrameTrace, RecordsAllEventKindsAndLinkStats) {

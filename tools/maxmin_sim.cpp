@@ -211,6 +211,11 @@ Options parse(int argc, char** argv) {
       o.metrics = true;
     } else if (arg == "--chaos") {
       o.chaos = parseNumber<int>(arg, value());
+      if (o.chaos < 0) {
+        std::cerr << "--chaos expects 0 (off) or a schedule count, got "
+                  << o.chaos << '\n';
+        std::exit(2);
+      }
     } else if (arg == "--chaos-horizon") {
       o.chaosHorizon = parseNumber<double>(arg, value());
     } else if (arg == "--chaos-heal") {
