@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "baselines/configs.hpp"
@@ -15,6 +16,7 @@
 #include "phys/medium.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "topology/topology.hpp"
 #include "util/rng.hpp"
 
@@ -51,12 +53,29 @@ struct Harness {
         radios(static_cast<std::size_t>(topo.numNodes())) {
     for (topo::NodeId n = 0; n < topo.numNodes(); ++n) {
       medium.attachRadio(n, &radios[static_cast<std::size_t>(n)]);
+      starters.emplace_back(*this, n);
     }
   }
+  /// Start node `s`'s 100 us frame `delay` from now.
+  void startAfter(topo::NodeId s, Duration delay) {
+    starters[static_cast<std::size_t>(s)].timer.arm(delay);
+  }
+
+  /// Starts one node's frame when it fires.
+  struct Starter {
+    Starter(Harness& h, topo::NodeId n)
+        : harness{&h}, node{n}, timer{h.sim, sim::bind<&Starter::fire>(this)} {}
+    void fire() { harness->medium.startTransmission(dataFrame(node, 100)); }
+    Harness* harness;
+    topo::NodeId node;
+    sim::Timer timer;
+  };
+
   sim::Simulator sim;
   topo::Topology topo;
   phys::Medium medium;
   std::vector<CountingRadio> radios;
+  std::deque<Starter> starters;  ///< by node; timers must not move
 };
 
 /// Staggered start/finish churn: every node transmits one 100 us frame at
@@ -74,8 +93,7 @@ void BM_MediumStartFinish(benchmark::State& state) {
   for (auto _ : state) {
     for (int round = 0; round < kRounds; ++round) {
       for (topo::NodeId s = 0; s < h.topo.numNodes(); ++s) {
-        h.sim.post(Duration::micros(rng.uniformInt(0, 400)),
-                   [&h, s] { h.medium.startTransmission(dataFrame(s, 100)); });
+        h.startAfter(s, Duration::micros(rng.uniformInt(0, 400)));
       }
       h.sim.run();
       frames += h.topo.numNodes();
@@ -215,8 +233,7 @@ void BM_MediumSparseStartFinish(benchmark::State& state) {
   for (auto _ : state) {
     for (int round = 0; round < kRounds; ++round) {
       for (topo::NodeId s = 0; s < h.topo.numNodes(); ++s) {
-        h.sim.post(Duration::micros(rng.uniformInt(0, 400)),
-                   [&h, s] { h.medium.startTransmission(dataFrame(s, 100)); });
+        h.startAfter(s, Duration::micros(rng.uniformInt(0, 400)));
       }
       h.sim.run();
       frames += h.topo.numNodes();

@@ -5,8 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <deque>
 #include <vector>
 
 #include "analysis/maxmin_solver.hpp"
@@ -26,68 +25,99 @@ namespace {
 
 using namespace maxmin;
 
-void BM_EventQueueScheduleRun(benchmark::State& state) {
+// The kernel benches: every event is a sim::Timer firing, as in a real
+// run. Timers are built before timing starts; a firing costs what it
+// costs in the simulator (arm, heap push/pop, one bound call).
+
+/// Callback that counts firings into `fired`.
+sim::Callback countInto(std::int64_t& fired) {
+  return {[](void* p) { ++*static_cast<std::int64_t*>(p); }, &fired};
+}
+
+/// A timer that re-arms itself a random 1..maxDelayUs out until its
+/// chain's budget of firings is spent: the steady-state shape of a
+/// running simulation (timers re-arming, frames chaining).
+struct ChainTimer {
+  struct Chain {
+    Rng rng;
+    std::int64_t maxDelayUs;
+    std::int64_t budget;  ///< firings still to arm
+    std::int64_t fired = 0;
+    std::size_t maxKeys = 0;  ///< queue size, sampled every 1024 firings
+  };
+  ChainTimer(sim::Simulator& s, Chain& c)
+      : sim{&s}, chain{&c}, timer{s, sim::bind<&ChainTimer::fire>(this)} {}
+  void arm() {
+    if (chain->budget <= 0) return;
+    --chain->budget;
+    timer.arm(Duration::micros(chain->rng.uniformInt(1, chain->maxDelayUs)));
+  }
+  void fire() {
+    if ((++chain->fired & 1023) == 0) {
+      chain->maxKeys = std::max(chain->maxKeys, sim->pendingEvents());
+    }
+    arm();
+  }
+  sim::Simulator* sim;
+  Chain* chain;
+  sim::Timer timer;
+};
+
+void BM_TimerQueueArmRun(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
+  sim::Simulator sim;
+  std::int64_t fired = 0;
+  std::deque<sim::Timer> timers;
+  for (int i = 0; i < n; ++i) timers.emplace_back(sim, countInto(fired));
+  Rng rng{42};
   for (auto _ : state) {
-    sim::Simulator sim;
-    Rng rng{42};
-    int fired = 0;
-    for (int i = 0; i < n; ++i) {
-      sim.post(Duration::micros(rng.uniformInt(0, 1000000)),
-                   [&fired] { ++fired; });
+    for (sim::Timer& t : timers) {
+      t.arm(Duration::micros(rng.uniformInt(0, 1000000)));
     }
     sim.run();
     benchmark::DoNotOptimize(fired);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_TimerQueueArmRun)->Arg(1000)->Arg(100000);
 
-// Steady-state churn: a fixed population of pending events where every
-// firing schedules a successor — the actual workload shape of a running
-// simulation (timers re-arming, frames chaining), as opposed to the
-// bulk-load-then-drain shape above.
-void BM_EventQueueSteadyState(benchmark::State& state) {
+// Steady-state churn: a fixed population of pending timers where every
+// firing re-arms its timer — as opposed to the bulk-arm-then-drain shape
+// above.
+void BM_TimerQueueSteadyState(benchmark::State& state) {
   const auto population = static_cast<int>(state.range(0));
-  constexpr int kFiresPerIter = 20000;
+  constexpr std::int64_t kFiresPerIter = 20000;
   for (auto _ : state) {
     state.PauseTiming();
     sim::Simulator sim;
-    Rng rng{7};
-    std::int64_t fired = 0;
-    std::function<void()> chain = [&] {
-      ++fired;
-      if (fired + static_cast<std::int64_t>(sim.pendingEvents()) <
-          kFiresPerIter) {
-        sim.post(Duration::micros(rng.uniformInt(1, 10000)), [&] {
-          chain();
-        });
-      }
-    };
-    for (int i = 0; i < population; ++i) {
-      sim.post(Duration::micros(rng.uniformInt(1, 10000)),
-                   [&] { chain(); });
-    }
+    ChainTimer::Chain chain{Rng{7}, 10000, kFiresPerIter};
+    std::deque<ChainTimer> timers;
+    for (int i = 0; i < population; ++i) timers.emplace_back(sim, chain).arm();
     state.ResumeTiming();
     sim.run();
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(chain.fired);
   }
   state.SetItemsProcessed(state.iterations() * kFiresPerIter);
 }
-BENCHMARK(BM_EventQueueSteadyState)->Arg(100)->Arg(10000);
+BENCHMARK(BM_TimerQueueSteadyState)->Arg(100)->Arg(10000);
 
-// Same-instant bursts: many events at identical timestamps (period
+// Same-instant bursts: many timers due at identical timestamps (period
 // boundaries in GMP fire every node's window close at once); stresses
 // FIFO tie-breaking on seq in the heap.
-void BM_EventQueueSameInstantBursts(benchmark::State& state) {
+void BM_TimerQueueSameInstantBursts(benchmark::State& state) {
   constexpr int kBursts = 100;
   constexpr int kPerBurst = 100;
+  sim::Simulator sim;
+  std::int64_t fired = 0;
+  std::deque<sim::Timer> timers;
+  for (int i = 0; i < kBursts * kPerBurst; ++i) {
+    timers.emplace_back(sim, countInto(fired));
+  }
   for (auto _ : state) {
-    sim::Simulator sim;
-    int fired = 0;
     for (int b = 0; b < kBursts; ++b) {
       for (int i = 0; i < kPerBurst; ++i) {
-        sim.post(Duration::millis(b), [&fired] { ++fired; });
+        timers[static_cast<std::size_t>(b * kPerBurst + i)].arm(
+            Duration::millis(b));
       }
     }
     sim.run();
@@ -95,84 +125,91 @@ void BM_EventQueueSameInstantBursts(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kBursts * kPerBurst);
 }
-BENCHMARK(BM_EventQueueSameInstantBursts);
+BENCHMARK(BM_TimerQueueSameInstantBursts);
 
-void BM_EventCancellation(benchmark::State& state) {
+void BM_TimerCancellation(benchmark::State& state) {
+  constexpr int kTimers = 10000;
+  sim::Simulator sim;
+  std::int64_t fired = 0;
+  std::deque<sim::Timer> timers;
+  for (int i = 0; i < kTimers; ++i) timers.emplace_back(sim, countInto(fired));
   for (auto _ : state) {
-    sim::Simulator sim;
-    std::vector<sim::EventId> ids;
-    ids.reserve(10000);
-    for (int i = 0; i < 10000; ++i) {
-      ids.push_back(sim.schedule(Duration::micros(i + 1), [] {}));
+    for (int i = 0; i < kTimers; ++i) {
+      timers[static_cast<std::size_t>(i)].arm(Duration::micros(i + 1));
     }
-    for (std::size_t i = 0; i < ids.size(); i += 2) sim.cancel(ids[i]);
+    for (int i = 0; i < kTimers; i += 2) {
+      timers[static_cast<std::size_t>(i)].cancel();
+    }
     sim.run();
+    benchmark::DoNotOptimize(fired);
   }
-  state.SetItemsProcessed(state.iterations() * 10000);
+  state.SetItemsProcessed(state.iterations() * kTimers);
 }
-BENCHMARK(BM_EventCancellation);
+BENCHMARK(BM_TimerCancellation);
 
 // Re-arm-later churn: the DCF wake / NodeStack hold-retry shape, where a
 // pending deadline is pushed out again and again before it fires. Each
 // 1 us driver tick re-arms one of 8 timers to 50-100 us out — usually
 // later than its pending deadline, so most arms are deferred re-arms.
+struct RearmDriver {
+  static constexpr int kTimers = 8;
+  static constexpr int kTicks = 20000;
+  explicit RearmDriver(sim::Simulator& sim)
+      : tick{sim, sim::bind<&RearmDriver::onTick>(this)} {
+    for (int i = 0; i < kTimers; ++i) {
+      timers.emplace_back(sim, countInto(fired));
+    }
+  }
+  void onTick() {
+    timers[static_cast<std::size_t>(rng.uniformInt(0, kTimers - 1))].arm(
+        Duration::micros(rng.uniformInt(50, 100)));
+    if (++ticks < kTicks) tick.arm(Duration::micros(1));
+  }
+  Rng rng{3};
+  int ticks = 0;
+  std::int64_t fired = 0;
+  std::deque<sim::Timer> timers;
+  sim::Timer tick;
+};
+
 void BM_TimerRearm(benchmark::State& state) {
-  constexpr int kTimers = 8;
-  constexpr int kTicks = 20000;
   for (auto _ : state) {
     state.PauseTiming();
     sim::Simulator sim;
-    std::vector<std::unique_ptr<sim::Timer>> timers;
-    for (int i = 0; i < kTimers; ++i) {
-      timers.push_back(std::make_unique<sim::Timer>(sim));
-    }
-    Rng rng{3};
-    int ticks = 0;
-    std::int64_t fired = 0;
-    std::function<void()> tick = [&] {
-      sim::Timer& t =
-          *timers[static_cast<std::size_t>(rng.uniformInt(0, kTimers - 1))];
-      t.arm(Duration::micros(rng.uniformInt(50, 100)), [&fired] { ++fired; });
-      if (++ticks < kTicks) sim.post(Duration::micros(1), [&] { tick(); });
-    };
-    sim.post(Duration::zero(), [&] { tick(); });
+    RearmDriver driver{sim};
+    driver.tick.arm(Duration::zero());
     state.ResumeTiming();
     sim.run();
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(driver.fired);
   }
-  state.SetItemsProcessed(state.iterations() * kTicks);
+  state.SetItemsProcessed(state.iterations() * RearmDriver::kTicks);
 }
 BENCHMARK(BM_TimerRearm);
 
-// One long stretch behind a far sentinel: 10^6 events with 64 pending
-// pass through the queue. The max_queued_keys counter (sampled every 1024
-// events) shows the queue stays sized by its pending keys, not by
-// everything it has popped.
-void BM_EventQueueLongRun(benchmark::State& state) {
-  constexpr std::int64_t kLive = 64;
+// One long stretch behind a far sentinel: 10^6 firings of 64 self-re-
+// arming timers pass through the queue. The max_queued_keys counter
+// (sampled every 1024 firings) shows the queue stays sized by its
+// pending keys, not by everything it has popped.
+void BM_TimerQueueLongRun(benchmark::State& state) {
+  constexpr int kLive = 64;
   constexpr std::int64_t kEvents = 1'000'000;
   std::size_t maxKeys = 0;
   for (auto _ : state) {
     sim::Simulator sim;
-    sim.post(Duration::seconds(1000.0), [] {});
-    std::int64_t fired = 0;
-    std::function<void()> tick = [&] {
-      ++fired;
-      if ((fired & 1023) == 0) maxKeys = std::max(maxKeys, sim.queuedKeys());
-      if (fired + kLive <= kEvents) {
-        sim.post(Duration::micros(1 + fired % 7), [&] { tick(); });
-      }
-    };
-    for (std::int64_t i = 0; i < kLive; ++i) {
-      sim.post(Duration::micros(i), [&] { tick(); });
-    }
+    std::int64_t sentinelFired = 0;
+    sim::Timer sentinel{sim, countInto(sentinelFired)};
+    sentinel.arm(Duration::seconds(1000.0));
+    ChainTimer::Chain chain{Rng{5}, 7, kEvents};
+    std::deque<ChainTimer> timers;
+    for (int i = 0; i < kLive; ++i) timers.emplace_back(sim, chain).arm();
     sim.runUntil(TimePoint{} + Duration::seconds(100.0));
-    benchmark::DoNotOptimize(fired);
+    maxKeys = std::max(maxKeys, chain.maxKeys);
+    benchmark::DoNotOptimize(chain.fired);
   }
   state.SetItemsProcessed(state.iterations() * kEvents);
   state.counters["max_queued_keys"] = static_cast<double>(maxKeys);
 }
-BENCHMARK(BM_EventQueueLongRun);
+BENCHMARK(BM_TimerQueueLongRun);
 
 scenarios::Scenario meshScenario(int nodes) {
   return scenarios::randomMesh(99, nodes, 250.0 * nodes / 4, 4);

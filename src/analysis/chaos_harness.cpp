@@ -31,8 +31,8 @@ struct QuiescenceTracker final : sim::FaultListener {
   }
 };
 
-/// Everything the per-period timers need, reachable through one pointer
-/// (EventFn's 48-byte inline budget rules out fat captures).
+/// Everything the per-period timers need, reachable through the one
+/// context pointer a timer callback carries.
 struct HarnessCtx {
   net::Network* net = nullptr;
   const topo::Topology* topo = nullptr;
@@ -154,15 +154,14 @@ ChaosOutcome runChaosSchedule(const scenarios::Scenario& scenario,
   ctx.grace = Duration::seconds(params.coverageGraceSeconds);
   ctx.coverage = &out.coverageByPeriod;
   ctx.coverageViolations = &out.coverageViolations;
-  HarnessCtx* ctxPtr = &ctx;
 
   const Duration period = params.gmp.period;
-  sim::PeriodicTimer pump{net.simulator()};
-  pump.start(Duration::micros(period.asMicros() / 2), period,
-             [ctxPtr] { ctxPtr->pumpAnnouncements(); });
-  sim::PeriodicTimer probe{net.simulator()};
-  probe.start(period + Duration::millis(1), period,
-              [ctxPtr] { ctxPtr->probeCoverage(); });
+  sim::PeriodicTimer pump{net.simulator(),
+                          sim::bind<&HarnessCtx::pumpAnnouncements>(&ctx)};
+  pump.start(Duration::micros(period.asMicros() / 2), period);
+  sim::PeriodicTimer probe{net.simulator(),
+                           sim::bind<&HarnessCtx::probeCoverage>(&ctx)};
+  probe.start(period + Duration::millis(1), period);
 
   const auto t0 = net.snapshotDeliveries();
   net.run(Duration::seconds(params.horizonSeconds));

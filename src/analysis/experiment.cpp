@@ -111,7 +111,6 @@ RunMetrics collectMetrics(net::Network& net,
   m.eventsExecuted = sim.executedEvents();
   m.eventsCancelled = sim.cancelledEvents();
   m.maxPendingEvents = sim.maxPendingEvents();
-  m.queueCompactions = sim.compactions();
   m.framesDelivered = net.framesDelivered();
   m.framesCorrupted = net.framesCorrupted();
   m.framesSuppressed = net.framesSuppressed();

@@ -76,7 +76,6 @@ struct RunMetrics {
   std::uint64_t eventsExecuted = 0;   ///< callbacks run
   std::uint64_t eventsCancelled = 0;  ///< pending events cancelled
   std::uint64_t maxPendingEvents = 0;
-  std::uint64_t queueCompactions = 0;  ///< tombstone sweeps
 
   std::uint64_t framesDelivered = 0;  ///< receptions decoded
   std::uint64_t framesCorrupted = 0;  ///< receptions lost to collisions
@@ -120,7 +119,6 @@ void forEachMetric(const RunMetrics& m, F&& f) {
   emit("events.executed", m.eventsExecuted);
   emit("events.cancelled", m.eventsCancelled);
   emit("events.pending_max", m.maxPendingEvents);
-  emit("events.compactions", m.queueCompactions);
   emit("phys.frames_delivered", m.framesDelivered);
   emit("phys.frames_corrupted", m.framesCorrupted);
   emit("phys.frames_impaired", m.framesImpaired);

@@ -17,8 +17,9 @@ Controller::Controller(net::Network& net, GmpParams params)
       contention_{topo::ContentionStructure::build(net.topology(),
                                                    net.activeLinks())},
       engine_{contention_, params},
-      timer_{net.simulator()},
-      assembleTimer_{net.simulator()} {
+      timer_{net.simulator(), sim::bind<&Controller::tick>(this)},
+      assembleTimer_{net.simulator(),
+                     sim::bind<&Controller::assembleSkewedClose>(this)} {
   MAXMIN_CHECK_MSG(net.config().discipline ==
                        net::QueueDiscipline::kPerDestination,
                    "GMP requires per-destination queueing (paper §5.1)");
@@ -36,7 +37,7 @@ Controller::Controller(net::Network& net, GmpParams params)
 }
 
 void Controller::start() {
-  timer_.start(params_.period, [this] { tick(); });
+  timer_.start(params_.period);
 }
 
 std::size_t Controller::cachedMeasurements() const {
@@ -287,8 +288,9 @@ void Controller::beginSkewedClose(const sim::FaultPlane& faults) {
   const int n = net_.topology().numNodes();
   pendingMeas_.assign(static_cast<std::size_t>(n),
                       net::NodePeriodMeasurement{});
-  while (static_cast<int>(skewTimers_.size()) < n) {
-    skewTimers_.push_back(std::make_unique<sim::Timer>(net_.simulator()));
+  while (static_cast<int>(skewCloses_.size()) < n) {
+    skewCloses_.emplace_back(*this,
+                             static_cast<topo::NodeId>(skewCloses_.size()));
   }
   for (topo::NodeId node = 0; node < n; ++node) {
     const Duration skew = faults.clockSkew(node);
@@ -296,17 +298,21 @@ void Controller::beginSkewedClose(const sim::FaultPlane& faults) {
       pendingMeas_[static_cast<std::size_t>(node)] =
           net_.closeMeasurementWindow(node);
     } else {
-      skewTimers_[static_cast<std::size_t>(node)]->arm(skew, [this, node] {
-        pendingMeas_[static_cast<std::size_t>(node)] =
-            net_.closeMeasurementWindow(node);
-      });
+      skewCloses_[static_cast<std::size_t>(node)].timer.arm(skew);
     }
   }
-  assembleTimer_.arm(maxSkew + Duration::millis(1), [this] {
-    Snapshot snap = assembleSnapshot(pendingMeas_);
-    pendingMeas_.clear();
-    finishPeriod(std::move(snap));
-  });
+  assembleTimer_.arm(maxSkew + Duration::millis(1));
+}
+
+void Controller::SkewClose::fire() {
+  owner->pendingMeas_[static_cast<std::size_t>(node)] =
+      owner->net_.closeMeasurementWindow(node);
+}
+
+void Controller::assembleSkewedClose() {
+  Snapshot snap = assembleSnapshot(pendingMeas_);
+  pendingMeas_.clear();
+  finishPeriod(std::move(snap));
 }
 
 void Controller::finishPeriod(Snapshot snapshot) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -39,7 +40,7 @@ class Controller {
   void stop() {
     timer_.stop();
     assembleTimer_.cancel();
-    for (auto& t : skewTimers_) t->cancel();
+    for (SkewClose& c : skewCloses_) c.timer.cancel();
   }
 
   [[nodiscard]] int periodsRun() const { return periods_; }
@@ -112,6 +113,20 @@ class Controller {
   void tick();
   /// Stagger each node's window close by its clock skew, then assemble.
   void beginSkewedClose(const sim::FaultPlane& faults);
+  /// After the last skewed close: assemble the snapshot and decide.
+  void assembleSkewedClose();
+  /// One node's skewed window close.
+  struct SkewClose {
+    SkewClose(Controller& c, topo::NodeId n)
+        : owner{&c},
+          node{n},
+          timer{c.net_.simulator(), sim::bind<&SkewClose::fire>(this)} {}
+    void fire();
+
+    Controller* owner;
+    topo::NodeId node;
+    sim::Timer timer;
+  };
   /// Build the Snapshot from per-node measurements (indexed by NodeId,
   /// each with its own period length), substituting cached values for
   /// nodes without a usable window and marking expired ones stale.
@@ -129,7 +144,7 @@ class Controller {
   Engine engine_;
   sim::PeriodicTimer timer_;
   sim::Timer assembleTimer_;
-  std::vector<std::unique_ptr<sim::Timer>> skewTimers_;
+  std::deque<SkewClose> skewCloses_;  ///< by node; timers must not move
   obs::TraceSink* trace_ = nullptr;
   std::function<void(const Snapshot&, int)> periodHook_;
 

@@ -155,12 +155,11 @@ void LinkStateDissemination::announce(topo::NodeId origin,
     const auto expected = expectedEchoes(origin);
     if (!expected.empty()) {
       const PendingKey key{origin, msg->seq};
-      PendingAck& p = pending_[key];
+      PendingAck& p = pending_.try_emplace(key, *this, key).first->second;
       p.msg = msg;
       p.attempts = 0;
       p.acked.clear();
       p.wait = reliability_->ackTimeout;
-      if (!p.timer) p.timer = std::make_unique<sim::Timer>(net_.simulator());
       armPendingTimer(key);
     }
   }
@@ -173,7 +172,7 @@ void LinkStateDissemination::armPendingTimer(const PendingKey& key) {
   const double jitter =
       1.0 + reliability_->jitterFrac * rng_->uniformReal(0.0, 1.0);
   const Duration wait = Duration::seconds(p.wait.asSeconds() * jitter);
-  p.timer->arm(wait, [this, key] { onAckTimeout(key); });
+  p.timer.arm(wait);
 }
 
 void LinkStateDissemination::onAckTimeout(const PendingKey& key) {

@@ -184,14 +184,23 @@ class LinkStateDissemination final : public sim::FaultListener {
   };
 
   /// One announcement awaiting implicit acks at its origin.
+  using PendingKey = std::pair<topo::NodeId, std::int64_t>;
   struct PendingAck {
+    PendingAck(LinkStateDissemination& d, const PendingKey& k)
+        : owner{&d},
+          key{k},
+          timer{d.net_.simulator(), sim::bind<&PendingAck::fire>(this)} {}
+    /// By copy: the timeout may erase this entry.
+    void fire() { owner->onAckTimeout(PendingKey{key}); }
+
+    LinkStateDissemination* owner;
+    PendingKey key;
     std::shared_ptr<const LinkStateMessage> msg;
     std::set<topo::NodeId> acked;
     int attempts = 0;
     Duration wait = Duration::zero();
-    std::unique_ptr<sim::Timer> timer;
+    sim::Timer timer;  ///< the retransmit backoff
   };
-  using PendingKey = std::pair<topo::NodeId, std::int64_t>;
 
   [[nodiscard]] bool nodeAlive(topo::NodeId n) const;
   [[nodiscard]] bool linkAlive(topo::NodeId a, topo::NodeId b) const;

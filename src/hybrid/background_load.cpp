@@ -37,14 +37,11 @@ void BackgroundLoad::addSender(topo::NodeId node) {
   for (const Source& s : sources_) {
     if (s.node == node) return;
   }
-  Source s;
-  s.node = node;
+  Source& s = sources_.emplace_back(*this, node);
   s.reach.push_back(node);
   for (const topo::NodeId nb : net_.topology().csNeighbors(node)) {
     s.reach.push_back(nb);
   }
-  s.timer = std::make_unique<sim::Timer>(net_.simulator());
-  sources_.push_back(std::move(s));
 }
 
 void BackgroundLoad::setSenderRate(topo::NodeId node, double pps) {
@@ -53,10 +50,10 @@ void BackgroundLoad::setSenderRate(topo::NodeId node, double pps) {
     if (s.node != node) continue;
     const bool wasParked = s.pps < kMinRatePps;
     s.pps = pps;
-    if (running_ && wasParked && pps >= kMinRatePps && !s.timer->pending()) {
+    if (running_ && wasParked && pps >= kMinRatePps && !s.timer.pending()) {
       const Duration iv = interval(s);
       s.due = net_.simulator().now() + iv;
-      arm(s, iv);
+      s.timer.arm(iv);
     }
     return;
   }
@@ -69,11 +66,6 @@ Duration BackgroundLoad::interval(const Source& s) const {
   // exceeds the channel even transiently.
   return std::max(perPacket_ * batch_,
                   Duration::seconds(batch_ / s.pps));
-}
-
-void BackgroundLoad::arm(Source& s, Duration delay) {
-  Source* sp = &s;
-  s.timer->arm(delay, [this, sp] { fire(*sp); });
 }
 
 void BackgroundLoad::fire(Source& s) {
@@ -112,7 +104,7 @@ void BackgroundLoad::fire(Source& s) {
         until > now ? until - now
                     : std::max(Duration::micros(1), perPacket_ * batch_ / 4);
     s.countdownStart = now + clear + mp.difs();
-    arm(s, clear + mp.difs() + mp.slotTime * s.backoffSlots);
+    s.timer.arm(clear + mp.difs() + mp.slotTime * s.backoffSlots);
     return;
   }
   for (const topo::NodeId t : s.reach) {
@@ -127,7 +119,7 @@ void BackgroundLoad::fire(Source& s) {
   const TimePoint floor = now - iv * kMaxDebtBursts;
   if (next < floor) next = floor;
   s.due = next;
-  arm(s, next > now ? next - now : Duration::micros(1));
+  s.timer.arm(next > now ? next - now : Duration::micros(1));
 }
 
 void BackgroundLoad::start() {
@@ -140,13 +132,13 @@ void BackgroundLoad::start() {
         std::max(Duration::micros(1),
                  Duration::seconds(iv.asSeconds() * phaseOf(s.node)));
     s.due = net_.simulator().now() + delay;
-    arm(s, delay);
+    s.timer.arm(delay);
   }
 }
 
 void BackgroundLoad::stop() {
   running_ = false;
-  for (Source& s : sources_) s.timer->cancel();
+  for (Source& s : sources_) s.timer.cancel();
 }
 
 }  // namespace maxmin::hybrid

@@ -26,7 +26,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <vector>
 
 #include "net/network.hpp"
@@ -60,7 +60,14 @@ class BackgroundLoad {
 
  private:
   struct Source {
-    topo::NodeId node = topo::kNoNode;
+    Source(BackgroundLoad& load, topo::NodeId n)
+        : owner{&load},
+          node{n},
+          timer{load.net_.simulator(), sim::bind<&Source::fire>(this)} {}
+    void fire() { owner->fire(*this); }
+
+    BackgroundLoad* owner;
+    topo::NodeId node;
     double pps = 0.0;
     /// This sender plus everything in its carrier-sense range: the MACs
     /// that defer while the phantom packet is on the air.
@@ -72,17 +79,17 @@ class BackgroundLoad {
     /// being redrawn, and -1 means no countdown is pending.
     int backoffSlots = -1;
     TimePoint countdownStart;  ///< when the armed countdown cleared DIFS
-    std::unique_ptr<sim::Timer> timer;
+    sim::Timer timer;  ///< the next emission (or contention retry)
   };
 
   [[nodiscard]] Duration interval(const Source& s) const;
   void fire(Source& s);
-  void arm(Source& s, Duration delay);
 
   net::Network& net_;
   const Duration perPacket_;
   const int batch_;
-  std::vector<Source> sources_;  ///< ordered by registration
+  /// Ordered by registration. A deque: timers must not move.
+  std::deque<Source> sources_;
   bool running_ = false;
   std::int64_t bursts_ = 0;
 };

@@ -30,12 +30,12 @@ Dcf::Dcf(sim::Simulator& sim, phys::Medium& medium, topo::NodeId self,
       client_{client},
       params_{params},
       rng_{rng},
-      wakeTimer_{sim},
-      accessTimer_{sim},
+      wakeTimer_{sim, sim::bind<&Dcf::onWake>(this)},
+      accessTimer_{sim, sim::bind<&Dcf::accessGranted>(this)},
       cw_{params.cwMin},
-      txEndTimer_{sim},
-      responseTimeout_{sim},
-      responderTimer_{sim} {
+      txEndTimer_{sim, sim::bind<&Dcf::onTxEndTimer>(this)},
+      responseTimeout_{sim, sim::bind<&Dcf::onResponseTimeout>(this)},
+      responderTimer_{sim, sim::bind<&Dcf::onResponderTimer>(this)} {
   medium_.attachRadio(self_, this);
 }
 
@@ -73,7 +73,7 @@ void Dcf::occupyChannel(Duration busyFor) {
   navEnd_ = std::max(navEnd_, sim_.now() + busyFor);
   // Lazy wake: if a wake is already pending it was armed for an earlier
   // (or equal) deadline, and its callback chains armWakeTimer() to cover
-  // the extension — re-arming here would churn one tombstoned event per
+  // the extension — re-arming here would add one deferral hop per
   // phantom burst per reached node, the dominant event-queue cost of
   // hybrid runs.
   if (!wakeTimer_.pending()) armWakeTimer();
@@ -109,11 +109,13 @@ void Dcf::armWakeTimer() {
     // wake was pending (occupyChannel's lazy path). When nothing was
     // extended, wake == now at fire time and the chain no-ops, so
     // non-hybrid runs schedule exactly the events they always did.
-    wakeTimer_.arm(wake - sim_.now(), [this] {
-      refreshChannelState();
-      armWakeTimer();
-    });
+    wakeTimer_.arm(wake - sim_.now());
   }
+}
+
+void Dcf::onWake() {
+  refreshChannelState();
+  armWakeTimer();
 }
 
 void Dcf::freezeBackoff() {
@@ -214,7 +216,7 @@ void Dcf::tryAccess() {
   if (sinceIdle >= target) {
     accessGranted();
   } else {
-    accessTimer_.arm(target - sinceIdle, [this] { accessGranted(); });
+    accessTimer_.arm(target - sinceIdle);
   }
 }
 
@@ -252,7 +254,7 @@ void Dcf::transmitBroadcast() {
   medium_.startTransmission(std::move(f));
   ++counters_.broadcastsSent;
   refreshChannelState();
-  txEndTimer_.arm(airtime, [this] { onOwnTxEnd(); });
+  txEndTimer_.arm(airtime);
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +275,7 @@ void Dcf::transmitRts() {
   ++counters_.rtsSent;
   accrueOccupancy(current_->nextHop, airtime);
   refreshChannelState();
-  txEndTimer_.arm(airtime, [this] { onOwnTxEnd(); });
+  txEndTimer_.arm(airtime);
 }
 
 void Dcf::transmitData() {
@@ -291,18 +293,18 @@ void Dcf::transmitData() {
   ++counters_.dataSent;
   accrueOccupancy(current_->nextHop, airtime);
   refreshChannelState();
-  txEndTimer_.arm(airtime, [this] { onOwnTxEnd(); });
+  txEndTimer_.arm(airtime);
 }
 
 void Dcf::onOwnTxEnd() {
   switch (phase_) {
     case Phase::kSendingRts:
       phase_ = Phase::kAwaitCts;
-      responseTimeout_.arm(params_.ctsTimeout(), [this] { onCtsTimeout(); });
+      responseTimeout_.arm(params_.ctsTimeout());
       break;
     case Phase::kSendingData:
       phase_ = Phase::kAwaitAck;
-      responseTimeout_.arm(params_.ackTimeout(), [this] { onAckTimeout(); });
+      responseTimeout_.arm(params_.ackTimeout());
       break;
     case Phase::kSendingBroadcast:
       // Fire and forget: no response, no retry (802.11 broadcast rules).
@@ -316,6 +318,27 @@ void Dcf::onOwnTxEnd() {
       MAXMIN_CHECK_MSG(false, "own tx ended in unexpected phase");
   }
   refreshChannelState();
+}
+
+// txEndTimer_ and responseTimeout_ dispatch on phase_, which is set just
+// before they are armed and which only their own callbacks move on while
+// they are pending (a CTS or ACK that ends the wait cancels the timeout).
+
+void Dcf::onTxEndTimer() {
+  if (phase_ == Phase::kWaitSifsData) {
+    transmitData();
+  } else {
+    onOwnTxEnd();
+  }
+}
+
+void Dcf::onResponseTimeout() {
+  if (phase_ == Phase::kAwaitAck) {
+    onAckTimeout();
+  } else {
+    MAXMIN_CHECK(phase_ == Phase::kAwaitCts);
+    onCtsTimeout();
+  }
 }
 
 void Dcf::onCtsTimeout() {
@@ -408,12 +431,9 @@ void Dcf::handleAddressedFrame(const phys::Frame& frame) {
       armWakeTimer();
       refreshChannelState();
       responsePending_ = true;
-      const Duration nav =
-          frame.navAfterEnd - params_.sifs - params_.ctsDuration();
-      responderTimer_.arm(params_.sifs,
-                          [this, to = frame.transmitter, nav] {
-                            sendResponse(phys::FrameKind::kCts, to, nav);
-                          });
+      armResponder(Response::kCts, frame.transmitter,
+                   frame.navAfterEnd - params_.sifs - params_.ctsDuration(),
+                   params_.sifs);
       break;
     }
     case phys::FrameKind::kCts: {
@@ -422,16 +442,15 @@ void Dcf::handleAddressedFrame(const phys::Frame& frame) {
       responseTimeout_.cancel();
       accrueOccupancy(current_->nextHop, frame.duration);
       phase_ = Phase::kWaitSifsData;
-      txEndTimer_.arm(params_.sifs, [this] { transmitData(); });
+      txEndTimer_.arm(params_.sifs);
       break;
     }
     case phys::FrameKind::kData: {
       client_.onDataReceived(frame);
       if (!responsePending_ && !medium_.isTransmitting(self_)) {
         responsePending_ = true;
-        responderTimer_.arm(params_.sifs, [this, to = frame.transmitter] {
-          sendResponse(phys::FrameKind::kAck, to, Duration::zero());
-        });
+        armResponder(Response::kAck, frame.transmitter, Duration::zero(),
+                     params_.sifs);
       }
       break;
     }
@@ -465,11 +484,31 @@ void Dcf::sendResponse(phys::FrameKind kind, topo::NodeId to,
   const Duration airtime = f.duration;
   medium_.startTransmission(std::move(f));
   refreshChannelState();
-  responderTimer_.arm(airtime, [this] {
-    responsePending_ = false;
-    refreshChannelState();
-    tryAccess();
-  });
+  armResponder(Response::kDone, topo::kNoNode, Duration::zero(), airtime);
+}
+
+void Dcf::armResponder(Response action, topo::NodeId to, Duration nav,
+                       Duration delay) {
+  responseAction_ = action;
+  responseTo_ = to;
+  responseNav_ = nav;
+  responderTimer_.arm(delay);
+}
+
+void Dcf::onResponderTimer() {
+  switch (responseAction_) {
+    case Response::kCts:
+      sendResponse(phys::FrameKind::kCts, responseTo_, responseNav_);
+      break;
+    case Response::kAck:
+      sendResponse(phys::FrameKind::kAck, responseTo_, Duration::zero());
+      break;
+    case Response::kDone:
+      responsePending_ = false;
+      refreshChannelState();
+      tryAccess();
+      break;
+  }
 }
 
 }  // namespace maxmin::mac

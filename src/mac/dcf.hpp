@@ -113,6 +113,7 @@ class Dcf final : public phys::RadioListener {
   [[nodiscard]] bool virtuallyBusy() const;
   void refreshChannelState();   ///< maintain idleSince_ and freeze/resume
   void armWakeTimer();          ///< wake at NAV/EIFS expiry
+  void onWake();
   void freezeBackoff();
 
   // --- parking (DESIGN.md §12) -------------------------------------------
@@ -133,7 +134,10 @@ class Dcf final : public phys::RadioListener {
   void transmitRts();
   void transmitData();
   void transmitBroadcast();
+  /// txEndTimer_: the end of our own frame, or the SIFS before DATA.
+  void onTxEndTimer();
   void onOwnTxEnd();
+  void onResponseTimeout();
   void onCtsTimeout();
   void onAckTimeout();
   void retryAfterTimeout(bool longRetry);
@@ -141,6 +145,11 @@ class Dcf final : public phys::RadioListener {
 
   // --- responder side ------------------------------------------------------
   void handleAddressedFrame(const phys::Frame& frame);
+  /// What responderTimer_ does when it fires.
+  enum class Response : std::uint8_t { kCts, kAck, kDone };
+  void armResponder(Response action, topo::NodeId to, Duration nav,
+                    Duration delay);
+  void onResponderTimer();
   void sendResponse(phys::FrameKind kind, topo::NodeId to, Duration navAfterEnd);
 
   void accrueOccupancy(topo::NodeId nextHop, Duration airtime);
@@ -179,6 +188,9 @@ class Dcf final : public phys::RadioListener {
   // Responder state: a CTS/ACK is scheduled or on the air.
   bool responsePending_ = false;
   sim::Timer responderTimer_;
+  Response responseAction_ = Response::kDone;
+  topo::NodeId responseTo_ = topo::kNoNode;
+  Duration responseNav_ = Duration::zero();
 
   DcfCounters counters_;
   std::unordered_map<topo::NodeId, Duration> occupancy_;

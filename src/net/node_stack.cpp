@@ -54,7 +54,7 @@ NodeStack::NodeStack(NetContext& ctx, topo::NodeId self, Rng rng)
       adSlots_{ctx.config().discipline == QueueDiscipline::kPerDestination
                    ? ctx.numDestinations()
                    : 1},
-      holdRetryTimer_{sim_},
+      holdRetryTimer_{sim_, sim::bind<&NodeStack::onHoldRetry>(this)},
       windowStart_{sim_.now()} {
   switch (ctx_.config().discipline) {
     case QueueDiscipline::kPerDestination:
@@ -173,12 +173,9 @@ void NodeStack::seedPacket(PacketPtr p) {
 void NodeStack::addLocalFlow(const FlowSpec& spec) {
   MAXMIN_CHECK_MSG(spec.src == self_, "flow source is a different node");
   MAXMIN_CHECK(!sources_.contains(spec.id));
-  auto [it, inserted] = sources_.emplace(spec.id, SourceState{});
+  auto [it, inserted] = sources_.try_emplace(spec.id, *this, spec);
   MAXMIN_CHECK(inserted);
-  SourceState& s = it->second;
-  s.spec = spec;
-  s.timer = std::make_unique<sim::Timer>(sim_);
-  scheduleNextGeneration(s);
+  scheduleNextGeneration(it->second);
 }
 
 double NodeStack::effectiveRate(const SourceState& s) const {
@@ -194,11 +191,7 @@ void NodeStack::scheduleNextGeneration(SourceState& s) {
   // generators would; without it, synchronized arrivals beat against the
   // MAC in lockstep and create artificial phase effects.
   const double seconds = (1.0 / rate) * rng_.uniformReal(0.9, 1.1);
-  s.timer->arm(Duration::seconds(seconds), [this, flow = s.spec.id] {
-    auto it = sources_.find(flow);
-    MAXMIN_CHECK(it != sources_.end());
-    generate(it->second);
-  });
+  s.timer.arm(Duration::seconds(seconds));
 }
 
 void NodeStack::generate(SourceState& s) {
@@ -286,7 +279,7 @@ void NodeStack::setOperational(bool up) {
       dropsAtCrash_ += static_cast<std::int64_t>(q.size());
       while (!q.empty()) q.popFront(now());
     }
-    for (auto& [id, s] : sources_) s.timer->cancel();
+    for (auto& [id, s] : sources_) s.timer.cancel();
     holdRetryTimer_.cancel();
     neighborBufferState_.clear();
     neighborHealth_.clear();
@@ -385,9 +378,11 @@ bool NodeStack::heldByBackpressure(int nbRank, int adSlot,
 void NodeStack::armHoldRetry(TimePoint earliestExpiry) {
   const Duration wait =
       std::max(earliestExpiry - now(), Duration::micros(1));
-  holdRetryTimer_.arm(wait, [this] {
-    if (mac_ != nullptr) mac_->notifyTrafficPending();
-  });
+  holdRetryTimer_.arm(wait);
+}
+
+void NodeStack::onHoldRetry() {
+  if (mac_ != nullptr) mac_->notifyTrafficPending();
 }
 
 // ---------------------------------------------------------------------------

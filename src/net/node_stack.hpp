@@ -138,12 +138,19 @@ class NodeStack final : public mac::FrameClient {
 
  private:
   struct SourceState {
+    SourceState(NodeStack& stack, const FlowSpec& flow)
+        : owner{&stack},
+          spec{flow},
+          timer{stack.sim_, sim::bind<&SourceState::fire>(this)} {}
+    void fire() { owner->generate(*this); }
+
+    NodeStack* owner;
     FlowSpec spec;
     std::optional<double> limitPps;
     double mu = 0.0;
     SourceCounters counters;
     std::int64_t seq = 0;
-    std::unique_ptr<sim::Timer> timer;
+    sim::Timer timer;  ///< the next generation
   };
 
   /// A queue and its slot: the destination slot (per-destination), the
@@ -195,6 +202,7 @@ class NodeStack final : public mac::FrameClient {
   /// `expiry` to when the verdict lapses.
   bool heldByBackpressure(int nbRank, int adSlot, TimePoint& expiry) const;
   void armHoldRetry(TimePoint earliestExpiry);
+  void onHoldRetry();
 
   TimePoint now() const;
 

@@ -42,7 +42,6 @@ Medium::Medium(sim::Simulator& sim, const topo::Topology& topo)
   // Preallocate every per-frame structure to its lifetime bound: at most
   // one active transmission per node. Steady-state start/finish never
   // allocates.
-  active_.reserve(n);
   freeSlots_.reserve(n);
   edges_.assign(maxCsDegree, topo::kNoNode);
   finishScratch_.reserve(maxTxDegree_);
@@ -78,10 +77,11 @@ std::uint32_t Medium::acquireSlot() {
     freeSlots_.pop_back();
     return slot;
   }
-  MAXMIN_CHECK_MSG(active_.size() < active_.capacity(),
+  MAXMIN_CHECK_MSG(active_.size() < radios_.size(),
                    "more concurrent transmissions than nodes");
-  active_.emplace_back();
-  return static_cast<std::uint32_t>(active_.size() - 1);
+  const auto slot = static_cast<std::uint32_t>(active_.size());
+  active_.emplace_back(*this, slot);
+  return slot;
 }
 
 Medium::PendingRx* Medium::acquireRxStorage(ActiveTx& tx,
@@ -135,9 +135,9 @@ void Medium::startTransmission(Frame frame) {
   tx.silent = faults_ != nullptr && !faults_->nodeUp(sender);
   if (tx.silent) {
     ++framesSuppressed_;
-    // Fire-and-forget: a transmission always runs to completion (a crash
-    // makes it silent, never cancels it).
-    sim_.post(duration, [this, slot] { finishTransmission(slot); });
+    // A transmission always runs to completion (a crash makes it silent,
+    // never cancels it).
+    tx.finish.arm(duration);
     return;
   }
 
@@ -172,12 +172,11 @@ void Medium::startTransmission(Frame frame) {
   runEdgeCallbacks(due, /*busy=*/true);
 
   if (observer_ != nullptr) observer_->onTransmissionStart(tx.frame, sim_.now());
-  // Fire-and-forget: completion is unconditional (see above).
-  sim_.post(duration, [this, slot] { finishTransmission(slot); });
+  // Completion is unconditional (see above).
+  tx.finish.arm(duration);
 }
 
-void Medium::finishTransmission(std::size_t slot) {
-  ActiveTx& tx = active_[slot];
+void Medium::finishTransmission(ActiveTx& tx) {
   const topo::NodeId sender = tx.frame.transmitter;
   MAXMIN_CHECK(sender != topo::kNoNode);
   transmitting_[static_cast<std::size_t>(sender)] = 0;
@@ -199,7 +198,7 @@ void Medium::finishTransmission(std::size_t slot) {
         rxs[k].receiver, rxs[k].corrupted || disturbed_[r] > tx.epoch};
   }
   releaseRxStorage(tx);
-  freeSlots_.push_back(static_cast<std::uint32_t>(slot));
+  freeSlots_.push_back(tx.slot);
 
   if (silent) return;  // nothing was radiated
 

@@ -33,6 +33,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "phys/frame.hpp"
@@ -40,6 +41,7 @@
 #include "phys/radio.hpp"
 #include "sim/fault_plane.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "topology/topology.hpp"
 
 namespace maxmin::phys {
@@ -147,6 +149,15 @@ class Medium {
   static constexpr std::uint32_t kNoBlock = UINT32_MAX;
 
   struct ActiveTx {
+    ActiveTx(Medium& m, std::uint32_t s)
+        : medium{&m},
+          slot{s},
+          finish{m.sim_, sim::bind<&ActiveTx::end>(this)} {}
+    void end() { medium->finishTransmission(*this); }
+
+    Medium* medium;
+    std::uint32_t slot;
+    sim::Timer finish;  ///< fires when the frame leaves the air
     Frame frame;
     bool silent = false;  ///< sender was down: nothing radiated
     std::uint64_t epoch = 0;  ///< disturbed_ stamp of this start
@@ -155,7 +166,7 @@ class Medium {
     std::array<PendingRx, kInlineRx> inlineRx;
   };
 
-  void finishTransmission(std::size_t slot);
+  void finishTransmission(ActiveTx& tx);
 
   /// Busy (or idle) callbacks for the first `count` entries of edges_,
   /// the listening radios whose energy the last pass moved across zero.
@@ -192,10 +203,10 @@ class Medium {
   std::vector<std::uint64_t> disturbed_;
   std::uint64_t epoch_ = 0;
 
-  // Transmission records: indexed by slot, recycled via freeSlots_.
-  // Reserved to numNodes at construction (<= one active tx per node), so
-  // neither ever reallocates.
-  std::vector<ActiveTx> active_;
+  // Transmission records: indexed by slot, recycled via freeSlots_. At
+  // most one active tx per node. A deque, because each record's finish
+  // timer must not move; freeSlots_ is reserved to numNodes.
+  std::deque<ActiveTx> active_;
   std::vector<std::uint32_t> freeSlots_;
 
   // Spill arena for receptions of high-degree senders: fixed-size blocks

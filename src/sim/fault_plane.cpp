@@ -271,14 +271,12 @@ void FaultPlane::start() {
       continue;
     }
     MAXMIN_CHECK_MSG(e.at >= sim_.now(), "fault event in the past");
-    // Fire-and-forget: scripted faults are never cancelled and the plane
-    // outlives the simulation, so the handle is deliberately dropped.
-    static_cast<void>(sim_.scheduleAt(e.at, [this, e] { apply(e); }));
+    scripted_.emplace_back(*this, e).timer.arm(e.at - sim_.now());
   }
   if (script_.churn.enabled()) {
     for (const std::int32_t n : script_.churn.nodes) {
-      static_cast<void>(sim_.scheduleAt(std::max(script_.churn.start, sim_.now()),
-                                        [this, n] { scheduleChurn(n); }));
+      churn_.emplace_back(*this, n).timer.arm(
+          std::max(script_.churn.start, sim_.now()) - sim_.now());
     }
   }
 }
@@ -327,20 +325,20 @@ void FaultPlane::setNodeUp(std::int32_t node, bool up) {
   }
 }
 
-void FaultPlane::scheduleChurn(std::int32_t node) {
+void FaultPlane::ChurnNode::fire() {
+  if (started) plane->setNodeUp(node, !plane->nodeUp(node));
+  started = true;
+  plane->scheduleChurn(*this);
+}
+
+void FaultPlane::scheduleChurn(ChurnNode& c) {
   const ChurnConfig& churn = script_.churn;
-  const bool isUp = nodeUp(node);
+  const bool isUp = nodeUp(c.node);
   if (isUp && sim_.now() >= churn.stop) return;  // no new outages
   const double meanSeconds =
       isUp ? churn.meanUpSeconds : churn.meanDownSeconds;
-  const Duration sojourn = std::max(
-      Duration::micros(1), Duration::seconds(rng_.exponential(meanSeconds)));
-  // Fire-and-forget: churn reschedules itself until `stop` and is never
-  // cancelled mid-run.
-  static_cast<void>(sim_.schedule(sojourn, [this, node] {
-    setNodeUp(node, !nodeUp(node));
-    scheduleChurn(node);
-  }));
+  c.timer.arm(std::max(Duration::micros(1),
+                       Duration::seconds(rng_.exponential(meanSeconds))));
 }
 
 std::pair<std::int32_t, std::int32_t> FaultPlane::normalized(

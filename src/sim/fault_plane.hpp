@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -135,8 +137,8 @@ class FaultPlane {
   /// Register an observer; must outlive the plane's scheduled events.
   void addListener(FaultListener* listener);
 
-  /// Schedule every scripted event (and the churn process) on the
-  /// simulator. Call once, before running.
+  /// Arm one timer per scripted event, in script order, then one per
+  /// churn node. Call once, before running.
   void start();
 
   // --- state queries ------------------------------------------------------
@@ -160,10 +162,33 @@ class FaultPlane {
   [[nodiscard]] std::int64_t linkCutsInjected() const { return linkCutsInjected_; }
 
  private:
+  /// One scripted event's timer.
+  struct ScriptedFault {
+    ScriptedFault(FaultPlane& p, const FaultEvent& e)
+        : plane{&p},
+          event{e},
+          timer{p.sim_, bind<&ScriptedFault::fire>(this)} {}
+    void fire() { plane->apply(event); }
+    FaultPlane* plane;
+    FaultEvent event;
+    Timer timer;
+  };
+  /// One churn node's timer: its first firing starts the process at the
+  /// churn window, every later one flips the node.
+  struct ChurnNode {
+    ChurnNode(FaultPlane& p, std::int32_t n)
+        : plane{&p}, node{n}, timer{p.sim_, bind<&ChurnNode::fire>(this)} {}
+    void fire();
+    FaultPlane* plane;
+    std::int32_t node;
+    bool started = false;
+    Timer timer;
+  };
+
   void apply(const FaultEvent& e);
   void setNodeUp(std::int32_t node, bool up);
-  /// Schedule the next churn transition for `node`.
-  void scheduleChurn(std::int32_t node);
+  /// Arm the next churn transition for `c`'s node.
+  void scheduleChurn(ChurnNode& c);
   std::pair<std::int32_t, std::int32_t> normalized(std::int32_t a,
                                                    std::int32_t b) const;
   void checkNode(std::int32_t node) const;
@@ -185,6 +210,10 @@ class FaultPlane {
   std::int64_t crashesInjected_ = 0;
   std::int64_t recoveriesInjected_ = 0;
   std::int64_t linkCutsInjected_ = 0;
+
+  // Deques: timers must not move once built.
+  std::deque<ScriptedFault> scripted_;
+  std::deque<ChurnNode> churn_;
 };
 
 std::ostream& operator<<(std::ostream& os, const FaultEvent& e);

@@ -8,7 +8,7 @@
 //  * medium sanity: collision counters consistent with delivery counts;
 //  * determinism: identical seeds give identical runs;
 //  * sim::Timer's deferred re-arm fires every event at the position an
-//    eager cancel + schedule timer would, over random timer scripts.
+//    eager cancel + re-queue timer would, over random timer scripts.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -21,6 +21,7 @@
 #include "net/network.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/timer.hpp"
+#include "test_timers.hpp"
 #include "util/rng.hpp"
 
 namespace maxmin {
@@ -119,33 +120,21 @@ TEST_P(DesInvariantTest, MediumCountersAreConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DesInvariantTest, ::testing::Range(1, 7));
 
-/// Reference timer: every arm is a plain cancel + schedule.
+/// Reference timer: every arm is a plain cancel + queue, so it never
+/// defers.
 class EagerTimer {
  public:
-  explicit EagerTimer(sim::Simulator& sim) : sim_{&sim} {}
-  ~EagerTimer() { cancel(); }
-  EagerTimer(const EagerTimer&) = delete;
-  EagerTimer& operator=(const EagerTimer&) = delete;
+  EagerTimer(sim::Simulator& sim, sim::Callback callback)
+      : timer_{sim, callback} {}
 
-  void arm(Duration delay, sim::EventFn fn) {
-    cancel();
-    fn_ = std::move(fn);
-    id_ = sim_->schedule(delay, [this] {
-      id_ = sim::kInvalidEventId;
-      sim::EventFn run = std::move(fn_);
-      run();
-    });
+  void arm(Duration delay) {
+    timer_.cancel();
+    timer_.arm(delay);
   }
-  void cancel() {
-    sim_->cancel(id_);
-    id_ = sim::kInvalidEventId;
-    fn_.reset();
-  }
+  void cancel() { timer_.cancel(); }
 
  private:
-  sim::Simulator* sim_;
-  sim::EventId id_ = sim::kInvalidEventId;
-  sim::EventFn fn_;
+  sim::Timer timer_;
 };
 
 /// One firing: time, what fired, and the pending count it left behind.
@@ -156,11 +145,11 @@ struct ScriptRun {
   std::uint64_t keysQueued = 0;
 };
 
-/// A seeded random script over a few timers and plain posts, crowded
+/// A seeded random script over a few timers and one-off posts, crowded
 /// into a handful of microseconds so most events share an instant. Every
 /// firing draws the next three operations: arm a timer (earlier, the same or
 /// later than its pending deadline, since delays are 0-6 us), cancel
-/// one, or post a plain event. Timer callbacks run the same step, so
+/// one, or post a one-off event. Timer callbacks run the same step, so
 /// they re-arm timers — their own included — from inside a callback.
 template <class TimerT>
 ScriptRun runTimerScript(std::uint64_t seed) {
@@ -169,10 +158,15 @@ ScriptRun runTimerScript(std::uint64_t seed) {
   sim::Simulator sim;
   Rng rng{seed};
   std::vector<Firing> fired;
-  std::array<std::unique_ptr<TimerT>, kTimers> timers;
-  for (auto& t : timers) t = std::make_unique<TimerT>(sim);
+  simtest::Posts posts{sim};
+  std::function<void(int)> step;
+  std::array<std::unique_ptr<simtest::LambdaTimer<TimerT>>, kTimers> timers;
+  for (std::size_t t = 0; t < timers.size(); ++t) {
+    timers[t] = std::make_unique<simtest::LambdaTimer<TimerT>>(
+        sim, [&step, t] { step(static_cast<int>(t)); });
+  }
   int nextPost = kTimers;
-  std::function<void(int)> step = [&](int what) {
+  step = [&](int what) {
     fired.emplace_back(sim.now().asMicros(), what, sim.pendingEvents());
     if (static_cast<int>(fired.size()) > kSteps) return;
     for (int op = 0; op < 3; ++op) {  // > 1 post a step: the script lives
@@ -180,22 +174,22 @@ ScriptRun runTimerScript(std::uint64_t seed) {
       const auto t = static_cast<std::size_t>(rng.uniformInt(0, kTimers - 1));
       switch (rng.uniformInt(0, 7)) {
         case 0:
-          timers[t]->cancel();
+          timers[t]->timer.cancel();
           break;
         case 1:
         case 2:
         case 3:
-          sim.post(delay, [&step, id = nextPost++] { step(id); });
+          posts.post(delay, [&step, id = nextPost++] { step(id); });
           break;
         default:
-          timers[t]->arm(delay, [&step, t] { step(static_cast<int>(t)); });
+          timers[t]->timer.arm(delay);
           break;
       }
     }
   };
   for (int i = 0; i < 8; ++i) {
-    sim.post(Duration::micros(rng.uniformInt(0, 3)),
-             [&step, id = nextPost++] { step(id); });
+    posts.post(Duration::micros(rng.uniformInt(0, 3)),
+               [&step, id = nextPost++] { step(id); });
   }
   sim.run();
   return {fired, sim.scheduledEvents()};

@@ -41,6 +41,7 @@ struct GoldenCase {
   const char* ge = "";       ///< pGoodToBad:pBadToGood:lossBad
   bool fastForward = false;
   int foreground = 0;        ///< >0: --hybrid --foreground auto:K
+  bool eventTrace = false;   ///< fingerprint an event-level trace
 };
 
 const GoldenCase kCases[] = {
@@ -67,6 +68,12 @@ const GoldenCase kCases[] = {
     {"mesh_gmp_ff", "mesh", Protocol::kGmp, 60.0, 20.0, "", "", true},
     {"mesh_gmp_hybrid", "mesh", Protocol::kGmp, 60.0, 20.0, "", "", false,
      3},
+    // Every fault-plane timer kind: churn, a cut and its repair, a clock
+    // skew (staggered window closes), and two faults at one instant.
+    {"fig4_gmp_churn", "fig4", Protocol::kGmp, 60.0, 20.0,
+     "churn nodes=4,7 up=8 down=2 from=15 until=50; linkdown 0 1 25; "
+     "linkup 0 1 35; skew 3 20; crash 10 30; linkdown 6 7 30",
+     "", false, 0, true},
 };
 
 // Names the case in test listings (gtest would otherwise dump its bytes).
@@ -116,7 +123,8 @@ std::string render(const GoldenCase& c) {
     }
   }
   std::ostringstream traceText;
-  obs::TraceSink trace{traceText, obs::TraceLevel::kPeriod};
+  obs::TraceSink trace{traceText, c.eventTrace ? obs::TraceLevel::kEvent
+                                               : obs::TraceLevel::kPeriod};
   cfg.trace = &trace;
 
   const RunResult r = runScenario(scenario, cfg);

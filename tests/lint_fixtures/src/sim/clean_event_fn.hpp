@@ -1,15 +1,18 @@
-// Fixture: sim::EventFn callbacks stay silent; so does a comment
-// explaining why std::function is banned (48 B inline budget).
+// Fixture: a timer callback bound as a {function, context} pair stays
+// silent; so does a comment explaining why std::function is banned.
 #pragma once
 
 namespace fixture {
 
-class EventFn;  // stand-in for sim::EventFn
+struct Callback {
+  void (*fn)(void*);
+  void* ctx;
+};
 
 struct Timer {
-  // std::function would heap-allocate here; EventFn stores the capture
-  // inline, which is exactly why the kernel requires it.
-  EventFn* callback = nullptr;
+  // std::function would type-erase (and may heap-allocate) here; a bound
+  // pair is two words, fixed at construction.
+  Callback callback;
 };
 
 }  // namespace fixture

@@ -1,4 +1,5 @@
-// Fixture: std::function in the DES kernel must fire [event-fn].
+// Fixture: std::function as a timer callback in the DES kernel must fire
+// [event-fn].
 #pragma once
 
 #include <functional>

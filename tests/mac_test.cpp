@@ -10,6 +10,7 @@
 #include "net/packet.hpp"
 #include "phys/medium.hpp"
 #include "sim/simulator.hpp"
+#include "test_timers.hpp"
 
 namespace maxmin::mac {
 namespace {
@@ -432,14 +433,15 @@ ParkRun runHiddenLine(bool parks, const std::optional<Injection>& inject) {
         break;
     }
   };
+  simtest::Posts posts{f.sim};
   if (inject) {
-    // Scheduled now, the injection runs before any wake reserved later
-    // for the same instant; re-posted at that instant, after all of them.
+    // Armed now, the injection runs before any wake reserved later for
+    // the same instant; re-posted at that instant, after all of them.
     if (inject->afterWake) {
-      f.sim.postAt(inject->at,
-                   [&f, give] { f.sim.post(Duration::zero(), give); });
+      posts.postAt(inject->at,
+                   [&posts, give] { posts.post(Duration::zero(), give); });
     } else {
-      f.sim.postAt(inject->at, give);
+      posts.postAt(inject->at, give);
     }
   }
   f.sim.runUntil(TimePoint::origin() + Duration::millis(60));
@@ -568,39 +570,40 @@ ParkRun runScriptedExpiry(bool parks, Edge edge, bool afterWake,
   auto at = [t0](std::int64_t us) { return t0 + Duration::micros(us); };
   const Duration hundred = Duration::micros(100);
   TimePoint workAt;
+  simtest::Posts posts{sim};
   switch (edge) {
     case Edge::kNav:
       workAt = at(1600);
-      sim.postAt(at(1000),
-                 [&] { send(kJ, kK, hundred, Duration::micros(500)); });
+      posts.postAt(at(1000),
+                   [&] { send(kJ, kK, hundred, Duration::micros(500)); });
       break;
     case Edge::kEifs:
       workAt = at(1100) + params.eifs();
-      sim.postAt(at(1000), [&] { send(kJ, kK, hundred, Duration::zero()); });
-      sim.postAt(at(1050), [&] {
+      posts.postAt(at(1000), [&] { send(kJ, kK, hundred, Duration::zero()); });
+      posts.postAt(at(1050), [&] {
         send(kK, kJ, workAt - at(1050), Duration::zero());
       });
       break;
     case Edge::kEnergy:
       workAt = at(1620);
-      sim.postAt(at(1000), [&] { send(kK, kJ, hundred, Duration::zero()); });
-      sim.postAt(at(1500), [&] { send(kK, kJ, hundred, Duration::zero()); });
+      posts.postAt(at(1000), [&] { send(kK, kJ, hundred, Duration::zero()); });
+      posts.postAt(at(1500), [&] { send(kK, kJ, hundred, Duration::zero()); });
       break;
   }
   auto work = [&] {
     p.queuePackets(kQ, 1, kPayload);
     macP.notifyTrafficPending();
     if (jamAt) {
-      sim.postAt(*jamAt, [&] { send(kJ, kK, hundred, Duration::zero()); });
+      posts.postAt(*jamAt, [&] { send(kJ, kK, hundred, Duration::zero()); });
     }
   };
   // Queued at 1075 us: after K's first frame's end (queued at 1050 us)
   // and before P's wake (its position is reserved at 1100 us).
-  sim.postAt(at(1075), [&] {
+  posts.postAt(at(1075), [&] {
     if (afterWake) {
-      sim.postAt(workAt, [&] { sim.post(Duration::zero(), work); });
+      posts.postAt(workAt, [&] { posts.post(Duration::zero(), work); });
     } else {
-      sim.postAt(workAt, work);
+      posts.postAt(workAt, work);
     }
   });
   sim.runUntil(t0 + Duration::millis(20));

@@ -8,6 +8,7 @@
 #include "baselines/configs.hpp"
 #include "net/network.hpp"
 #include "net/packet_queue.hpp"
+#include "test_timers.hpp"
 
 namespace maxmin::net {
 namespace {
@@ -321,7 +322,9 @@ TEST(Network, BufferStateAdsOnlyUnderCongestionAvoidance) {
       Network net{chainTopo(3), cfg, {makeFlow(0, 0, 1, 1.0, 400.0)}};
       sim::Simulator& sim = net.simulator();
       std::uint64_t posted = 0;  // injection events
-      std::function<void()> inject = [&] {
+      std::function<void()> inject;
+      simtest::LambdaTimer<> injector{sim, [&] { inject(); }};
+      inject = [&] {
         phys::Frame ad;
         ad.kind = phys::FrameKind::kAck;
         ad.transmitter = 1;
@@ -331,11 +334,11 @@ TEST(Network, BufferStateAdsOnlyUnderCongestionAvoidance) {
         ad.bufferState = {phys::BufferStateAd{topo::kNoNode, false}};
         net.stack(2).onFrameDecoded(ad);
         ++posted;
-        sim.post(Duration::micros(137), inject);
+        injector.timer.arm(Duration::micros(137));
       };
       if (injectAds) {
         ++posted;
-        sim.post(Duration::micros(137), inject);
+        injector.timer.arm(Duration::micros(137));
       }
       net.run(Duration::seconds(1.0));
       for (topo::NodeId n = 0; n < 3; ++n) {

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <new>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "scenarios/scenarios.hpp"
 #include "sim/fault_plane.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -86,8 +88,20 @@ struct DenseFixture {
         radios(40) {
     for (topo::NodeId n = 0; n < 40; ++n) {
       medium.attachRadio(n, &radios[static_cast<std::size_t>(n)]);
+      starters.emplace_back(*this, n);
     }
   }
+
+  /// Starts one node's frame when it fires; built once, so the waves
+  /// below allocate nothing.
+  struct Starter {
+    Starter(DenseFixture& f, topo::NodeId n)
+        : fixture{&f}, node{n}, timer{f.sim, sim::bind<&Starter::fire>(this)} {}
+    void fire() { fixture->medium.startTransmission(dataFrame(node, 100)); }
+    DenseFixture* fixture;
+    topo::NodeId node;
+    sim::Timer timer;
+  };
 
   /// The golden workload: a same-instant burst from every fourth node, a
   /// staggered overlapping wave, a sequential clean wave, and a full
@@ -98,13 +112,13 @@ struct DenseFixture {
     }
     sim.run();
     for (topo::NodeId s = 0; s < 40; ++s) {
-      sim.post(Duration::micros((s % 5) * 60),
-               [this, s] { medium.startTransmission(dataFrame(s, 100)); });
+      starters[static_cast<std::size_t>(s)].timer.arm(
+          Duration::micros((s % 5) * 60));
     }
     sim.run();
     for (topo::NodeId s = 0; s < 10; ++s) {
-      sim.post(Duration::micros(s * 150),
-               [this, s] { medium.startTransmission(dataFrame(s, 100)); });
+      starters[static_cast<std::size_t>(s)].timer.arm(
+          Duration::micros(s * 150));
     }
     sim.run();
     for (topo::NodeId s = 0; s < 40; ++s) {
@@ -117,6 +131,7 @@ struct DenseFixture {
   sim::Simulator sim;
   Medium medium;
   std::vector<CountingRadio> radios;
+  std::deque<Starter> starters;  ///< by node; timers must not move
 };
 
 // Golden counters captured from the pre-rewrite implementation (the
@@ -156,10 +171,10 @@ TEST(MediumDenseBurst, MatchesGoldenCountersFromLinearScanImplementation) {
 
 TEST(MediumAllocation, SteadyStateStartFinishIsAllocationFree) {
   DenseFixture f;
-  // Warm every pool to its high-water mark: transmission records, spill
-  // blocks, reverse-index lists, the DES kernel's event slabs and heap
-  // vector. Several warmup patterns, not one, so every pool has seen the
-  // pattern's peak before counting starts.
+  // Warm every pool to its high-water mark: transmission records (each
+  // with its finish timer), spill blocks and the DES kernel's heap
+  // vector. Several warmup patterns, not one, so every pool has seen
+  // the pattern's peak before counting starts.
   for (int i = 0; i < 6; ++i) f.runBurstPattern();
   const std::size_t slotsWarm = f.medium.activeSlotHighWater();
   const std::size_t blocksWarm = f.medium.spillBlockHighWater();

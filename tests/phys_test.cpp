@@ -13,6 +13,7 @@
 #include "phys/medium.hpp"
 #include "sim/fault_plane.hpp"
 #include "sim/simulator.hpp"
+#include "test_timers.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -559,6 +560,7 @@ std::vector<std::string> runReferenceMedium(const topo::Topology& topo,
   medium.setFaultPlane(&plane);
   plane.start();
 
+  simtest::Posts posts{sim};
   std::function<void(std::size_t)> runStep = [&](std::size_t i) {
     const ScriptStep& step = script.steps[i];
     if (!medium.isTransmitting(step.from)) {
@@ -566,13 +568,13 @@ std::vector<std::string> runReferenceMedium(const topo::Topology& topo,
     }
     if (const std::size_t next = i + kStepLookahead;
         next < script.steps.size()) {
-      sim.post(Duration::micros(script.steps[next].atUs - step.atUs),
-               [&runStep, next] { runStep(next); });
+      posts.post(Duration::micros(script.steps[next].atUs - step.atUs),
+                 [&runStep, next] { runStep(next); });
     }
   };
   for (std::size_t i = 0; i < kStepLookahead; ++i) {
-    sim.post(Duration::micros(script.steps[i].atUs),
-             [&runStep, i] { runStep(i); });
+    posts.post(Duration::micros(script.steps[i].atUs),
+               [&runStep, i] { runStep(i); });
   }
   sim.run();
   return log;

@@ -1,29 +1,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "test_timers.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace maxmin::sim {
 namespace {
 
+using simtest::LambdaTimer;
+using simtest::Posts;
+
 TEST(Simulator, ExecutesInTimeOrder) {
   Simulator s;
+  Posts ev{s};
   std::vector<int> order;
-  s.post(Duration::micros(30), [&] { order.push_back(3); });
-  s.post(Duration::micros(10), [&] { order.push_back(1); });
-  s.post(Duration::micros(20), [&] { order.push_back(2); });
+  ev.post(Duration::micros(30), [&] { order.push_back(3); });
+  ev.post(Duration::micros(10), [&] { order.push_back(1); });
+  ev.post(Duration::micros(20), [&] { order.push_back(2); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(s.now().asMicros(), 30);
@@ -31,9 +35,10 @@ TEST(Simulator, ExecutesInTimeOrder) {
 
 TEST(Simulator, SameInstantIsFifo) {
   Simulator s;
+  Posts ev{s};
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    s.post(Duration::micros(5), [&order, i] { order.push_back(i); });
+    ev.post(Duration::micros(5), [&order, i] { order.push_back(i); });
   }
   s.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -41,21 +46,22 @@ TEST(Simulator, SameInstantIsFifo) {
 
 TEST(Simulator, ZeroDelayRunsAfterCurrentInstantFifo) {
   Simulator s;
+  Posts ev{s};
   std::vector<int> order;
-  s.post(Duration::micros(1), [&] {
+  ev.post(Duration::micros(1), [&] {
     order.push_back(1);
-    s.post(Duration::zero(), [&] { order.push_back(2); });
+    ev.post(Duration::zero(), [&] { order.push_back(2); });
   });
-  s.post(Duration::micros(1), [&] { order.push_back(3); });
+  ev.post(Duration::micros(1), [&] { order.push_back(3); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
 }
 
 TEST(Simulator, CancelPreventsExecution) {
   Simulator s;
+  Posts ev{s};
   bool ran = false;
-  const EventId id = s.schedule(Duration::micros(10), [&] { ran = true; });
-  s.cancel(id);
+  ev.post(Duration::micros(10), [&] { ran = true; }).cancel();
   s.run();
   EXPECT_FALSE(ran);
   EXPECT_EQ(s.pendingEvents(), 0u);
@@ -63,21 +69,24 @@ TEST(Simulator, CancelPreventsExecution) {
 
 TEST(Simulator, CancelIsIdempotentAndSafeAfterFire) {
   Simulator s;
+  Posts ev{s};
   int runs = 0;
-  const EventId id = s.schedule(Duration::micros(1), [&] { ++runs; });
+  Timer& t = ev.post(Duration::micros(1), [&] { ++runs; });
   s.run();
-  s.cancel(id);  // already fired: no-op
-  s.cancel(id);
-  s.post(Duration::micros(1), [&] { ++runs; });
+  t.cancel();  // already fired: no-op
+  t.cancel();
+  EXPECT_EQ(s.cancelledEvents(), 0u);
+  ev.post(Duration::micros(1), [&] { ++runs; });
   s.run();
   EXPECT_EQ(runs, 2);
 }
 
 TEST(Simulator, RunUntilAdvancesClockPastLastEvent) {
   Simulator s;
+  Posts ev{s};
   int runs = 0;
-  s.post(Duration::micros(10), [&] { ++runs; });
-  s.post(Duration::micros(100), [&] { ++runs; });
+  ev.post(Duration::micros(10), [&] { ++runs; });
+  ev.post(Duration::micros(100), [&] { ++runs; });
   s.runUntil(TimePoint::origin() + Duration::micros(50));
   EXPECT_EQ(runs, 1);
   EXPECT_EQ(s.now().asMicros(), 50);
@@ -88,27 +97,29 @@ TEST(Simulator, RunUntilAdvancesClockPastLastEvent) {
 
 TEST(Simulator, RunUntilIncludesBoundaryEvents) {
   Simulator s;
+  Posts ev{s};
   bool ran = false;
-  s.post(Duration::micros(50), [&] { ran = true; });
+  ev.post(Duration::micros(50), [&] { ran = true; });
   s.runUntil(TimePoint::origin() + Duration::micros(50));
   EXPECT_TRUE(ran);
 }
 
 TEST(Simulator, SchedulingInPastThrows) {
   Simulator s;
-  s.post(Duration::micros(10), [] {});
+  LambdaTimer<> t{s, [] {}};
+  t.timer.arm(Duration::micros(10));
   s.run();
-  EXPECT_THROW(s.postAt(TimePoint::origin() + Duration::micros(5), [] {}),
-               InvariantViolation);
+  EXPECT_THROW(t.timer.arm(Duration::micros(-5)), InvariantViolation);
 }
 
 TEST(Simulator, EventsCanScheduleEvents) {
   Simulator s;
+  Posts ev{s};
   int depth = 0;
   std::function<void()> recurse = [&] {
-    if (++depth < 5) s.post(Duration::micros(1), recurse);
+    if (++depth < 5) ev.post(Duration::micros(1), recurse);
   };
-  s.post(Duration::micros(1), recurse);
+  ev.post(Duration::micros(1), recurse);
   s.run();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(s.now().asMicros(), 5);
@@ -117,63 +128,79 @@ TEST(Simulator, EventsCanScheduleEvents) {
 
 // Regression: cancelling an already-fired event used to insert its id into
 // the kernel's tombstone set forever (a leak) and double-cancel could drive
-// the pending-event count negative. With generation ids both are no-ops.
+// the pending-event count negative. A fired timer has no key to cancel.
 TEST(Simulator, CancelAfterFireNeitherLeaksNorUnderflows) {
   Simulator s;
-  const EventId id = s.schedule(Duration::micros(1), [] {});
+  Posts ev{s};
+  Timer& t = ev.post(Duration::micros(1), [] {});
   s.run();
   EXPECT_EQ(s.pendingEvents(), 0u);
-  s.cancel(id);
-  s.cancel(id);  // idempotent
+  t.cancel();
+  t.cancel();  // idempotent
   EXPECT_EQ(s.pendingEvents(), 0u);
   // The queue must still work normally afterwards.
   bool fired = false;
-  s.post(Duration::micros(1), [&] { fired = true; });
+  ev.post(Duration::micros(1), [&] { fired = true; });
   EXPECT_EQ(s.pendingEvents(), 1u);
   s.run();
   EXPECT_TRUE(fired);
   EXPECT_EQ(s.pendingEvents(), 0u);
 }
 
+// A timer that was never armed has nothing to cancel, hold or release.
 TEST(Simulator, CancelOfNeverIssuedIdIsNoOp) {
   Simulator s;
-  s.cancel(kInvalidEventId);
-  s.cancel(0xdeadbeefcafe1234ull);  // slot far beyond anything allocated
+  Posts ev{s};
+  int idleFires = 0;
+  LambdaTimer<> idle{s, [&] { ++idleFires; }};
+  idle.timer.cancel();
+  idle.timer.hold();
+  idle.timer.release();
   EXPECT_EQ(s.pendingEvents(), 0u);
   bool fired = false;
-  s.post(Duration::micros(1), [&] { fired = true; });
-  s.cancel(0xdeadbeefcafe1234ull);
+  ev.post(Duration::micros(1), [&] { fired = true; });
+  idle.timer.cancel();
   EXPECT_EQ(s.pendingEvents(), 1u);
   s.run();
   EXPECT_TRUE(fired);
+  EXPECT_EQ(idleFires, 0);
+  EXPECT_EQ(s.cancelledEvents(), 0u);
 }
 
-// A stale handle must not cancel an unrelated later event that happens to
-// reuse the same slab slot.
+// A cancelled arming leaves nothing queued that could fire, or cancel,
+// the same timer's later arming.
 TEST(Simulator, StaleIdCannotCancelReusedSlot) {
   Simulator s;
-  const EventId first = s.schedule(Duration::micros(1), [] {});
-  s.run();  // fires; its slot returns to the free list
-  bool fired = false;
-  s.post(Duration::micros(1), [&] { fired = true; });  // reuses the slot
-  s.cancel(first);  // stale generation: must not touch the new event
+  std::vector<std::int64_t> times;
+  LambdaTimer<> t{s, [&] { times.push_back(s.now().asMicros()); }};
+  t.timer.arm(Duration::micros(5));
+  t.timer.cancel();
+  t.timer.arm(Duration::micros(10));
+  EXPECT_EQ(s.pendingEvents(), 1u);
+  t.timer.arm(Duration::micros(3));  // earlier: the 10 us key goes
+  t.timer.cancel();
+  t.timer.arm(Duration::micros(10));
   EXPECT_EQ(s.pendingEvents(), 1u);
   s.run();
-  EXPECT_TRUE(fired);
+  EXPECT_EQ(times, (std::vector<std::int64_t>{10}));
+  EXPECT_EQ(s.executedEvents(), 1u);
+  EXPECT_EQ(s.cancelledEvents(), 3u);
 }
 
 TEST(Simulator, HeavyCancellationKeepsCountsExact) {
   Simulator s;
-  std::vector<EventId> ids;
+  Posts ev{s};
+  std::vector<Timer*> timers;
   for (int i = 0; i < 10000; ++i) {
-    ids.push_back(s.schedule(Duration::micros(i % 997), [] {}));
+    timers.push_back(&ev.post(Duration::micros(i % 997), [] {}));
   }
-  // Cancel two thirds, some twice, to force compaction sweeps.
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i % 3 != 0) s.cancel(ids[i]);
-    if (i % 6 == 1) s.cancel(ids[i]);
+  // Cancel two thirds, some twice: keys leave the heap from every depth.
+  for (std::size_t i = 0; i < timers.size(); ++i) {
+    if (i % 3 != 0) timers[i]->cancel();
+    if (i % 6 == 1) timers[i]->cancel();
   }
   EXPECT_EQ(s.pendingEvents(), 3334u);
+  EXPECT_EQ(s.cancelledEvents(), 6666u);
   s.run();
   EXPECT_EQ(s.pendingEvents(), 0u);
   EXPECT_EQ(s.executedEvents(), 3334u);
@@ -181,10 +208,11 @@ TEST(Simulator, HeavyCancellationKeepsCountsExact) {
 
 TEST(Simulator, RunUntilNowWithPendingSameInstantEvents) {
   Simulator s;
+  Posts ev{s};
   int fired = 0;
-  s.post(Duration::zero(), [&] { ++fired; });
-  s.post(Duration::zero(), [&] { ++fired; });
-  s.post(Duration::micros(5), [&] { ++fired; });
+  ev.post(Duration::zero(), [&] { ++fired; });
+  ev.post(Duration::zero(), [&] { ++fired; });
+  ev.post(Duration::micros(5), [&] { ++fired; });
   s.runUntil(s.now());  // zero-length window: runs the t=0 events only
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(s.now().asMicros(), 0);
@@ -198,10 +226,11 @@ TEST(Simulator, FifoPreservedAcrossWindowRebuilds) {
   // any runs: the heap reshapes many times between pops of one instant,
   // and FIFO within each instant must survive.
   Simulator s;
+  Posts ev{s};
   std::vector<int> order;
   for (int batch = 0; batch < 5; ++batch) {
     for (int i = 0; i < 7; ++i) {
-      s.post(Duration::millis(batch * 100), [&order, batch, i] {
+      ev.post(Duration::millis(batch * 100), [&order, batch, i] {
         order.push_back(batch * 7 + i);
       });
     }
@@ -214,36 +243,44 @@ TEST(Simulator, FifoPreservedAcrossWindowRebuilds) {
 }
 
 TEST(Simulator, QueueMemoryStaysBoundedByLiveEventsInOneWindow) {
-  // A far sentinel stays queued while 10^6 events pass through with at
-  // most kLive + 1 pending. The keys held must track the live count, not
-  // the number of keys ever queued.
+  // A far sentinel stays queued while 10^6 firings pass through kLive
+  // timers, each re-arming itself and pulling a neighbour's deadline in
+  // (an eager re-arm, which takes the old key out). The keys held must
+  // track the pending count, not the number of keys ever queued.
   Simulator s;
-  s.post(Duration::seconds(1000.0), [] {});
-  constexpr std::int64_t kLive = 64;
+  Posts ev{s};
+  ev.post(Duration::seconds(1000.0), [] {});
+  constexpr std::size_t kLive = 64;
   constexpr std::int64_t kEvents = 1'000'000;
   std::int64_t fired = 0;
   std::size_t maxKeys = 0;
-  std::function<void()> tick = [&] {
-    ++fired;
-    maxKeys = std::max(maxKeys, s.queuedKeys());
-    if (fired + kLive <= kEvents) {
-      s.post(Duration::micros(1 + fired % 7), [&tick] { tick(); });
-    }
-  };
-  for (std::int64_t i = 0; i < kLive; ++i) {
-    s.post(Duration::micros(i), [&tick] { tick(); });
+  std::vector<std::unique_ptr<LambdaTimer<>>> timers;
+  for (std::size_t i = 0; i < kLive; ++i) {
+    timers.push_back(std::make_unique<LambdaTimer<>>(s, [&, i] {
+      ++fired;
+      maxKeys = std::max(maxKeys, s.pendingEvents());
+      if (fired + static_cast<std::int64_t>(kLive) > kEvents) return;
+      timers[i]->timer.arm(Duration::micros(1 + fired % 7));
+      Timer& next = timers[(i + 1) % kLive]->timer;
+      if (next.pending() && next.deadline() > s.now() + Duration::micros(1)) {
+        next.arm(Duration::micros(1));
+      }
+    }));
+    timers.back()->timer.arm(Duration::micros(static_cast<std::int64_t>(i)));
   }
   s.runUntil(TimePoint{} + Duration::seconds(100.0));
   EXPECT_EQ(fired, kEvents);
   EXPECT_EQ(s.pendingEvents(), 1u);  // the sentinel
-  EXPECT_LE(maxKeys, std::size_t{4} * std::max<std::size_t>(kLive, 256));
+  EXPECT_GT(s.cancelledEvents(), 0u);
+  EXPECT_LE(maxKeys, kLive + 1);
 }
 
-// Reference-order property: seeded random scripts drive the kernel
-// (schedule/post at equal and distinct instants, cancels of live, fired,
-// cancelled and never-issued ids, reserveSeq + scheduleAtSeq, runUntil
-// cut points), from outside the loop and from inside callbacks, while an
-// independent std::set of (when, seq) keys predicts every pop.
+// Reference-order property: seeded random scripts drive timers (arm at
+// equal and distinct instants, re-arm later — deferred — and earlier —
+// eager —, cancel, hold, release, destroy, runUntil cut points), from
+// outside the loop and from inside callbacks, while an independent model
+// of every live key (where it sits and where its timer will fire)
+// predicts every pop: deferral hops as well as callbacks.
 class ReferenceOrderScript {
  public:
   explicit ReferenceOrderScript(std::uint64_t seed) : rng_{seed} {}
@@ -256,21 +293,36 @@ class ReferenceOrderScript {
       const TimePoint cut = sim_.now() + Duration::micros(pick(0, 40));
       sim_.runUntil(cut);
       EXPECT_EQ(sim_.now(), cut);
-      EXPECT_TRUE(model_.empty() || model_.begin()->first > cut.asMicros())
-          << "an event at or before the cut did not run";
+      settleThrough(cut.asMicros());
       EXPECT_EQ(sim_.pendingEvents(), model_.size());
     }
     sim_.run();
+    settleThrough(INT64_MAX);
     EXPECT_TRUE(model_.empty());
     EXPECT_EQ(sim_.pendingEvents(), 0u);
     EXPECT_EQ(sim_.executedEvents(), executed_);
-    EXPECT_GT(executed_, 1000u);
-    EXPECT_GT(sim_.compactions(), 0u) << "script never compacted";
+    EXPECT_EQ(sim_.scheduledEvents(), pushed_);
+    EXPECT_GT(fires_, 1000u);
+    EXPECT_GT(executed_, fires_) << "script never deferred";
+    EXPECT_GT(sim_.cancelledEvents(), 1000u);
     EXPECT_EQ(mismatches_, 0) << "pops out of (when, seq) order";
   }
 
  private:
   using Key = std::pair<std::int64_t, std::uint64_t>;  // (when µs, seq)
+
+  /// One scripted timer and the model's view of it.
+  struct Entry {
+    explicit Entry(ReferenceOrderScript& s)
+        : script{&s}, timer{s.sim_, bind<&Entry::fire>(this)} {}
+    void fire() { script->fired(*this); }
+
+    ReferenceOrderScript* script;
+    std::optional<Key> queued;  ///< its live key
+    std::optional<Key> armed;   ///< where the current arming fires
+    bool held = false;
+    Timer timer;
+  };
 
   std::int64_t pick(std::int64_t lo, std::int64_t hi) {
     return rng_.uniformInt(lo, hi);
@@ -283,112 +335,157 @@ class ReferenceOrderScript {
     return sim_.now() + Duration::micros(d);
   }
 
-  EventFn body(Key k) {
-    return [this, k] { fire(k); };
+  Entry& anyEntry() {
+    if (pool_.empty() || pick(0, 7) == 0) {
+      pool_.push_back(std::make_unique<Entry>(*this));
+    }
+    return *pool_[static_cast<std::size_t>(
+        pick(0, static_cast<std::int64_t>(pool_.size()) - 1))];
   }
 
-  void fire(Key k) {
+  void enqueue(Entry& e, Key k) {
+    e.queued = k;
+    model_.emplace(k, &e);
+    ++pushed_;
+  }
+  void unqueue(Entry& e) {
+    if (e.queued) model_.erase(*e.queued);
+    e.queued.reset();
+  }
+
+  /// Pop the model's front key as the kernel would: a key that is not
+  /// where its timer fires hops there; any other should have fired.
+  void popFront() {
+    const auto [k, e] = *model_.begin();
+    model_.erase(model_.begin());
+    lastRun_ = k;
     ++executed_;
-    if (model_.empty() || *model_.begin() != k ||
-        sim_.now().asMicros() != k.first) {
+    if (e->queued != e->armed) {
+      enqueue(*e, *e->armed);
+    } else {
+      ++mismatches_;  // a callback that never ran
+      e->queued.reset();
+      e->armed.reset();
+    }
+  }
+  void settleThrough(std::int64_t whenUs) {
+    while (!model_.empty() && model_.begin()->first.first <= whenUs) {
+      popFront();
+    }
+  }
+
+  void fired(Entry& e) {
+    ++fires_;
+    if (!e.armed) {
+      ++mismatches_;
+      return;
+    }
+    const Key k = *e.armed;
+    while (!model_.empty() && model_.begin()->first < k) popFront();
+    if (model_.empty() || model_.begin()->first != k ||
+        model_.begin()->second != &e || sim_.now().asMicros() != k.first) {
       ++mismatches_;
     }
     model_.erase(k);
+    e.queued.reset();
+    e.armed.reset();
     lastRun_ = k;
+    ++executed_;
+    // May destroy `e`: nothing below touches it.
     const auto ops = pick(0, 2);
     for (std::int64_t i = 0; i < ops; ++i) randomOp();
   }
 
-  void queued(Key k, EventId id) {
-    model_.insert(k);
-    keyOf_[id] = k;
-    ids_.push_back(id);
-  }
-
-  void schedule() {
+  void arm(Entry& e) {
     const TimePoint t = when();
     const Key k{t.asMicros(), nextSeq_++};
-    const EventId id = pick(0, 1) == 0
-                           ? sim_.schedule(t - sim_.now(), body(k))
-                           : sim_.scheduleAt(t, body(k));
-    queued(k, id);
+    e.armed = k;
+    if (e.queued) {
+      if (e.queued->first > k.first) {  // earlier: eager
+        unqueue(e);
+        enqueue(e, k);
+      }
+    } else if (!e.held) {
+      enqueue(e, k);
+    }
+    e.timer.arm(t - sim_.now());
   }
 
-  void cancel(EventId id) {
-    const std::size_t before = sim_.pendingEvents();
-    sim_.cancel(id);
-    const auto it = keyOf_.find(id);
-    if (it != keyOf_.end()) {
-      model_.erase(it->second);  // no-op for a fired or cancelled id
-      keyOf_.erase(it);
+  void cancel(Entry& e) {
+    unqueue(e);
+    e.armed.reset();
+    e.timer.cancel();
+  }
+
+  void hold(Entry& e) {
+    unqueue(e);
+    e.held = true;
+    e.timer.hold();
+  }
+
+  void release(Entry& e) {
+    e.held = false;
+    if (e.armed && !e.queued) {
+      const Key k = *e.armed;
+      const bool passed = k.first < sim_.now().asMicros() || k <= lastRun_;
+      EXPECT_EQ(sim_.hasRun(TimePoint::fromMicros(k.first), k.second), passed);
+      if (passed) {
+        e.armed.reset();
+      } else {
+        enqueue(e, k);
+      }
     }
-    // A cancel that strands a tombstone leaves at most max(64, live) of
-    // them: past that it compacts.
-    if (sim_.pendingEvents() < before) {
-      EXPECT_LE(sim_.queuedKeys() - sim_.pendingEvents(),
-                std::max<std::size_t>(64, sim_.pendingEvents()));
-    }
+    e.timer.release();
+  }
+
+  void destroy() {
+    if (pool_.empty()) return;
+    const auto i = static_cast<std::size_t>(
+        pick(0, static_cast<std::int64_t>(pool_.size()) - 1));
+    unqueue(*pool_[i]);
+    std::swap(pool_[i], pool_.back());
+    pool_.pop_back();  // ~Timer takes its key out
   }
 
   void randomOp() {
-    switch (pick(0, 6)) {
+    switch (pick(0, 9)) {
       case 0:
-      case 1: schedule(); break;
-      case 2: {
-        const TimePoint t = when();
-        const Key k{t.asMicros(), nextSeq_++};
-        sim_.post(t - sim_.now(), body(k));
-        model_.insert(k);
-        break;
-      }
+      case 1:
+      case 2: arm(anyEntry()); break;
       case 3:
-        if (ids_.empty() || pick(0, 7) == 0) {
-          cancel(pick(0, 1) == 0 ? kInvalidEventId : 0xdeadbeefcafe1234ull);
-        } else {
-          cancel(ids_[static_cast<std::size_t>(
-              pick(0, static_cast<std::int64_t>(ids_.size()) - 1))]);
-        }
-        break;
-      case 4: {
-        const std::uint64_t seq = sim_.reserveSeq();
-        EXPECT_EQ(seq, nextSeq_++);
-        reserved_.emplace_back(when().asMicros(), seq);
-        break;
-      }
-      default:
-        if (!reserved_.empty()) {
-          const auto i = static_cast<std::size_t>(
-              pick(0, static_cast<std::int64_t>(reserved_.size()) - 1));
-          const Key k = reserved_[i];
-          reserved_.erase(reserved_.begin() + static_cast<std::ptrdiff_t>(i));
-          const TimePoint t = TimePoint::fromMicros(k.first);
-          const bool passed = k.first < sim_.now().asMicros() || k <= lastRun_;
-          EXPECT_EQ(sim_.hasRun(t, k.second), passed);
-          if (!passed) queued(k, sim_.scheduleAtSeq(t, k.second, body(k)));
-        }
-        break;
+      case 4: cancel(anyEntry()); break;
+      case 5: hold(anyEntry()); break;
+      case 6:
+      case 7: release(anyEntry()); break;
+      default: destroy(); break;
     }
+    // The model holds exactly the keys the kernel has not popped yet.
+    EXPECT_EQ(sim_.pendingEvents(), model_.size());
   }
 
-  /// Queue a batch and cancel most of it, so tombstones outnumber live
-  /// keys and the queue compacts.
+  /// Arm a batch of fresh timers, cancel most of them, then destroy
+  /// half the batch (some still queued).
   void cancelBurst() {
-    const std::size_t first = ids_.size();
-    for (int i = 0; i < 200; ++i) schedule();
-    for (std::size_t i = first; i < ids_.size(); ++i) {
-      if (pick(0, 9) != 0) cancel(ids_[i]);
+    const std::size_t first = pool_.size();
+    for (int i = 0; i < 200; ++i) {
+      pool_.push_back(std::make_unique<Entry>(*this));
+      arm(*pool_.back());
     }
+    for (std::size_t i = first; i < pool_.size(); ++i) {
+      if (pick(0, 9) != 0) cancel(*pool_[i]);
+    }
+    for (int i = 0; i < 100; ++i) destroy();
   }
 
   Simulator sim_;
   Rng rng_;
-  std::set<Key> model_;
-  std::map<EventId, Key> keyOf_;  ///< every queued id and its key
-  std::vector<EventId> ids_;      ///< every id issued, stale ones included
-  std::vector<Key> reserved_;     ///< reservations not yet queued
+  std::map<Key, Entry*> model_;  ///< every live key and its timer
+  std::vector<std::unique_ptr<Entry>> pool_;
   std::uint64_t nextSeq_ = 0;
   Key lastRun_{-1, 0};
-  std::uint64_t executed_ = 0;
+  std::uint64_t executed_ = 0;  ///< callbacks and hops
+  std::uint64_t fires_ = 0;     ///< callbacks
+  std::uint64_t pushed_ = 0;
   int mismatches_ = 0;
 };
 
@@ -399,69 +496,59 @@ TEST(Simulator, PopOrderMatchesReferenceModel) {
   }
 }
 
-TEST(EventFn, OversizedCaptureFallsBackToHeap) {
-  // 64 bytes of capture exceeds EventFn's 48-byte inline budget; the
-  // callable must still work (via the owning-pointer fallback).
-  Simulator s;
-  std::array<std::uint64_t, 8> payload{};
-  payload.fill(41);
-  std::uint64_t seen = 0;
-  s.post(Duration::micros(1),
-             [payload, &seen] { seen = payload[7] + 1; });
-  s.run();
-  EXPECT_EQ(seen, 42u);
-}
-
-TEST(EventFn, MoveOnlyCaptureWorks) {
-  Simulator s;
-  auto owned = std::make_unique<int>(7);
-  int seen = 0;
-  s.post(Duration::micros(1),
-             [p = std::move(owned), &seen] { seen = *p; });
-  s.run();
-  EXPECT_EQ(seen, 7);
-}
-
 TEST(Timer, ArmAndFire) {
   Simulator s;
-  Timer t{s};
   bool fired = false;
-  t.arm(Duration::micros(10), [&] { fired = true; });
-  EXPECT_TRUE(t.pending());
+  LambdaTimer<> t{s, [&] { fired = true; }};
+  t.timer.arm(Duration::micros(10));
+  EXPECT_TRUE(t.timer.pending());
   s.run();
   EXPECT_TRUE(fired);
-  EXPECT_FALSE(t.pending());
+  EXPECT_FALSE(t.timer.pending());
+}
+
+TEST(Timer, BindsAMemberFunction) {
+  struct Counter {
+    explicit Counter(Simulator& s) : timer{s, bind<&Counter::hit>(this)} {}
+    void hit() { ++hits; }
+    int hits = 0;
+    Timer timer;
+  };
+  Simulator s;
+  Counter c{s};
+  c.timer.arm(Duration::micros(3));
+  s.run();
+  EXPECT_EQ(c.hits, 1);
 }
 
 TEST(Timer, RearmCancelsPrevious) {
   Simulator s;
-  Timer t{s};
-  int which = 0;
-  t.arm(Duration::micros(10), [&] { which = 1; });
-  t.arm(Duration::micros(20), [&] { which = 2; });
+  std::vector<std::int64_t> times;
+  LambdaTimer<> t{s, [&] { times.push_back(s.now().asMicros()); }};
+  t.timer.arm(Duration::micros(10));
+  t.timer.arm(Duration::micros(20));
   s.run();
-  EXPECT_EQ(which, 2);
+  EXPECT_EQ(times, (std::vector<std::int64_t>{20}));
   EXPECT_EQ(s.now().asMicros(), 20);
 }
 
 TEST(Timer, CancelStopsFire) {
   Simulator s;
-  Timer t{s};
   bool fired = false;
-  t.arm(Duration::micros(10), [&] { fired = true; });
-  t.cancel();
+  LambdaTimer<> t{s, [&] { fired = true; }};
+  t.timer.arm(Duration::micros(10));
+  t.timer.cancel();
   s.run();
   EXPECT_FALSE(fired);
 }
 
 TEST(Timer, CallbackMayRearm) {
   Simulator s;
-  Timer t{s};
   int count = 0;
-  std::function<void()> fn = [&] {
-    if (++count < 3) t.arm(Duration::micros(10), fn);
-  };
-  t.arm(Duration::micros(10), fn);
+  LambdaTimer<> t{s, [&] {
+                    if (++count < 3) t.timer.arm(Duration::micros(10));
+                  }};
+  t.timer.arm(Duration::micros(10));
   s.run();
   EXPECT_EQ(count, 3);
   EXPECT_EQ(s.now().asMicros(), 30);
@@ -471,8 +558,8 @@ TEST(Timer, DestructionCancels) {
   Simulator s;
   bool fired = false;
   {
-    Timer t{s};
-    t.arm(Duration::micros(10), [&] { fired = true; });
+    LambdaTimer<> t{s, [&] { fired = true; }};
+    t.timer.arm(Duration::micros(10));
   }
   s.run();
   EXPECT_FALSE(fired);
@@ -480,23 +567,28 @@ TEST(Timer, DestructionCancels) {
 
 TEST(Timer, RearmLaterKeepsSameInstantOrder) {
   // A re-arm to a later (or the same) deadline queues nothing, yet fires
-  // exactly where cancel + schedule would have put it: after every event
-  // for that instant issued before the re-arm, before every one after.
+  // exactly where cancel + re-queue would have put it: after every event
+  // for that instant armed before the re-arm, before every one after.
   Simulator s;
-  Timer t{s};
+  Posts ev{s};
   std::vector<int> order;
-  t.arm(Duration::micros(5), [&] { order.push_back(0); });
-  s.post(Duration::micros(10), [&] { order.push_back(1); });
+  int tMark = 0;
+  LambdaTimer<> t{s, [&] { order.push_back(tMark); }};
+  t.timer.arm(Duration::micros(5));
+  ev.post(Duration::micros(10), [&] { order.push_back(1); });
   const std::uint64_t queued = s.scheduledEvents();
-  t.arm(Duration::micros(10), [&] { order.push_back(2); });
+  tMark = 2;
+  t.timer.arm(Duration::micros(10));
   EXPECT_EQ(s.scheduledEvents(), queued);  // deferred, not re-queued
-  s.post(Duration::micros(10), [&] { order.push_back(3); });
-  // Same deadline: the timer moves behind events issued since its arm.
-  Timer u{s};
-  u.arm(Duration::micros(20), [&] { order.push_back(4); });
-  s.post(Duration::micros(20), [&] { order.push_back(5); });
-  u.arm(Duration::micros(20), [&] { order.push_back(6); });
-  s.post(Duration::micros(20), [&] { order.push_back(7); });
+  ev.post(Duration::micros(10), [&] { order.push_back(3); });
+  // Same deadline: the timer moves behind events armed since its arm.
+  int uMark = 4;
+  LambdaTimer<> u{s, [&] { order.push_back(uMark); }};
+  u.timer.arm(Duration::micros(20));
+  ev.post(Duration::micros(20), [&] { order.push_back(5); });
+  uMark = 6;
+  u.timer.arm(Duration::micros(20));
+  ev.post(Duration::micros(20), [&] { order.push_back(7); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5, 6, 7}));
   EXPECT_EQ(s.cancelledEvents(), 0u);
@@ -505,10 +597,10 @@ TEST(Timer, RearmLaterKeepsSameInstantOrder) {
 
 TEST(Timer, RearmEarlierIsEager) {
   Simulator s;
-  Timer t{s};
   std::vector<std::int64_t> times;
-  t.arm(Duration::micros(20), [&] { times.push_back(s.now().asMicros()); });
-  t.arm(Duration::micros(5), [&] { times.push_back(s.now().asMicros()); });
+  LambdaTimer<> t{s, [&] { times.push_back(s.now().asMicros()); }};
+  t.timer.arm(Duration::micros(20));
+  t.timer.arm(Duration::micros(5));
   EXPECT_EQ(s.cancelledEvents(), 1u);
   EXPECT_EQ(s.pendingEvents(), 1u);
   s.run();
@@ -519,12 +611,12 @@ TEST(Timer, DestructionCancelsDeferredKey) {
   Simulator s;
   bool fired = false;
   {
-    Timer t{s};
-    t.arm(Duration::micros(5), [&] { fired = true; });
-    t.arm(Duration::micros(10), [&] { fired = true; });  // deferred
+    LambdaTimer<> t{s, [&] { fired = true; }};
+    t.timer.arm(Duration::micros(5));
+    t.timer.arm(Duration::micros(10));  // deferred
     // Let the early key surface and hop to the deferred deadline first.
     s.runUntil(TimePoint{} + Duration::micros(7));
-    EXPECT_TRUE(t.pending());
+    EXPECT_TRUE(t.timer.pending());
     EXPECT_EQ(s.pendingEvents(), 1u);
   }
   EXPECT_EQ(s.pendingEvents(), 0u);
@@ -536,22 +628,23 @@ TEST(Timer, HeldTimerReleasesAtItsReservedPosition) {
   // Held, a timer queues nothing and re-arms only move its reservation;
   // released, it fires exactly where the last arm would have fired.
   Simulator s;
-  Timer t{s};
+  Posts ev{s};
   std::vector<int> order;
-  t.arm(Duration::micros(5), [&] { order.push_back(0); });
-  t.hold();
-  EXPECT_FALSE(t.pending());
+  LambdaTimer<> t{s, [&] { order.push_back(2); }};
+  t.timer.arm(Duration::micros(5));
+  t.timer.hold();
+  EXPECT_FALSE(t.timer.pending());
   EXPECT_EQ(s.pendingEvents(), 0u);
-  s.post(Duration::micros(10), [&] { order.push_back(1); });
+  ev.post(Duration::micros(10), [&] { order.push_back(1); });
   // Released at 10 us, before the position the next arm reserves there:
-  // it is still ahead, so the callback is queued at it, before event 3.
-  s.postAt(TimePoint{} + Duration::micros(10), [&] {
-    t.release();
-    EXPECT_TRUE(t.pending());
+  // it is still ahead, so the timer is queued at it, before event 3.
+  ev.post(Duration::micros(10), [&] {
+    t.timer.release();
+    EXPECT_TRUE(t.timer.pending());
   });
-  t.arm(Duration::micros(10), [&] { order.push_back(2); });
-  EXPECT_FALSE(t.pending());
-  s.post(Duration::micros(10), [&] { order.push_back(3); });
+  t.timer.arm(Duration::micros(10));
+  EXPECT_FALSE(t.timer.pending());
+  ev.post(Duration::micros(10), [&] { order.push_back(3); });
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -559,31 +652,94 @@ TEST(Timer, HeldTimerReleasesAtItsReservedPosition) {
 TEST(Timer, ReleasePastItsPositionDropsTheCallback) {
   for (const bool sameInstant : {false, true}) {
     Simulator s;
-    Timer t{s};
+    Posts ev{s};
     bool fired = false;
-    s.post(Duration::micros(10), [] {});
-    t.arm(Duration::micros(10), [&] { fired = true; });
-    t.hold();
+    LambdaTimer<> t{s, [&] { fired = true; }};
+    ev.post(Duration::micros(10), [] {});
+    t.timer.arm(Duration::micros(10));
+    t.timer.hold();
     // The reserved (10 us, seq) passes before the release runs.
-    s.post(Duration::micros(sameInstant ? 10 : 11), [&] { t.release(); });
+    ev.post(Duration::micros(sameInstant ? 10 : 11),
+            [&] { t.timer.release(); });
     s.run();
     EXPECT_FALSE(fired) << (sameInstant ? "same instant" : "later");
-    EXPECT_FALSE(t.pending());
+    EXPECT_FALSE(t.timer.pending());
+  }
+}
+
+// The pattern of gmp::LinkStateDissemination's ack timeout, which erases
+// its own entry: a callback destroys its own timer, armed once or
+// re-armed (earlier, and later: a deferral hop) before it fired. The
+// kernel must not touch the timer afterwards (an ASan build checks this)
+// and later events still run.
+TEST(Timer, DestroyedInsideItsOwnCallback) {
+  for (const int rearm : {0, 3, 7}) {
+    Simulator s;
+    Posts ev{s};
+    int fires = 0;
+    std::unique_ptr<LambdaTimer<>> t;
+    t = std::make_unique<LambdaTimer<>>(s, [&] {
+      ++fires;
+      t.reset();
+    });
+    t->timer.arm(Duration::micros(5));
+    if (rearm > 0) t->timer.arm(Duration::micros(rearm));
+    bool later = false;
+    ev.post(Duration::micros(8), [&] { later = true; });
+    s.run();
+    EXPECT_EQ(fires, 1) << rearm;
+    EXPECT_EQ(t, nullptr);
+    EXPECT_TRUE(later);
+    EXPECT_EQ(s.pendingEvents(), 0u);
+  }
+}
+
+// ~Timer leaves no pointer to itself in the queue, whatever state it
+// dies in. Each case destroys a heap timer, then builds a new timer
+// (often at the same address) that a stale key would fire early: it
+// must fire once, at its own deadline.
+TEST(Timer, DestroyedWhileQueuedDeferredHeldOrCancelled) {
+  enum class State { kQueued, kDeferred, kHeld, kCancelled };
+  for (const State state :
+       {State::kQueued, State::kDeferred, State::kHeld, State::kCancelled}) {
+    SCOPED_TRACE(static_cast<int>(state));
+    Simulator s;
+    int oldFires = 0;
+    auto old = std::make_unique<LambdaTimer<>>(s, [&] { ++oldFires; });
+    old->timer.arm(Duration::micros(5));
+    switch (state) {
+      case State::kQueued: break;
+      case State::kDeferred: old->timer.arm(Duration::micros(6)); break;
+      case State::kHeld: old->timer.hold(); break;
+      case State::kCancelled: old->timer.cancel(); break;
+    }
+    EXPECT_EQ(s.pendingEvents(),
+              state == State::kQueued || state == State::kDeferred ? 1u : 0u);
+    old.reset();
+    EXPECT_EQ(s.pendingEvents(), 0u);
+    std::vector<std::int64_t> times;
+    auto fresh = std::make_unique<LambdaTimer<>>(
+        s, [&] { times.push_back(s.now().asMicros()); });
+    fresh->timer.arm(Duration::micros(9));
+    s.run();
+    EXPECT_EQ(oldFires, 0);
+    EXPECT_EQ(times, (std::vector<std::int64_t>{9}));
+    EXPECT_EQ(s.pendingEvents(), 0u);
   }
 }
 
 TEST(PeriodicTimer, StopDuringDeferralNeverFires) {
   for (const std::int64_t stopAtUs : {0, 7}) {
     Simulator s;
-    PeriodicTimer p{s};
     int fires = 0;
-    p.start(Duration::micros(5), [&] { ++fires; });
+    LambdaTimer<PeriodicTimer> p{s, [&] { ++fires; }};
+    p.timer.start(Duration::micros(5));
     // Restart later: the queued 5 us key stays and defers to 20 us.
-    p.start(Duration::micros(20), Duration::micros(5), [&] { ++fires; });
+    p.timer.start(Duration::micros(20), Duration::micros(5));
     s.runUntil(TimePoint{} + Duration::micros(stopAtUs));
-    EXPECT_TRUE(p.running());
-    p.stop();
-    EXPECT_FALSE(p.running());
+    EXPECT_TRUE(p.timer.running());
+    p.timer.stop();
+    EXPECT_FALSE(p.timer.running());
     s.run();
     EXPECT_EQ(fires, 0) << "stopped at " << stopAtUs << " us";
     EXPECT_EQ(s.pendingEvents(), 0u);
@@ -592,24 +748,24 @@ TEST(PeriodicTimer, StopDuringDeferralNeverFires) {
 
 TEST(PeriodicTimer, FiresAtFixedInterval) {
   Simulator s;
-  PeriodicTimer p{s};
   std::vector<std::int64_t> times;
-  p.start(Duration::micros(100), [&] {
-    times.push_back(s.now().asMicros());
-    if (times.size() == 3) p.stop();
-  });
+  LambdaTimer<PeriodicTimer> p{s, [&] {
+                                 times.push_back(s.now().asMicros());
+                                 if (times.size() == 3) p.timer.stop();
+                               }};
+  p.timer.start(Duration::micros(100));
   s.run();
   EXPECT_EQ(times, (std::vector<std::int64_t>{100, 200, 300}));
 }
 
 TEST(PeriodicTimer, InitialDelayDiffersFromPeriod) {
   Simulator s;
-  PeriodicTimer p{s};
   std::vector<std::int64_t> times;
-  p.start(Duration::micros(5), Duration::micros(100), [&] {
-    times.push_back(s.now().asMicros());
-    if (times.size() == 2) p.stop();
-  });
+  LambdaTimer<PeriodicTimer> p{s, [&] {
+                                 times.push_back(s.now().asMicros());
+                                 if (times.size() == 2) p.timer.stop();
+                               }};
+  p.timer.start(Duration::micros(5), Duration::micros(100));
   s.run();
   EXPECT_EQ(times, (std::vector<std::int64_t>{5, 105}));
 }

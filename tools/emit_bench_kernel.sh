@@ -38,7 +38,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER='BM_(Event(QueueScheduleRun|QueueSteadyState|QueueSameInstantBursts|Cancellation|QueueLongRun)|TimerRearm)'
+FILTER='BM_Timer(Queue(ArmRun|SteadyState|SameInstantBursts|LongRun)|Cancellation|Rearm)'
 MEDIUM_FILTER='BM_Medium(StartFinish|DenseBurst|DenseMacro|DenseDcf|SparseStartFinish)'
 TOPO_FILTER='BM_TopologyConstruct'
 

@@ -11,8 +11,8 @@ DESIGN.md §10):
     raw-rng            all randomness via named maxmin::Rng streams
     wall-clock         sim subsystems live on Simulator::now()
     hot-map            no std::map/set/multimap/multiset in hot headers
-    event-fn           src/sim uses sim::EventFn, not std::function
-    nodiscard-handle   EventId-returning APIs are [[nodiscard]]
+    event-fn           src/sim timer callbacks are bound {fn, ctx} pairs,
+                       never std::function
     chrono-outside-obs obs::Profiler::wallNanos() is the one wall clock
     raw-fork           Rng::fork() only in the frozen bring-up order
     per-frame-distance no geometry queries on the frame pipeline
@@ -56,8 +56,8 @@ import determinism  # noqa: E402
 import layering  # noqa: E402
 import shared_state  # noqa: E402
 from rules import (  # noqa: E402
-    BAKED_ALLOW, RULES, RULE_BY_ID, Finding, check_nodiscard,
-    check_patterns, collect_pragmas, message_of,
+    BAKED_ALLOW, RULES, RULE_BY_ID, Finding, check_patterns,
+    collect_pragmas, message_of,
 )
 
 # --------------------------------------------------------------------------
@@ -116,8 +116,6 @@ def lint_file(path, rel, manifest=None, statics_out=None):
 
     stripped_lines = scanned.stripped_lines()
     check_patterns(rel, stripped_lines, findings, allowed)
-    if RULE_BY_ID["nodiscard-handle"].in_scope(rel):
-        check_nodiscard(rel, stripped_lines, findings, allowed)
     if RULE_BY_ID["unordered-iter"].in_scope(rel):
         determinism.check_file(rel, scanned.tokens,
                                _paired_header_tokens(path), findings, allowed)

@@ -2,8 +2,8 @@
 
 Every rule descends from a real bug or a structural invariant of this
 codebase; the catalog with bug history lives in DESIGN.md §10. This module
-holds the shared rule metadata (ids, messages, path scopes) plus the nine
-"pattern" rules that match token-stripped lines. The three structural
+holds the shared rule metadata (ids, messages, path scopes) plus the
+pattern rules that match token-stripped lines. The three structural
 families live in sibling modules:
 
     layering.py     — include-graph DAG conformance and cycle detection
@@ -69,7 +69,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# The twelve rules. Pattern rules carry regexes (run against stripped
+# The eleven rules. Pattern rules carry regexes (run against stripped
 # lines); structural rules carry an empty pattern list and are implemented
 # in check functions / sibling modules.
 # --------------------------------------------------------------------------
@@ -118,8 +118,9 @@ RULES = [
     ),
     Rule(
         "event-fn",
-        "std::function in the DES kernel; event paths use sim::EventFn "
-        "(48 B inline budget, no heap traffic on schedule/fire)",
+        "std::function in the DES kernel; a timer's callback is a "
+        "sim::Callback {function, context} pair bound once at "
+        "construction (sim::bind), never a type-erased callable",
         [
             r"\bstd::function\s*<",
         ],
@@ -141,13 +142,6 @@ RULES = [
             and not rel.startswith("src/obs/")
             and not rel.startswith(SIM_SCOPE)
         ),
-    ),
-    Rule(
-        "nodiscard-handle",
-        "handle-returning API without [[nodiscard]]; a dropped EventId "
-        "is an uncancellable event",
-        [],  # structural: check_nodiscard()
-        lambda rel: rel.startswith("src/") and is_header(rel),
     ),
     Rule(
         "raw-fork",
@@ -243,29 +237,8 @@ def collect_pragmas(raw_lines, warn):
 
 
 # --------------------------------------------------------------------------
-# Structural pattern helpers
+# Pattern matching
 # --------------------------------------------------------------------------
-
-# Declaration of a function returning an event handle. Anchored at the
-# line start (after qualifiers) so parameters of type EventId don't match.
-NODISCARD_DECL = re.compile(
-    r"^\s*(?:(?:static|constexpr|inline|virtual|friend|explicit)\s+)*"
-    r"(?:sim::)?EventId\s+\w+\s*\("
-)
-
-
-def check_nodiscard(rel, stripped_lines, findings, allowed):
-    prev = ""
-    for lineno, line in enumerate(stripped_lines, 1):
-        if NODISCARD_DECL.match(line):
-            if "[[nodiscard]]" not in line and "[[nodiscard]]" not in prev:
-                if not allowed(lineno, "nodiscard-handle"):
-                    findings.append(
-                        Finding(rel, lineno, "nodiscard-handle",
-                                message_of("nodiscard-handle")))
-        if line.strip():
-            prev = line
-
 
 def check_patterns(rel, stripped_lines, findings, allowed):
     """Run every pattern rule whose scope covers `rel`."""
