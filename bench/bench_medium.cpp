@@ -177,9 +177,8 @@ BENCHMARK(BM_MediumDenseDcf)->Arg(200)->Arg(800)->Unit(benchmark::kMillisecond);
 
 /// Topology construction at scale: grid-bucketed neighbor discovery +
 /// CSR assembly on a constant-density (~12 tx-degree) uniform layout.
-/// Above the dense-adjacency threshold (2048 nodes) no n^2-bit matrices
-/// are built, so memory — reported via the `bytes` counter — must track
-/// nodes + edges. This is the N = 100k wall the old all-pairs loop
+/// No n^2-bit matrices are built, so memory — reported via the `bytes`
+/// counter — must track nodes + edges. This is the N = 100k wall the old all-pairs loop
 /// could not cross; tools/emit_bench_kernel.sh --topo snapshots it as
 /// BENCH_topology.json.
 void BM_TopologyConstruct(benchmark::State& state) {
@@ -211,22 +210,13 @@ BENCHMARK(BM_TopologyConstruct)
     ->Arg(20000)
     ->Arg(100000);
 
-/// The staggered start/finish workload on a sparse-mode mesh (above the
-/// dense threshold): exercises the per-cs-neighbor corruption probe and
-/// CSR row iteration that large-N simulations run on.
+/// The staggered start/finish workload on a large sparse mesh (mean
+/// degree 5): the CSR row walks that large-N simulations run on.
 void BM_MediumSparseStartFinish(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   const auto sc = scenarios::randomMesh(
       99, n, scenarios::meshSideForDegree(n, 5.0), 2);
-  Harness h{topo::Topology::fromPositions(
-      [&] {
-        std::vector<topo::Point> pts;
-        for (topo::NodeId a = 0; a < sc.topology.numNodes(); ++a) {
-          pts.push_back(sc.topology.position(a));
-        }
-        return pts;
-      }(),
-      topo::RadioRanges{}, topo::TopologyOptions{0})};
+  Harness h{sc.topology};
   Rng rng{42};
   constexpr int kRounds = 2;
   std::int64_t frames = 0;

@@ -10,32 +10,26 @@ namespace maxmin::fluid {
 FluidGmpHarness::FluidGmpHarness(FluidNetwork& network, gmp::GmpParams params)
     : network_{network},
       params_{params},
-      engine_{network.contention(), params},
-      vnet_{gmp::VirtualNetwork::build(network.contention(), network.flows(),
-                                       network.paths())} {}
+      engine_{network.contention(), params} {}
 
 gmp::Snapshot FluidGmpHarness::buildSnapshot(const FluidState& state) const {
-  const gmp::VirtualNetwork& vn = *vnet_;
   gmp::Snapshot snap;
-  snap.vnet = vnet_;
+  snap.vnet = network_.virtualNetwork();
+  const gmp::VirtualNetwork& vn = *snap.vnet;
   const auto& flows = network_.flows();
-  for (const net::FlowSpec& f : flows) {
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const net::FlowSpec& f = flows[i];
     gmp::FlowState fs;
     fs.id = f.id;
     fs.src = f.src;
     fs.dst = f.dst;
     fs.weight = f.weight;
     fs.desiredPps = f.desiredRate.asPerSecond();
-    fs.ratePps = state.rates.at(f.id);
+    fs.ratePps = state.rates[i];
     fs.limitPps = network_.rateLimit(f.id);
     snap.flows.push_back(fs);
   }
-
-  // Virtual nodes off the backpressure chain are unsaturated.
-  for (const auto& vnode : vn.vnodes) {
-    const auto it = state.saturated.find(vnode);
-    snap.saturated.push_back(it != state.saturated.end() && it->second);
-  }
+  snap.saturated = state.saturated;
 
   // Each virtual link carries its flows' summed rate; every flow on it is
   // a primary candidate, in flow order.
@@ -54,8 +48,8 @@ gmp::Snapshot FluidGmpHarness::buildSnapshot(const FluidState& state) const {
 
   const auto& links = network_.contention().links;
   for (std::size_t li = 0; li < links.size(); ++li) {
-    snap.wlinks.push_back(gmp::WLinkState{
-        links[li], state.occupancy.at(links[li]), gmp::linkNormRate(snap, li)});
+    snap.wlinks.push_back(gmp::WLinkState{links[li], state.occupancy[li],
+                                          gmp::linkNormRate(snap, li)});
   }
   return snap;
 }
@@ -81,7 +75,12 @@ gmp::DecisionReport FluidGmpHarness::step() {
 std::map<net::FlowId, double> FluidGmpHarness::run(int periods) {
   MAXMIN_CHECK(periods > 0);
   for (int p = 0; p < periods; ++p) step();
-  return network_.evaluate().rates;
+  const std::vector<double> rates = network_.evaluate().rates;
+  std::map<net::FlowId, double> out;
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    out[network_.flows()[i].id] = rates[i];
+  }
+  return out;
 }
 
 FixedPointResult FluidGmpHarness::runToFixedPoint(double tol, int maxPeriods) {

@@ -1,14 +1,14 @@
 // Drives the (unmodified) gmp::Engine over a FluidNetwork: the same
 // period loop as gmp::Controller, with the Snapshot assembled from fluid
-// steady states instead of packet-level measurements.
+// steady states instead of packet-level measurements. Snapshots point at
+// the network's own gmp::VirtualNetwork.
 #pragma once
 
-#include <memory>
+#include <map>
 #include <vector>
 
 #include "fluid/fluid_network.hpp"
 #include "gmp/engine.hpp"
-#include "gmp/virtual_network.hpp"
 
 namespace maxmin::fluid {
 
@@ -50,7 +50,6 @@ class FluidGmpHarness {
   FluidNetwork& network_;
   gmp::GmpParams params_;
   gmp::Engine engine_;
-  std::shared_ptr<const gmp::VirtualNetwork> vnet_;
   gmp::Snapshot lastSnapshot_;
   std::vector<int> violationHistory_;
 };

@@ -34,20 +34,27 @@ FluidNetwork::FluidNetwork(const topo::Topology& topo,
 
 void FluidNetwork::init() {
   MAXMIN_CHECK(capacity_ > 0.0);
-  for (const net::FlowSpec& f : flows_) limits_[f.id] = std::nullopt;
+  limits_.assign(flows_.size(), std::nullopt);
   incidence_ = topo::FlowIncidence::build(contention_, paths_);
+  vnet_ = gmp::VirtualNetwork::build(contention_, flows_, paths_);
   extLink_.assign(contention_.links.size(), 0.0);
   extClique_.assign(contention_.cliques.size(), 0.0);
 }
 
+std::size_t FluidNetwork::indexOf(net::FlowId id) const {
+  const int i = vnet_->flowIndex(id);
+  MAXMIN_CHECK_MSG(i >= 0, "unknown flow " << id);
+  return static_cast<std::size_t>(i);
+}
+
 void FluidNetwork::setRateLimit(net::FlowId id, std::optional<double> pps) {
-  MAXMIN_CHECK(limits_.contains(id));
+  const std::size_t i = indexOf(id);
   if (pps) MAXMIN_CHECK(*pps > 0.0);
-  limits_[id] = pps;
+  limits_[i] = pps;
 }
 
 std::optional<double> FluidNetwork::rateLimit(net::FlowId id) const {
-  return limits_.at(id);
+  return limits_[indexOf(id)];
 }
 
 void FluidNetwork::setExternalOccupancy(topo::Link l, double fraction) {
@@ -71,7 +78,7 @@ FluidState FluidNetwork::evaluate() const {
   ws_.load.assign(m, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     double offered = flows_[i].desiredRate.asPerSecond();
-    if (const auto& lim = limits_.at(flows_[i].id)) {
+    if (const auto& lim = limits_[i]) {
       offered = std::min(offered, *lim);
     }
     ws_.offered[i] = offered;
@@ -139,15 +146,14 @@ FluidState FluidNetwork::evaluate() const {
   }
 
   FluidState state;
-  for (std::size_t i = 0; i < n; ++i) {
-    state.rates[flows_[i].id] = ws_.rate[i];
-  }
+  state.rates = ws_.rate;
 
   // Backpressure chain: a constrained flow saturates the queues from its
   // source through the sender of its first link inside the bottleneck
   // clique (paper §3.2: everything upstream of the bandwidth-saturated
   // link is buffer-saturated).
   constexpr double kEps = 1e-9;
+  state.saturated.assign(vnet_->vnodes.size(), 0);
   for (std::size_t i = 0; i < n; ++i) {
     const bool constrained = ws_.rate[i] < ws_.offered[i] - kEps;
     if (!constrained) continue;
@@ -155,7 +161,8 @@ FluidState FluidNetwork::evaluate() const {
     const int bc = ws_.bottleneck[i];
     const auto& path = paths_[i];
     for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-      state.saturated[{path[h], flows_[i].dst}] = true;
+      state.saturated[static_cast<std::size_t>(
+          vnet_->vnodeId(path[h], flows_[i].dst))] = 1;
       const auto& cliques = contention_.cliquesOfLink[static_cast<std::size_t>(
           incidence_.hopLinks[i][h])];
       if (std::ranges::find(cliques, bc) != cliques.end()) break;
@@ -164,12 +171,13 @@ FluidState FluidNetwork::evaluate() const {
 
   // Link occupancies: airtime fraction consumed by the traffic on each
   // wireless link, plus any external (packet-measured) share.
+  state.occupancy.resize(contention_.links.size());
   for (std::size_t li = 0; li < contention_.links.size(); ++li) {
     double load = 0.0;
     for (const auto& [i, k] : incidence_.linkFlows.row(li)) {
       load += ws_.rate[i] * k;
     }
-    state.occupancy[contention_.links[li]] = load / capacity_ + extLink_[li];
+    state.occupancy[li] = load / capacity_ + extLink_[li];
   }
   return state;
 }

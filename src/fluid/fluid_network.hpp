@@ -26,13 +26,21 @@
 // and flow incidence is the shared CSR topo::FlowIncidence and the
 // iteration workspace is reused across calls, so an N=5k fixed point
 // costs no per-iteration heap traffic (see bench/bench_fluid.cpp).
+//
+// The network builds its gmp::VirtualNetwork (the per-destination vnodes
+// of paper §5.2) once, at construction. A FluidState is laid out by the
+// same indices as a gmp::Snapshot: flows in flows() order, vnodes by
+// VirtualNetwork id, links by contention link index. FluidGmpHarness
+// points its snapshots at that VirtualNetwork and copies the state
+// straight across.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "gmp/virtual_network.hpp"
 #include "net/flow.hpp"
 #include "topology/contention.hpp"
 #include "topology/topology.hpp"
@@ -40,13 +48,14 @@
 namespace maxmin::fluid {
 
 struct FluidState {
-  /// Realized end-to-end rate per flow (pkts/s).
-  std::map<net::FlowId, double> rates;
-  /// Saturated virtual nodes (node, dest), per the backpressure chain.
-  std::map<std::pair<topo::NodeId, topo::NodeId>, bool> saturated;
-  /// Airtime occupancy per wireless link (fraction of clique capacity,
-  /// external occupancy included).
-  std::map<topo::Link, double> occupancy;
+  /// Realized end-to-end rate per flow (pkts/s), by flow index.
+  std::vector<double> rates;
+  /// Per vnode id: 1 on a flow's backpressure chain (the layout of
+  /// gmp::Snapshot::saturated).
+  std::vector<char> saturated;
+  /// Airtime occupancy per contention link index (fraction of clique
+  /// capacity, external occupancy included).
+  std::vector<double> occupancy;
 };
 
 /// Diagnostics for the most recent evaluate().
@@ -91,17 +100,23 @@ class FluidNetwork {
   const std::vector<std::vector<topo::NodeId>>& paths() const { return paths_; }
   const topo::ContentionStructure& contention() const { return contention_; }
   const topo::FlowIncidence& incidence() const { return incidence_; }
+  const std::shared_ptr<const gmp::VirtualNetwork>& virtualNetwork() const {
+    return vnet_;
+  }
   [[nodiscard]] double cliqueCapacity() const { return capacity_; }
 
  private:
-  /// Incidence, rate limits and external-occupancy arrays over contention_.
+  /// Incidence, virtual network, rate limits and external-occupancy
+  /// arrays over contention_.
   void init();
+  [[nodiscard]] std::size_t indexOf(net::FlowId id) const;
 
   std::vector<net::FlowSpec> flows_;
   std::vector<std::vector<topo::NodeId>> paths_;
-  std::map<net::FlowId, std::optional<double>> limits_;
+  std::vector<std::optional<double>> limits_;  ///< by flow index
   topo::ContentionStructure contention_;
   topo::FlowIncidence incidence_;
+  std::shared_ptr<const gmp::VirtualNetwork> vnet_;
   double capacity_;
 
   /// External occupancy per contention link index and its per-clique sum.

@@ -2,8 +2,9 @@
 //
 // Every (node, dest) virtual node and (link, dest) virtual link any flow
 // crosses gets a dense id, plus the CSR rows the condition checks walk.
-// A Controller and a FluidGmpHarness each build one at construction;
-// every Snapshot they emit points at it and is laid out by its ids.
+// A Controller and a fluid::FluidNetwork each build one at construction
+// (a FluidGmpHarness shares its network's); every Snapshot they emit
+// points at it and is laid out by its ids, as is a fluid::FluidState.
 #pragma once
 
 #include <memory>

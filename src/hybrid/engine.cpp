@@ -91,10 +91,8 @@ Engine::Engine(net::Network& net, gmp::Controller& controller,
     }
     bgSenders_.assign(senders.begin(), senders.end());
     for (const topo::NodeId n : bgSenders_) bgLoad_->addSender(n);
-    for (const net::FlowSpec& f : bgFlows_) {
-      integral_[f.id] = 0.0;
-      currentRates_[f.id] = 0.0;
-    }
+    integral_.assign(bgFlows_.size(), 0.0);
+    currentRates_.assign(bgFlows_.size(), 0.0);
     stats_.backgroundFlows = static_cast<int>(bgFlows_.size());
   }
 }
@@ -120,9 +118,11 @@ void Engine::fastForward() {
 
   // Inject the foreground operating point: rate limits and piggybacked
   // normalized rates at the sources.
+  const gmp::VirtualNetwork& vn = *all.virtualNetwork();
   for (const net::FlowSpec& f : net_.flows()) {
     if (const auto lim = all.rateLimit(f.id)) net_.setRateLimit(f.id, lim);
-    net_.setSourceMu(f.id, state.rates.at(f.id) / f.weight);
+    const auto i = static_cast<std::size_t>(vn.flowIndex(f.id));
+    net_.setSourceMu(f.id, state.rates[i] / f.weight);
   }
   // Background flows inherit the jointly-converged limits so the first
   // re-linearization starts from the same operating point.
@@ -132,13 +132,14 @@ void Engine::fastForward() {
     }
   }
 
-  controller_.warmStart(buildMeasurements(state, all.paths()));
-  seedQueues(state, all.paths());
+  controller_.warmStart(buildMeasurements(all, state));
+  seedQueues(all, state);
 }
 
+// `all` is built over allFlows_, so its flow index i is allFlows_[i].
 std::vector<net::NodePeriodMeasurement> Engine::buildMeasurements(
-    const fluid::FluidState& state,
-    const std::vector<std::vector<topo::NodeId>>& ffPaths) const {
+    const fluid::FluidNetwork& all, const fluid::FluidState& state) const {
+  const gmp::VirtualNetwork& vn = *all.virtualNetwork();
   const auto numNodes = static_cast<std::size_t>(net_.topology().numNodes());
   std::vector<net::NodePeriodMeasurement> meas(numNodes);
   const double periodSeconds = gmpParams_.period.asSeconds();
@@ -149,17 +150,17 @@ std::vector<net::NodePeriodMeasurement> Engine::buildMeasurements(
   for (std::size_t i = 0; i < allFlows_.size(); ++i) {
     const net::FlowSpec& f = allFlows_[i];
     if (!isForeground(cfg_, f.id)) continue;
-    const double rate = state.rates.at(f.id);
+    const double rate = state.rates[i];
     const double mu = rate / f.weight;
-    const auto& path = ffPaths[i];
+    const auto& path = all.paths()[i];
     meas[static_cast<std::size_t>(path.front())].localFlowRate[f.id] = rate;
     for (std::size_t h = 0; h + 1 < path.size(); ++h) {
       auto& m = meas[static_cast<std::size_t>(path[h])];
       net::VirtualLinkSample& vs = m.downstream[f.dst];
       vs.packets += static_cast<int>(rate * periodSeconds);
       vs.flowMu[f.id] = mu;
-      const auto sat = state.saturated.find({path[h], f.dst});
-      const bool full = sat != state.saturated.end() && sat->second;
+      const bool full = state.saturated[static_cast<std::size_t>(
+                            vn.vnodeId(path[h], f.dst))] != 0;
       auto [it, inserted] = m.queueFullFraction.try_emplace(f.dst, 0.0);
       if (full) it->second = 1.0;
     }
@@ -167,28 +168,26 @@ std::vector<net::NodePeriodMeasurement> Engine::buildMeasurements(
   return meas;
 }
 
-void Engine::seedQueues(const fluid::FluidState& state,
-                        const std::vector<std::vector<topo::NodeId>>& ffPaths) {
+void Engine::seedQueues(const fluid::FluidNetwork& all,
+                        const fluid::FluidState& state) {
   const int queueCap = net_.config().queueCapacity;
   if (queueCap <= 0) return;
+  const gmp::VirtualNetwork& vn = *all.virtualNetwork();
+  const auto vnodeOf = [&vn](topo::NodeId node, topo::NodeId dest) {
+    return static_cast<std::size_t>(vn.vnodeId(node, dest));
+  };
 
-  // Which foreground flows cross each saturated (node, dest) virtual
-  // node, in flow-id order (allFlows_ is id-ordered per validateFlows).
-  using VNode = std::pair<topo::NodeId, topo::NodeId>;
-  std::map<VNode, std::vector<net::FlowId>> crossing;
-  std::map<net::FlowId, const net::FlowSpec*> specOf;
-  std::map<net::FlowId, double> muOf;
+  // Which foreground flows (by index) cross each saturated vnode, in
+  // flow-id order (allFlows_ is id-ordered per validateFlows).
+  const std::size_t vnodes = vn.vnodes.size();
+  std::vector<std::vector<std::size_t>> crossing(vnodes);
   for (std::size_t i = 0; i < allFlows_.size(); ++i) {
     const net::FlowSpec& f = allFlows_[i];
     if (!isForeground(cfg_, f.id)) continue;
-    specOf[f.id] = &f;
-    muOf[f.id] = state.rates.at(f.id) / f.weight;
-    for (std::size_t h = 0; h + 1 < ffPaths[i].size(); ++h) {
-      const VNode vn{ffPaths[i][h], f.dst};
-      if (const auto it = state.saturated.find(vn);
-          it != state.saturated.end() && it->second) {
-        crossing[vn].push_back(f.id);
-      }
+    const auto& path = all.paths()[i];
+    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+      const std::size_t v = vnodeOf(path[h], f.dst);
+      if (state.saturated[v] != 0) crossing[v].push_back(i);
     }
   }
 
@@ -197,49 +196,48 @@ void Engine::seedQueues(const fluid::FluidState& state,
   // nearest the destination drains first — so the sink's duplicate
   // suppression sees a monotone sequence. Seeded packets use negative
   // sequence numbers; real source packets start at 0.
-  std::map<VNode, std::vector<net::FlowId>> contents;
-  std::map<VNode, std::vector<std::int64_t>> seqs;
-  for (const auto& [vn, flows] : crossing) {
-    auto& slots = contents[vn];
+  std::vector<std::vector<std::size_t>> contents(vnodes);
+  std::vector<std::vector<std::int64_t>> seqs(vnodes);
+  for (std::size_t v = 0; v < vnodes; ++v) {
+    const auto& flows = crossing[v];
+    if (flows.empty()) continue;
     for (int s = 0; s < queueCap; ++s) {
-      slots.push_back(flows[static_cast<std::size_t>(s) % flows.size()]);
+      contents[v].push_back(flows[static_cast<std::size_t>(s) % flows.size()]);
     }
-    seqs[vn].assign(slots.size(), 0);
+    seqs[v].assign(contents[v].size(), 0);
   }
   for (std::size_t i = 0; i < allFlows_.size(); ++i) {
     const net::FlowSpec& f = allFlows_[i];
     if (!isForeground(cfg_, f.id)) continue;
-    const auto& path = ffPaths[i];
-    std::vector<std::pair<const VNode*, std::size_t>> order;
+    const auto& path = all.paths()[i];
+    std::vector<std::pair<std::size_t, std::size_t>> order;  // (vnode, slot)
     for (std::size_t h = path.size() - 1; h-- > 0;) {
-      const VNode vn{path[h], f.dst};
-      const auto it = contents.find(vn);
-      if (it == contents.end()) continue;
-      for (std::size_t s = 0; s < it->second.size(); ++s) {
-        if (it->second[s] == f.id) order.emplace_back(&it->first, s);
+      const std::size_t v = vnodeOf(path[h], f.dst);
+      for (std::size_t s = 0; s < contents[v].size(); ++s) {
+        if (contents[v][s] == i) order.emplace_back(v, s);
       }
     }
     const auto k = static_cast<std::int64_t>(order.size());
     for (std::int64_t j = 0; j < k; ++j) {
-      seqs.at(*order[static_cast<std::size_t>(j)].first)
-          [order[static_cast<std::size_t>(j)].second] = -k + j;
+      const auto& [v, s] = order[static_cast<std::size_t>(j)];
+      seqs[v][s] = -k + j;
     }
   }
 
   const TimePoint now = net_.simulator().now();
-  for (const auto& [vn, slots] : contents) {
-    const auto& slotSeqs = seqs.at(vn);
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      const net::FlowSpec& f = *specOf.at(slots[s]);
+  for (std::size_t v = 0; v < vnodes; ++v) {
+    for (std::size_t s = 0; s < contents[v].size(); ++s) {
+      const std::size_t i = contents[v][s];
+      const net::FlowSpec& f = allFlows_[i];
       auto p = std::make_shared<net::Packet>();
       p->flow = f.id;
       p->src = f.src;
       p->dst = f.dst;
-      p->seq = slotSeqs[s];
+      p->seq = seqs[v][s];
       p->size = net_.config().packetSize;
       p->created = now;
-      p->normalizedRate = muOf.at(f.id);
-      net_.stack(vn.first).seedPacket(std::move(p));
+      p->normalizedRate = state.rates[i] / f.weight;
+      net_.stack(vn.vnodes[v].first).seedPacket(std::move(p));
       ++stats_.seededPackets;
     }
   }
@@ -269,43 +267,45 @@ void Engine::relinearize(const gmp::Snapshot& snap) {
     bgFluid_->setExternalOccupancy(wl.link, std::min(wl.occupancy, 1.0));
   }
   bgHarness_->step();
-  std::map<net::FlowId, double> rates;
+  std::vector<double> rates;
   for (const gmp::FlowState& fs : bgHarness_->lastSnapshot().flows) {
-    rates[fs.id] = fs.ratePps;
+    rates.push_back(fs.ratePps);
   }
-  applyBackgroundRates(rates);
+  applyBackgroundRates(std::move(rates));
   ++stats_.relinearizations;
 }
 
-void Engine::applyBackgroundRates(const std::map<net::FlowId, double>& rates) {
-  currentRates_ = rates;
-  // maxmin-lint: allow(hot-map) few senders, rebuilt once per period
-  std::map<topo::NodeId, double> senderPps;
-  for (const topo::NodeId n : bgSenders_) senderPps[n] = 0.0;
+void Engine::applyBackgroundRates(std::vector<double> rates) {
+  currentRates_ = std::move(rates);
+  std::vector<double> senderPps(
+      static_cast<std::size_t>(net_.topology().numNodes()), 0.0);
   const auto& paths = bgFluid_->paths();
   for (std::size_t i = 0; i < bgFlows_.size(); ++i) {
-    const double r = rates.at(bgFlows_[i].id);
     for (std::size_t h = 0; h + 1 < paths[i].size(); ++h) {
-      senderPps[paths[i][h]] += r;
+      senderPps[static_cast<std::size_t>(paths[i][h])] += currentRates_[i];
     }
   }
-  for (const auto& [node, pps] : senderPps) {
-    bgLoad_->setSenderRate(node, pps);
+  for (const topo::NodeId n : bgSenders_) {
+    bgLoad_->setSenderRate(n, senderPps[static_cast<std::size_t>(n)]);
   }
 }
 
 void Engine::accumulateTo(TimePoint t) {
   const double dt = (t - integralAt_).asSeconds();
   if (dt <= 0.0) return;
-  for (auto& [id, packets] : integral_) {
-    packets += currentRates_.at(id) * dt;
+  for (std::size_t i = 0; i < integral_.size(); ++i) {
+    integral_[i] += currentRates_[i] * dt;
   }
   integralAt_ = t;
 }
 
 Engine::BackgroundSnapshot Engine::snapshotBackground() {
   accumulateTo(net_.simulator().now());
-  return BackgroundSnapshot{net_.simulator().now(), integral_};
+  BackgroundSnapshot snap{net_.simulator().now(), {}};
+  for (std::size_t i = 0; i < bgFlows_.size(); ++i) {
+    snap.packets[bgFlows_[i].id] = integral_[i];
+  }
+  return snap;
 }
 
 std::map<net::FlowId, double> Engine::ratesBetween(
@@ -321,14 +321,10 @@ std::map<net::FlowId, double> Engine::ratesBetween(
 
 int Engine::backgroundHops(net::FlowId id) const {
   MAXMIN_CHECK(bgFluid_.has_value());
-  const auto& flows = bgFluid_->flows();
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    if (flows[i].id == id) {
-      return static_cast<int>(bgFluid_->paths()[i].size()) - 1;
-    }
-  }
-  MAXMIN_CHECK_MSG(false, "unknown background flow " << id);
-  return 0;
+  const int i = bgFluid_->virtualNetwork()->flowIndex(id);
+  MAXMIN_CHECK_MSG(i >= 0, "unknown background flow " << id);
+  const auto& path = bgFluid_->paths()[static_cast<std::size_t>(i)];
+  return static_cast<int>(path.size()) - 1;
 }
 
 }  // namespace maxmin::hybrid

@@ -82,11 +82,9 @@ class Engine {
   /// measured window exactly like net::Network::DeliverySnapshot.
   struct BackgroundSnapshot {
     TimePoint at;
-    // maxmin-lint: allow(hot-map) report type, copied once per snapshot
     std::map<net::FlowId, double> packets;
   };
   [[nodiscard]] BackgroundSnapshot snapshotBackground();
-  // maxmin-lint: allow(hot-map) report type, built once per interval
   static std::map<net::FlowId, double> ratesBetween(
       const BackgroundSnapshot& from, const BackgroundSnapshot& to);
 
@@ -100,21 +98,22 @@ class Engine {
   }
 
  private:
-  /// Synthesize per-node period-0 measurements from a fluid state for
-  /// the controller's warm start (foreground flows only).
+  /// Synthesize per-node period-0 measurements from the all-flow fluid
+  /// network's state for the controller's warm start (foreground flows
+  /// only).
   [[nodiscard]] std::vector<net::NodePeriodMeasurement> buildMeasurements(
-      const fluid::FluidState& state,
-      const std::vector<std::vector<topo::NodeId>>& ffPaths) const;
+      const fluid::FluidNetwork& all, const fluid::FluidState& state) const;
   /// Fill the queues along every fluid-saturated foreground backpressure
   /// chain with synthetic in-transit packets.
-  void seedQueues(const fluid::FluidState& state,
-                  const std::vector<std::vector<topo::NodeId>>& ffPaths);
+  void seedQueues(const fluid::FluidNetwork& all,
+                  const fluid::FluidState& state);
   /// Controller period hook: fold measured foreground occupancy into the
   /// fluid model, advance it one GMP period, push new phantom rates.
   void relinearize(const gmp::Snapshot& snap);
-  /// Install `rates` as the current background rates: update the
-  /// delivery integral baseline and the per-sender phantom rates.
-  void applyBackgroundRates(const std::map<net::FlowId, double>& rates);
+  /// Install `rates` (by background flow index) as the current
+  /// background rates: the delivery integral's rates and the per-sender
+  /// phantom rates.
+  void applyBackgroundRates(std::vector<double> rates);
   void accumulateTo(TimePoint t);
 
   net::Network& net_;
@@ -130,12 +129,10 @@ class Engine {
   std::optional<fluid::FluidGmpHarness> bgHarness_;
   std::optional<BackgroundLoad> bgLoad_;
 
-  /// Fluid delivery integral per background flow (packets), advanced at
-  /// the current rates between re-linearizations.
-  // maxmin-lint: allow(hot-map) few background flows, touched once per period
-  std::map<net::FlowId, double> integral_;
-  // maxmin-lint: allow(hot-map) few background flows, touched once per period
-  std::map<net::FlowId, double> currentRates_;
+  /// Fluid delivery integral per background flow index (packets),
+  /// advanced at the current rates between re-linearizations.
+  std::vector<double> integral_;
+  std::vector<double> currentRates_;  ///< pkts/s, same index
   TimePoint integralAt_;
 
   HybridStats stats_;

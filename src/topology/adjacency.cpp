@@ -9,13 +9,4 @@ AdjacencyMatrix::AdjacencyMatrix(int nodes)
   MAXMIN_CHECK(nodes >= 0);
 }
 
-int AdjacencyMatrix::rowDegree(NodeId a) const {
-  const std::uint64_t* r = row(a);
-  int degree = 0;
-  for (std::size_t w = 0; w < words_; ++w) {
-    degree += std::popcount(r[w]);
-  }
-  return degree;
-}
-
 }  // namespace maxmin::topo

@@ -1,15 +1,13 @@
-// Packed adjacency relation over node ids: one bit per ordered pair,
+// Packed adjacency relation over dense ids: one bit per ordered pair,
 // stored as rows of uint64_t words so membership is a single bit test
 // and row intersections are word-wise ANDs.
 //
-// Topology materializes one per relation below its dense threshold, so
-// membership (Topology::areNeighbors / inCsRange) is a bit test rather
-// than a squared-distance comparison or a CSR binary search. Rows are
-// contiguous, so scanning a row at N = 800 is 13 sequential words.
-// ConflictGraph reuses the same layout indexed by link instead of node.
+// ConflictGraph stores the link conflict relation this way, indexed by
+// link, so clique enumeration intersects candidate sets word by word.
+// The node relations live in Topology's CSR rows instead: they are
+// sparse, and n^2 bits would dominate memory at large N.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -42,23 +40,6 @@ class AdjacencyMatrix {
   /// accessor for word-wise intersections with other bitsets.
   [[nodiscard]] const std::uint64_t* row(NodeId a) const {
     return bits_.data() + rowOffset(a);
-  }
-
-  /// Number of set bits in row `a` (the node's degree).
-  [[nodiscard]] int rowDegree(NodeId a) const;
-
-  /// Calls fn(NodeId) for every set bit in row `a`, ascending.
-  template <typename Fn>
-  void forEachInRow(NodeId a, Fn&& fn) const {
-    const std::uint64_t* r = row(a);
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t word = r[w];
-      while (word != 0) {
-        const int bit = std::countr_zero(word);
-        fn(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(bit)));
-        word &= word - 1;
-      }
-    }
   }
 
  private:

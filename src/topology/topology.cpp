@@ -22,8 +22,7 @@ bool Topology::rowContains(std::span<const NodeId> row, NodeId b) {
 }
 
 Topology Topology::fromPositions(std::vector<Point> positions,
-                                 RadioRanges ranges,
-                                 TopologyOptions options) {
+                                 RadioRanges ranges) {
   MAXMIN_CHECK(ranges.txRange > 0.0);
   MAXMIN_CHECK_MSG(ranges.csRange >= ranges.txRange,
                    "carrier-sense range must cover the transmission range");
@@ -71,19 +70,6 @@ Topology Topology::fromPositions(std::vector<Point> positions,
     t.csList_.insert(t.csList_.end(), csRow.begin(), csRow.end());
   }
 
-  // Dense bitset views only while the n^2-bit cost is trivial; above the
-  // threshold the CSR rows are the only representation and membership is
-  // a binary search (DESIGN.md §14).
-  t.dense_ = n <= options.denseAdjacencyMaxNodes;
-  if (t.dense_) {
-    t.txAdj_ = AdjacencyMatrix{n};
-    t.csAdj_ = AdjacencyMatrix{n};
-    for (NodeId a = 0; a < n; ++a) {
-      for (NodeId b : t.neighbors(a)) t.txAdj_.set(a, b);
-      for (NodeId b : t.csNeighbors(a)) t.csAdj_.set(a, b);
-    }
-  }
-
   // Two-hop memo slots; rows fill lazily on first query.
   t.twoHop_.resize(un);
   t.twoHopReady_.assign(un, 0);
@@ -117,10 +103,6 @@ std::size_t Topology::memoryFootprintBytes() const {
   std::size_t bytes = positions_.capacity() * sizeof(Point);
   bytes += (txOff_.capacity() + csOff_.capacity()) * sizeof(std::uint32_t);
   bytes += (txList_.capacity() + csList_.capacity()) * sizeof(NodeId);
-  if (dense_) {
-    const auto rows = static_cast<std::size_t>(numNodes());
-    bytes += 2 * rows * txAdj_.wordsPerRow() * sizeof(std::uint64_t);
-  }
   bytes += twoHopReady_.capacity() * sizeof(std::uint8_t);
   bytes += twoHop_.capacity() * sizeof(std::vector<NodeId>);
   for (const auto& row : twoHop_) bytes += row.capacity() * sizeof(NodeId);

@@ -7,20 +7,16 @@
 // O(n^2) pair scan, no sqrt (range predicates compare squared
 // distances; distance()/distanceBetween() remain for reporting).
 //
-// The canonical representation of both relations is CSR: one flat
-// NodeId array plus per-node offsets, ascending within each row. Below
-// kDenseAdjacencyMaxNodes the packed AdjacencyMatrix bitsets are also
-// materialized (O(1) membership tests). Above it the n^2-bit matrices
-// would dominate memory (~600 MB per relation at N = 50k), so only the
-// CSR arrays exist and membership is a binary search of the row; the
-// frame hot path (phys::Medium) reads only the CSR rows (DESIGN.md §14).
+// Both relations are held once, as CSR: one flat NodeId array plus
+// per-node offsets, ascending within each row. Membership is a binary
+// search of the row, so memory stays O(nodes + edges) at every size; the
+// frame hot path (phys::Medium) walks the rows (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "topology/adjacency.hpp"
 #include "topology/node_id.hpp"
 #include "util/check.hpp"
 
@@ -47,24 +43,12 @@ struct RadioRanges {
   double csRange = 550.0;
 };
 
-/// Construction knobs. The dense-matrix threshold exists so tests can
-/// force the sparse representation on small graphs; production callers
-/// keep the default.
-struct TopologyOptions {
-  /// Materialize packed AdjacencyMatrix bitsets only at or below this
-  /// node count (2048 nodes = 512 KiB per relation; the next dense mesh
-  /// size we sweep, 5k, would already cost 3 MB each and 100k would
-  /// cost 1.2 GB).
-  int denseAdjacencyMaxNodes = 2048;
-};
-
 class Topology {
  public:
   /// Build from explicit node positions. Node ids are indices into the
   /// position vector.
   static Topology fromPositions(std::vector<Point> positions,
-                                RadioRanges ranges = {},
-                                TopologyOptions options = {});
+                                RadioRanges ranges = {});
 
   [[nodiscard]] int numNodes() const { return static_cast<int>(positions_.size()); }
   [[nodiscard]] Point position(NodeId id) const { return positions_.at(checkId(id)); }
@@ -73,42 +57,17 @@ class Topology {
   [[nodiscard]] double distanceBetween(NodeId a, NodeId b) const;
 
   /// True when a and b can exchange decodable frames (within txRange).
-  /// O(1) bit test when the dense matrices exist, O(log deg) binary
-  /// search of the CSR row otherwise.
+  /// O(log deg): a binary search of a's CSR row.
   [[nodiscard]] bool areNeighbors(NodeId a, NodeId b) const {
-    if (a == b) return false;
-    static_cast<void>(checkId(a));
     static_cast<void>(checkId(b));
-    if (dense_) return txAdj_.test(a, b);
     return rowContains(neighbors(a), b);
   }
 
   /// True when a transmission by `a` is sensed at `b` (within csRange).
   /// Symmetric; a node does not sense itself. Same cost as areNeighbors.
   [[nodiscard]] bool inCsRange(NodeId a, NodeId b) const {
-    if (a == b) return false;
-    static_cast<void>(checkId(a));
     static_cast<void>(checkId(b));
-    if (dense_) return csAdj_.test(a, b);
     return rowContains(csNeighbors(a), b);
-  }
-
-  /// True when the packed AdjacencyMatrix views exist (numNodes at or
-  /// below TopologyOptions::denseAdjacencyMaxNodes).
-  [[nodiscard]] bool hasDenseAdjacency() const { return dense_; }
-
-  /// Packed decodable-neighbor relation (row a ∋ b ⟺ areNeighbors(a, b)).
-  /// Only available when hasDenseAdjacency().
-  [[nodiscard]] const AdjacencyMatrix& txAdjacency() const {
-    MAXMIN_CHECK_MSG(dense_, "no dense adjacency above the size threshold");
-    return txAdj_;
-  }
-
-  /// Packed carrier-sense relation (row a ∋ b ⟺ inCsRange(a, b)).
-  /// Only available when hasDenseAdjacency().
-  [[nodiscard]] const AdjacencyMatrix& csAdjacency() const {
-    MAXMIN_CHECK_MSG(dense_, "no dense adjacency above the size threshold");
-    return csAdj_;
   }
 
   /// One-hop neighbors (decodable), ascending id order: a view into the
@@ -142,9 +101,8 @@ class Topology {
   }
 
   /// Bytes held by the topology's containers (positions, CSR arrays,
-  /// dense matrices when present, memoized two-hop rows). The bench
-  /// artifact BENCH_topology.json records this to prove construction
-  /// memory stays O(nodes + edges) above the dense threshold.
+  /// memoized two-hop rows). The bench artifact BENCH_topology.json
+  /// records this to prove construction memory stays O(nodes + edges).
   [[nodiscard]] std::size_t memoryFootprintBytes() const;
 
  private:
@@ -162,11 +120,6 @@ class Topology {
   // ascending ids within each row.
   std::vector<std::uint32_t> txOff_, csOff_;
   std::vector<NodeId> txList_, csList_;
-
-  // Dense bitset views, only materialized when dense_ (small N).
-  bool dense_ = false;
-  AdjacencyMatrix txAdj_;
-  AdjacencyMatrix csAdj_;
 
   // Lazy two-hop memo (see twoHopNeighborhood). Mutable: filling the
   // cache is not observable behavior.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <numeric>
 #include <string>
 
@@ -28,6 +29,16 @@ net::FlowSpec flow(net::FlowId id, topo::NodeId src, topo::NodeId dst,
   return f;
 }
 
+/// A state's rates keyed by flow id, for the analysis:: reference models.
+std::map<net::FlowId, double> ratesById(const FluidNetwork& net,
+                                        const FluidState& state) {
+  std::map<net::FlowId, double> out;
+  for (std::size_t i = 0; i < net.flows().size(); ++i) {
+    out[net.flows()[i].id] = state.rates[i];
+  }
+  return out;
+}
+
 topo::Topology chainTopo(int n) {
   std::vector<topo::Point> pts;
   for (int i = 0; i < n; ++i) pts.push_back({200.0 * i, 0.0});
@@ -38,8 +49,11 @@ TEST(FluidNetwork, UnconstrainedFlowRunsAtOfferedRate) {
   FluidNetwork net{chainTopo(2), {flow(0, 0, 1, 1.0, 100.0)}, kCapacity};
   const auto state = net.evaluate();
   EXPECT_NEAR(state.rates.at(0), 100.0, 1e-9);
-  EXPECT_TRUE(state.saturated.empty());
-  EXPECT_NEAR(state.occupancy.at({0, 1}), 100.0 / kCapacity, 1e-9);
+  EXPECT_EQ(std::ranges::count(state.saturated, 1), 0);
+  const int link = net.contention().linkIndex({0, 1});
+  ASSERT_GE(link, 0);
+  EXPECT_NEAR(state.occupancy.at(static_cast<std::size_t>(link)),
+              100.0 / kCapacity, 1e-9);
 }
 
 TEST(FluidNetwork, RateLimitApplies) {
@@ -69,8 +83,9 @@ TEST(FluidNetwork, BackpressureChainMarksSaturation) {
   FluidNetwork net{chainTopo(4), {flow(0, 0, 3)}, kCapacity};
   const auto state = net.evaluate();
   // The flow is constrained; its source is saturated.
-  EXPECT_TRUE(state.saturated.contains({0, 3}));
-  EXPECT_TRUE(state.saturated.at({0, 3}));
+  const int source = net.virtualNetwork()->vnodeId(0, 3);
+  ASSERT_GE(source, 0);
+  EXPECT_EQ(state.saturated.at(static_cast<std::size_t>(source)), 1);
 }
 
 TEST(FluidNetwork, CliqueLoadsAreFeasibleAfterScaling) {
@@ -80,7 +95,7 @@ TEST(FluidNetwork, CliqueLoadsAreFeasibleAfterScaling) {
   // Check feasibility through the reference model.
   const auto model =
       analysis::buildCliqueModel(sc.topology, sc.flows, kCapacity);
-  EXPECT_TRUE(analysis::isFeasible(model, state.rates, 1e-3));
+  EXPECT_TRUE(analysis::isFeasible(model, ratesById(net, state), 1e-3));
 }
 
 // Reusing another network's contention structure (the hybrid engine's
@@ -129,6 +144,28 @@ TEST(FluidGmp, ConvergesToEqualityOnFig3) {
   const auto& hist = harness.violationHistory();
   const int tail = std::accumulate(hist.end() - 10, hist.end(), 0);
   EXPECT_LE(tail, 4);
+}
+
+// The harness's snapshots are laid out by the network's own
+// VirtualNetwork (not a second copy), and the fluid backpressure chain
+// crosses into the snapshot unchanged.
+TEST(FluidGmp, SnapshotsShareTheNetworksVirtualNetwork) {
+  const auto sc = scenarios::fig4();
+  FluidNetwork net{sc.topology, sc.flows, kCapacity};
+  FluidGmpHarness harness{net, gmp::GmpParams{}};
+  int saturatedPeriods = 0;
+  for (int p = 0; p < 20; ++p) {
+    // step() evaluates under the same limits before it applies its
+    // commands, so this is the state its snapshot was built from.
+    const FluidState state = net.evaluate();
+    harness.step();
+    const gmp::Snapshot& snap = harness.lastSnapshot();
+    ASSERT_EQ(snap.vnet, net.virtualNetwork()) << "period " << p;
+    ASSERT_EQ(state.saturated.size(), snap.vnet->vnodes.size());
+    EXPECT_EQ(state.saturated, snap.saturated) << "period " << p;
+    if (std::ranges::count(snap.saturated, 1) > 0) ++saturatedPeriods;
+  }
+  EXPECT_GT(saturatedPeriods, 0);
 }
 
 TEST(FluidGmp, Fig2EqualWeightsShape) {

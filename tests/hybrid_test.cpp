@@ -49,6 +49,16 @@ double nominalCapacity() {
   return nc.mac.nominalLinkCapacityPps(nc.packetSize);
 }
 
+/// A fluid state's rates keyed by flow id.
+std::map<net::FlowId, double> ratesById(const fluid::FluidNetwork& net,
+                                        const fluid::FluidState& state) {
+  std::map<net::FlowId, double> out;
+  for (std::size_t i = 0; i < net.flows().size(); ++i) {
+    out[net.flows()[i].id] = state.rates[i];
+  }
+  return out;
+}
+
 /// Fluid fixed-point summary over the same metric pipeline the packet
 /// runs use.
 analysis::FairnessSummary fluidSummary(const fluid::FluidNetwork& net,
@@ -57,7 +67,7 @@ analysis::FairnessSummary fluidSummary(const fluid::FluidNetwork& net,
   for (std::size_t i = 0; i < net.flows().size(); ++i) {
     hops[net.flows()[i].id] = static_cast<int>(net.paths()[i].size()) - 1;
   }
-  return analysis::summarize(state.rates, hops);
+  return analysis::summarize(ratesById(net, state), hops);
 }
 
 // --- fluid solver pin ------------------------------------------------------
@@ -72,6 +82,7 @@ TEST(FluidPin, Fig4FixedPointTracksPacketSteadyState) {
   EXPECT_TRUE(fp.converged) << "residual " << fp.residual;
   const auto state = fnet.evaluate();
   const auto fluidSum = fluidSummary(fnet, state);
+  const auto rates = ratesById(fnet, state);
 
   // I_mm pins against the centralized maxmin reference, not the packet
   // run: the fluid world has no collision losses, so its min/max ratio
@@ -93,7 +104,7 @@ TEST(FluidPin, Fig4FixedPointTracksPacketSteadyState) {
   // third of the packet rate (fig4's rates sit near capacity/3; the
   // fluid model runs a little hot).
   for (const auto& f : packet.flows) {
-    EXPECT_NEAR(state.rates.at(f.id), f.ratePps, f.ratePps / 3.0)
+    EXPECT_NEAR(rates.at(f.id), f.ratePps, f.ratePps / 3.0)
         << "flow " << f.name;
   }
 }
@@ -123,7 +134,7 @@ TEST(FluidPin, FixedPointIsDeterministic) {
     fluid::FluidNetwork fnet{sc.topology, sc.flows, nominalCapacity()};
     fluid::FluidGmpHarness harness{fnet, gmp::GmpParams{}};
     const auto fp = harness.runToFixedPoint(0.02, 400);
-    return std::pair{fp.periods, fnet.evaluate().rates};
+    return std::pair{fp.periods, ratesById(fnet, fnet.evaluate())};
   };
   const auto [periodsA, ratesA] = solve();
   const auto [periodsB, ratesB] = solve();

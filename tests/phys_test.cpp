@@ -45,9 +45,8 @@ Frame makeFrame(topo::NodeId from, topo::NodeId to, std::int64_t micros) {
 
 struct Fixture {
   explicit Fixture(std::vector<topo::Point> pts,
-                   topo::RadioRanges ranges = {},
-                   topo::TopologyOptions options = {})
-      : topo{topo::Topology::fromPositions(std::move(pts), ranges, options)},
+                   topo::RadioRanges ranges = {})
+      : topo{topo::Topology::fromPositions(std::move(pts), ranges)},
         medium{sim, topo},
         radios(static_cast<std::size_t>(topo.numNodes())) {
     for (topo::NodeId n = 0; n < topo.numNodes(); ++n) {
@@ -185,58 +184,6 @@ TEST(Medium, SimultaneousStartBothCorrupted) {
   EXPECT_TRUE(f.radios[2].received.empty());
   EXPECT_EQ(f.radios[1].corrupted.size(), 1u);
   EXPECT_EQ(f.radios[2].corrupted.size(), 1u);
-}
-
-
-// The medium reads only the topology's CSR rows, so a topology built
-// with and without the packed adjacency matrices must produce identical
-// deliveries, corruptions, and busy/idle transitions on the same frame
-// schedule.
-TEST(Medium, SparseCorruptionScanMatchesDense) {
-  Rng rng{314};
-  std::vector<topo::Point> pts;
-  for (int i = 0; i < 40; ++i) {
-    pts.push_back({rng.uniformReal(0, 1600), rng.uniformReal(0, 1600)});
-  }
-  Fixture dense{pts};
-  Fixture sparse{pts, {}, topo::TopologyOptions{0}};
-  ASSERT_TRUE(dense.topo.hasDenseAdjacency());
-  ASSERT_FALSE(sparse.topo.hasDenseAdjacency());
-
-  // A deterministic schedule dense enough to hit every interaction:
-  // overlapping same-instant starts, mid-reception hidden-terminal
-  // starts, and staggered finishes.
-  for (int round = 0; round < 30; ++round) {
-    const auto start = static_cast<std::int64_t>(round) * 70;
-    for (Fixture* f : {&dense, &sparse}) {
-      f->sim.runUntil(TimePoint::origin() + Duration::micros(start));
-      for (int k = 0; k < 4; ++k) {
-        const auto from =
-            static_cast<topo::NodeId>((round * 7 + k * 11) % 40);
-        const auto to = static_cast<topo::NodeId>((round * 5 + k * 13) % 40);
-        if (from == to || f->medium.isTransmitting(from)) continue;
-        if (!f->topo.areNeighbors(from, to)) continue;
-        f->medium.startTransmission(makeFrame(from, to, 100 + 10 * k));
-      }
-    }
-  }
-  dense.sim.run();
-  sparse.sim.run();
-
-  EXPECT_EQ(dense.medium.framesDelivered(), sparse.medium.framesDelivered());
-  EXPECT_EQ(dense.medium.framesCorrupted(), sparse.medium.framesCorrupted());
-  for (int n = 0; n < 40; ++n) {
-    const auto i = static_cast<std::size_t>(n);
-    EXPECT_EQ(dense.radios[i].received.size(), sparse.radios[i].received.size())
-        << "node " << n;
-    EXPECT_EQ(dense.radios[i].corrupted.size(),
-              sparse.radios[i].corrupted.size())
-        << "node " << n;
-    EXPECT_EQ(dense.radios[i].busyTransitions, sparse.radios[i].busyTransitions)
-        << "node " << n;
-    EXPECT_EQ(dense.radios[i].idleTransitions, sparse.radios[i].idleTransitions)
-        << "node " << n;
-  }
 }
 
 TEST(Medium, StartInsideBusyCallbackRejected) {
@@ -590,29 +537,22 @@ TEST(Medium, MatchesBruteForceIntervalModel) {
       pts.push_back(
           {placement.uniformReal(0, 1100), placement.uniformReal(0, 1100)});
     }
-    const auto dense = topo::Topology::fromPositions(pts);
-    const auto sparse =
-        topo::Topology::fromPositions(pts, {}, topo::TopologyOptions{0});
-    ASSERT_TRUE(dense.hasDenseAdjacency());
-    ASSERT_FALSE(sparse.hasDenseAdjacency());
+    const auto topo = topo::Topology::fromPositions(pts);
 
-    const ReferenceScript script = makeReferenceScript(dense, seed);
+    const ReferenceScript script = makeReferenceScript(topo, seed);
     const std::vector<std::string> expected =
-        runReferenceModel(dense, script, cover);
-    for (const topo::Topology* topo : {&dense, &sparse}) {
-      const std::vector<std::string> actual = runReferenceMedium(*topo, script);
-      const std::size_t common = std::min(actual.size(), expected.size());
-      const auto diverge = static_cast<std::size_t>(
-          std::mismatch(actual.begin(), actual.begin() + common,
-                        expected.begin())
-              .first -
-          actual.begin());
-      const char* name = topo == &dense ? "dense" : "sparse";
-      ASSERT_EQ(diverge, common)
-          << name << " #" << diverge << ": medium says '" << actual[diverge]
-          << "', model says '" << expected[diverge] << "'";
-      ASSERT_EQ(actual.size(), expected.size()) << name;
-    }
+        runReferenceModel(topo, script, cover);
+    const std::vector<std::string> actual = runReferenceMedium(topo, script);
+    const std::size_t common = std::min(actual.size(), expected.size());
+    const auto diverge = static_cast<std::size_t>(
+        std::mismatch(actual.begin(), actual.begin() + common,
+                      expected.begin())
+            .first -
+        actual.begin());
+    ASSERT_EQ(diverge, common)
+        << "#" << diverge << ": medium says '" << actual[diverge]
+        << "', model says '" << expected[diverge] << "'";
+    ASSERT_EQ(actual.size(), expected.size());
   }
   // The scripts reach every interaction the epoch rule and the deferred
   // edge callbacks have to get right.

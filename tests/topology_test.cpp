@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <set>
 #include <span>
@@ -487,9 +488,8 @@ TEST_P(RoutingPropertyTest, TreesAreAcyclicAndShortest) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingPropertyTest, ::testing::Range(1, 11));
 
-// The packed adjacency matrices are the frame pipeline's only view of the
-// radio graph, so every bit must agree with the geometric predicates the
-// old per-call sqrt path computed: 50 random meshes, all ordered pairs.
+// The membership predicates must agree with the geometric ranges the old
+// per-call sqrt path computed: 50 random meshes, all ordered pairs.
 TEST(AdjacencyMatrix, MatchesDistancePredicatesOnRandomMeshes) {
   Rng rng{2024};
   for (int mesh = 0; mesh < 50; ++mesh) {
@@ -500,41 +500,18 @@ TEST(AdjacencyMatrix, MatchesDistancePredicatesOnRandomMeshes) {
       pts.push_back({rng.uniformReal(0, 1500), rng.uniformReal(0, 1500)});
     }
     const Topology t = Topology::fromPositions(std::move(pts));
-    const AdjacencyMatrix& tx = t.txAdjacency();
-    const AdjacencyMatrix& cs = t.csAdjacency();
-    ASSERT_EQ(tx.numNodes(), n);
-    ASSERT_EQ(cs.numNodes(), n);
     for (NodeId a = 0; a < n; ++a) {
       for (NodeId b = 0; b < n; ++b) {
         const bool expectTx =
             a != b && t.distanceBetween(a, b) <= t.ranges().txRange;
         const bool expectCs =
             a != b && t.distanceBetween(a, b) <= t.ranges().csRange;
-        ASSERT_EQ(tx.test(a, b), expectTx)
+        ASSERT_EQ(t.areNeighbors(a, b), expectTx)
             << "mesh " << mesh << " tx pair " << a << "," << b;
-        ASSERT_EQ(cs.test(a, b), expectCs)
+        ASSERT_EQ(t.inCsRange(a, b), expectCs)
             << "mesh " << mesh << " cs pair " << a << "," << b;
-        ASSERT_EQ(t.areNeighbors(a, b), expectTx);
-        ASSERT_EQ(t.inCsRange(a, b), expectCs);
       }
     }
-  }
-}
-
-TEST(AdjacencyMatrix, RowIterationAscendingAndDegreeConsistent) {
-  Rng rng{7};
-  std::vector<Point> pts;
-  for (int i = 0; i < 70; ++i) {  // > 64 nodes: exercises multi-word rows
-    pts.push_back({rng.uniformReal(0, 1200), rng.uniformReal(0, 1200)});
-  }
-  const Topology t = Topology::fromPositions(std::move(pts));
-  const AdjacencyMatrix& tx = t.txAdjacency();
-  EXPECT_EQ(tx.wordsPerRow(), 2u);
-  for (NodeId a = 0; a < t.numNodes(); ++a) {
-    std::vector<NodeId> fromBits;
-    tx.forEachInRow(a, [&fromBits](NodeId b) { fromBits.push_back(b); });
-    EXPECT_EQ(fromBits, toVec(t.neighbors(a)));  // ascending by construction
-    EXPECT_EQ(tx.rowDegree(a), static_cast<int>(t.neighbors(a).size()));
   }
 }
 
@@ -632,39 +609,44 @@ TEST(SpatialGrid, CoarsensCellsWhenPositionsAreSpreadOut) {
   EXPECT_LE(static_cast<long long>(grid.cellsX()) * grid.cellsY(), 9);
 }
 
-// --- sparse (CSR-only) mode --------------------------------------------------
+// --- CSR rows ----------------------------------------------------------------
 
-// Above the dense threshold no n^2-bit matrices exist; predicates fall
-// back to binary searches of the CSR rows and must agree bit-for-bit
-// with the dense build of the same layout.
-TEST(Topology, SparseModeMatchesDenseRelations) {
+// The CSR rows are the only representation of both relations: each row
+// is strictly ascending, the tx row is a subset of the cs row, and the
+// membership predicates (binary searches of the rows) answer exactly the
+// rows' contents, for every ordered pair on a > 64-node mesh.
+TEST(Topology, PredicatesMatchCsrRows) {
   Rng rng{2025};
   std::vector<Point> pts;
-  for (int i = 0; i < 60; ++i) {
+  for (int i = 0; i < 70; ++i) {
     pts.push_back({rng.uniformReal(0, 1500), rng.uniformReal(0, 1500)});
   }
-  const Topology dense = Topology::fromPositions(pts);
-  const Topology sparse =
-      Topology::fromPositions(pts, RadioRanges{}, TopologyOptions{0});
-  ASSERT_TRUE(dense.hasDenseAdjacency());
-  ASSERT_FALSE(sparse.hasDenseAdjacency());
-  EXPECT_THROW(static_cast<void>(sparse.txAdjacency()), InvariantViolation);
-  EXPECT_THROW(static_cast<void>(sparse.csAdjacency()), InvariantViolation);
-  for (NodeId a = 0; a < dense.numNodes(); ++a) {
-    EXPECT_EQ(toVec(dense.neighbors(a)), toVec(sparse.neighbors(a)));
-    EXPECT_EQ(toVec(dense.csNeighbors(a)), toVec(sparse.csNeighbors(a)));
-    EXPECT_EQ(dense.twoHopNeighborhood(a), sparse.twoHopNeighborhood(a));
-    for (NodeId b = 0; b < dense.numNodes(); ++b) {
-      ASSERT_EQ(dense.areNeighbors(a, b), sparse.areNeighbors(a, b));
-      ASSERT_EQ(dense.inCsRange(a, b), sparse.inCsRange(a, b));
+  const Topology t = Topology::fromPositions(std::move(pts));
+  std::int64_t txEntries = 0;
+  for (NodeId a = 0; a < t.numNodes(); ++a) {
+    const std::vector<NodeId> tx = toVec(t.neighbors(a));
+    const std::vector<NodeId> cs = toVec(t.csNeighbors(a));
+    EXPECT_TRUE(std::adjacent_find(tx.begin(), tx.end(),
+                                   std::greater_equal<>{}) == tx.end());
+    EXPECT_TRUE(std::adjacent_find(cs.begin(), cs.end(),
+                                   std::greater_equal<>{}) == cs.end());
+    EXPECT_TRUE(std::includes(cs.begin(), cs.end(), tx.begin(), tx.end()));
+    txEntries += static_cast<std::int64_t>(tx.size());
+    for (NodeId b = 0; b < t.numNodes(); ++b) {
+      ASSERT_EQ(t.areNeighbors(a, b), std::ranges::count(tx, b) == 1)
+          << a << "," << b;
+      ASSERT_EQ(t.inCsRange(a, b), std::ranges::count(cs, b) == 1)
+          << a << "," << b;
     }
   }
+  EXPECT_EQ(t.numEdges() * 2, txEntries);
+  EXPECT_GT(t.numEdges(), 0);
 }
 
 TEST(Topology, SparseModeMemoryIsEdgeBound) {
   // The footprint must track nodes + edges, not n^2 bits: at N = 3000
-  // (above the default threshold) two dense relations alone would cost
-  // 2 * 3000^2 / 8 = 2.25 MB; the CSR build must stay well under that.
+  // two n^2-bit relations alone would cost 2 * 3000^2 / 8 = 2.25 MB; the
+  // CSR build must stay well under that.
   Rng rng{4242};
   std::vector<Point> pts;
   const int n = 3000;
@@ -677,7 +659,6 @@ TEST(Topology, SparseModeMemoryIsEdgeBound) {
     pts.push_back({rng.uniformReal(0, side), rng.uniformReal(0, side)});
   }
   const Topology t = Topology::fromPositions(std::move(pts));
-  ASSERT_FALSE(t.hasDenseAdjacency());
   const std::size_t denseBits = 2ull * n * ((n + 63) / 64) * 8;
   EXPECT_LT(t.memoryFootprintBytes(), denseBits);
   // And the CSR arrays really hold both relations.

@@ -23,7 +23,7 @@
 # (BM_TopologyConstruct at N in {800, 5000, 20000, 100000}) and writes
 # BENCH_topology.json — construction wall time plus the `bytes`
 # (memoryFootprintBytes) and `edges` counters per N, proving memory
-# stays O(nodes + edges) above the dense-adjacency threshold. Run after
+# stays O(nodes + edges). Run after
 # any change to src/topology/ construction and commit the refreshed
 # JSON alongside it.
 #

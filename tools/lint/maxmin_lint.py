@@ -27,6 +27,8 @@ DESIGN.md §10):
                        output or float accumulators (determinism.py)
     shared-state       every mutable static/singleton is audited in
                        tools/lint/shared_state.toml (shared_state.py)
+    allow-out-of-scope an allow(rule) pragma sits in a file that rule's
+                       scope excludes, so it suppresses nothing
 
 Suppressions:
   // maxmin-lint: allow(<rule>) <reason>        one line (and the next)
@@ -57,7 +59,7 @@ import layering  # noqa: E402
 import shared_state  # noqa: E402
 from rules import (  # noqa: E402
     BAKED_ALLOW, RULES, RULE_BY_ID, Finding, check_patterns,
-    collect_pragmas, message_of,
+    check_pragma_scope, collect_pragmas, message_of,
 )
 
 # --------------------------------------------------------------------------
@@ -116,6 +118,7 @@ def lint_file(path, rel, manifest=None, statics_out=None):
 
     stripped_lines = scanned.stripped_lines()
     check_patterns(rel, stripped_lines, findings, allowed)
+    check_pragma_scope(rel, raw_lines, findings, allowed)
     if RULE_BY_ID["unordered-iter"].in_scope(rel):
         determinism.check_file(rel, scanned.tokens,
                                _paired_header_tokens(path), findings, allowed)

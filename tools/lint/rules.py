@@ -69,7 +69,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# The eleven rules. Pattern rules carry regexes (run against stripped
+# The twelve rules. Pattern rules carry regexes (run against stripped
 # lines); structural rules carry an empty pattern list and are implemented
 # in check functions / sibling modules.
 # --------------------------------------------------------------------------
@@ -164,8 +164,8 @@ RULES = [
     Rule(
         "per-frame-distance",
         "geometry query in the frame pipeline; per-frame membership is a "
-        "packed AdjacencyMatrix bit test / CSR list walk built at "
-        "construction (DESIGN.md §12) — allow() construction-time sites",
+        "walk of the CSR neighbor rows built at construction "
+        "(DESIGN.md §12) — allow() construction-time sites",
         [
             r"\bdistanceBetween\s*\(",
             r"\binCsRange\s*\(",
@@ -196,6 +196,13 @@ RULES = [
         "deliberately manifested because sweep workers share it",
         [],  # structural: shared_state.check_file() / check_manifest()
         lambda rel: rel.startswith("src/"),
+    ),
+    Rule(
+        "allow-out-of-scope",
+        "allow()/allow-file() pragma naming a rule whose scope excludes "
+        "this file; it suppresses nothing, so delete it",
+        [],  # structural: check_pragma_scope()
+        lambda rel: True,
     ),
 ]
 
@@ -234,6 +241,25 @@ def collect_pragmas(raw_lines, warn):
                 line_allows.setdefault(lineno, set()).add(rule_id)
                 line_allows.setdefault(lineno + 1, set()).add(rule_id)
     return file_allows, line_allows
+
+
+def check_pragma_scope(rel, raw_lines, findings, allowed):
+    """Flag pragmas that name a rule which never applies to `rel`.
+
+    Such a pragma suppresses nothing, yet reads as if the line below it
+    broke the rule.
+    """
+    rule_id = "allow-out-of-scope"
+    for lineno, line in enumerate(raw_lines, 1):
+        for _, named in PRAGMA.findall(line):
+            rule = RULE_BY_ID.get(named)
+            if rule is None or rule.in_scope(rel):
+                continue
+            if not allowed(lineno, rule_id):
+                findings.append(Finding(
+                    rel, lineno, rule_id,
+                    f"allow({named}): {named} does not apply to this file; "
+                    "the pragma suppresses nothing, so delete it"))
 
 
 # --------------------------------------------------------------------------

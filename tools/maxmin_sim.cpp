@@ -139,6 +139,19 @@ T parseNumber(const std::string& flag, const std::string& text) {
   return v;
 }
 
+/// `text` cut at every `sep`, empty fields kept ("1:" is {"1", ""}).
+std::vector<std::string> splitFields(const std::string& text, char sep) {
+  std::vector<std::string> fields(1);
+  for (const char c : text) {
+    if (c == sep) {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -262,15 +275,14 @@ phys::ImpairmentConfig makeImpairments(const Options& o) {
   phys::ImpairmentConfig cfg;
   cfg.per = o.per;
   if (!o.ge.empty()) {
-    char c1 = 0;
-    char c2 = 0;
-    std::istringstream in{o.ge};
-    if (!(in >> cfg.gilbert.pGoodToBad >> c1 >> cfg.gilbert.pBadToGood >> c2 >>
-          cfg.gilbert.lossBad) ||
-        c1 != ':' || c2 != ':') {
+    const std::vector<std::string> fields = splitFields(o.ge, ':');
+    if (fields.size() != 3) {
       std::cerr << "--ge expects pGoodToBad:pBadToGood:lossBad\n";
       std::exit(2);
     }
+    cfg.gilbert.pGoodToBad = parseNumber<double>("--ge", fields[0]);
+    cfg.gilbert.pBadToGood = parseNumber<double>("--ge", fields[1]);
+    cfg.gilbert.lossBad = parseNumber<double>("--ge", fields[2]);
   }
   if (o.impairScope == "all") {
     cfg.scope = phys::ImpairmentConfig::Scope::kAllFrames;
@@ -292,12 +304,7 @@ std::vector<net::FlowId> parseForeground(const std::string& spec,
                                          const scenarios::Scenario& scenario) {
   std::vector<net::FlowId> ids;
   if (spec.rfind("auto:", 0) == 0) {
-    int k = 0;
-    try {
-      k = std::stoi(spec.substr(5));
-    } catch (const std::exception&) {
-      k = 0;
-    }
+    const int k = parseNumber<int>("--foreground auto:K", spec.substr(5));
     if (k <= 0) {
       std::cerr << "--foreground auto:K needs K >= 1\n";
       std::exit(2);
@@ -309,14 +316,8 @@ std::vector<net::FlowId> parseForeground(const std::string& spec,
       ids.push_back(scenario.flows[i].id);
     }
   } else {
-    std::istringstream in{spec};
-    for (std::string tok; std::getline(in, tok, ',');) {
-      try {
-        ids.push_back(std::stoi(tok));
-      } catch (const std::exception&) {
-        std::cerr << "--foreground: bad flow id '" << tok << "'\n";
-        std::exit(2);
-      }
+    for (const std::string& id : splitFields(spec, ',')) {
+      ids.push_back(parseNumber<net::FlowId>("--foreground", id));
     }
   }
   return ids;
