@@ -68,6 +68,10 @@ const GoldenCase kCases[] = {
     {"mesh_gmp_ff", "mesh", Protocol::kGmp, 60.0, 20.0, "", "", true},
     {"mesh_gmp_hybrid", "mesh", Protocol::kGmp, 60.0, 20.0, "", "", false,
      3},
+    // Phantom bursts reach dozens of radios with nothing to send, so most
+    // of its wakes are parked ones (DESIGN.md §16).
+    {"dense_gmp_hybrid", "dense200", Protocol::kGmp, 4.0, 1.0, "", "", false,
+     3},
     // Every fault-plane timer kind: churn, a cut and its repair, a clock
     // skew (staggered window closes), and two faults at one instant.
     {"fig4_gmp_churn", "fig4", Protocol::kGmp, 60.0, 20.0,
@@ -83,6 +87,8 @@ scenarios::Scenario makeScenario(const std::string& name) {
   // maxmin-sim's defaults: --nodes 12 --flows 5 --area 1000.
   if (name == "mesh") return scenarios::randomMesh(kSeed, 12, 1000.0, 5);
   if (name == "dense") return scenarios::denseMesh(kSeed, 12, 5);
+  // maxmin-sim --scenario dense --nodes 200 --flows 30.
+  if (name == "dense200") return scenarios::denseMesh(kSeed, 200, 30);
   if (name == "fig2") return scenarios::fig2();
   if (name == "fig2w") return scenarios::fig2({1, 2, 1, 3});
   if (name == "fig3") return scenarios::fig3();
