@@ -38,9 +38,9 @@ void BackgroundLoad::addSender(topo::NodeId node) {
     if (s.node == node) return;
   }
   Source& s = sources_.emplace_back(*this, node);
-  s.reach.push_back(node);
+  s.reach.push_back(&net_.macOf(node));
   for (const topo::NodeId nb : net_.topology().csNeighbors(node)) {
-    s.reach.push_back(nb);
+    s.reach.push_back(&net_.macOf(nb));
   }
 }
 
@@ -71,7 +71,7 @@ Duration BackgroundLoad::interval(const Source& s) const {
 void BackgroundLoad::fire(Source& s) {
   if (s.pps < kMinRatePps) return;  // parked until the rate returns
   const TimePoint now = net_.simulator().now();
-  mac::Dcf& mac = net_.macOf(s.node);
+  mac::Dcf& mac = *s.reach.front();
   if (mac.channelBusy()) {
     // A real station defers to the ongoing exchange (or a neighbour's
     // reservation — including other phantom senders, whose bursts
@@ -107,9 +107,7 @@ void BackgroundLoad::fire(Source& s) {
     s.timer.arm(clear + mp.difs() + mp.slotTime * s.backoffSlots);
     return;
   }
-  for (const topo::NodeId t : s.reach) {
-    net_.macOf(t).occupyChannel(perPacket_ * batch_);
-  }
+  for (mac::Dcf* const m : s.reach) m->occupyChannel(perPacket_ * batch_);
   ++bursts_;
   s.backoffSlots = -1;  // countdown consumed by this emission
   const Duration iv = interval(s);

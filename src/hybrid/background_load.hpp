@@ -69,9 +69,9 @@ class BackgroundLoad {
     BackgroundLoad* owner;
     topo::NodeId node;
     double pps = 0.0;
-    /// This sender plus everything in its carrier-sense range: the MACs
-    /// that defer while the phantom packet is on the air.
-    std::vector<topo::NodeId> reach;
+    /// This sender's MAC, then every MAC in its carrier-sense range: the
+    /// MACs that defer while the phantom packet is on the air.
+    std::vector<mac::Dcf*> reach;
     TimePoint due;                ///< next scheduled emission
     std::uint32_t deferrals = 0;  ///< drives the deterministic backoff
     /// Persistent contention countdown, mirroring DCF freezing: the

@@ -67,10 +67,25 @@ void Dcf::accrueOccupancy(topo::NodeId nextHop, Duration airtime) {
 
 void Dcf::occupyChannel(Duration busyFor) {
   MAXMIN_CHECK(busyFor > Duration::zero());
+  const TimePoint end = sim_.now() + busyFor;
+  if (parked_) {
+    // A parked radio stays parked (DESIGN.md §16) unless its held wake is
+    // live and ends before the new reservation: a listening radio extends
+    // such a wake lazily, drawing its seq when the old wake fires, and a
+    // held timer cannot draw then. With no live wake, a listening radio
+    // arms one now, and armWakeTimer() on the held timer draws that same
+    // seq; a live wake that already covers the reservation needs nothing.
+    const bool live = wakeTimer_.heldLive();
+    if (!live || wakeTimer_.deadline() >= std::max(end, reservedUntil())) {
+      navEnd_ = std::max(navEnd_, end);
+      if (!live) armWakeTimer();
+      return;
+    }
+  }
   // The lazy wake below relies on the wake timer being queued whenever a
   // wake is due, which holds only while listening.
   unpark();
-  navEnd_ = std::max(navEnd_, sim_.now() + busyFor);
+  navEnd_ = std::max(navEnd_, end);
   // Lazy wake: if a wake is already pending it was armed for an earlier
   // (or equal) deadline, and its callback chains armWakeTimer() to cover
   // the extension — re-arming here would add one deferral hop per

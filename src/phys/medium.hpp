@@ -87,6 +87,9 @@ class Medium {
   void setListening(topo::NodeId id, bool on) {
     listening_[static_cast<std::size_t>(id)] = on ? 1 : 0;
   }
+  [[nodiscard]] bool isListening(topo::NodeId id) const {
+    return listening_[static_cast<std::size_t>(id)] != 0;
+  }
 
   /// When node `id`'s sensed energy last fell to zero (time zero if it
   /// never has), kept whether or not the radio is listening.

@@ -35,7 +35,7 @@ void Simulator::remove(Timer& timer) {
   const Key last = heap_.back();
   heap_.pop_back();
   if (i == heap_.size()) return;  // it was the tail
-  if (i > 0 && earlier(last, heap_[(i - 1) / kArity])) {
+  if (i > 0 && earlier(last, heap_[(i - 1) / 2])) {
     siftUp(i, last);
   } else {
     siftDown(i, last);
@@ -45,7 +45,7 @@ void Simulator::remove(Timer& timer) {
 void Simulator::siftUp(std::size_t i, const Key key) {
   Key* const h = heap_.data();
   while (i > 0) {
-    const std::size_t parent = (i - 1) / kArity;
+    const std::size_t parent = (i - 1) / 2;
     if (!earlier(key, h[parent])) break;
     place(h, i, h[parent]);
     i = parent;
@@ -57,16 +57,13 @@ void Simulator::siftDown(std::size_t i, const Key key) {
   Key* const h = heap_.data();
   const std::size_t n = heap_.size();
   for (;;) {
-    const std::size_t first = kArity * i + 1;
-    if (first >= n) break;
-    const std::size_t end = std::min(first + kArity, n);
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (earlier(h[c], h[best])) best = c;
-    }
-    if (!earlier(h[best], key)) break;
-    place(h, i, h[best]);
-    i = best;
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    // The earlier child, picked by adding the compare's result.
+    if (child + 1 < n) child += earlier(h[child + 1], h[child]);
+    if (!earlier(h[child], key)) break;
+    place(h, i, h[child]);
+    i = child;
   }
   place(h, i, key);
 }

@@ -280,17 +280,23 @@ TEST(Simulator, QueueMemoryStaysBoundedByLiveEventsInOneWindow) {
 // eager —, cancel, hold, release, destroy, runUntil cut points), from
 // outside the loop and from inside callbacks, while an independent model
 // of every live key (where it sits and where its timer will fire)
-// predicts every pop: deferral hops as well as callbacks.
+// predicts every pop: deferral hops as well as callbacks. With `ties`,
+// thousands of keys crowd a handful of instants, so nearly every compare
+// in the heap falls through to seq.
 class ReferenceOrderScript {
  public:
-  explicit ReferenceOrderScript(std::uint64_t seed) : rng_{seed} {}
+  explicit ReferenceOrderScript(std::uint64_t seed, bool ties = false)
+      : rng_{seed}, ties_{ties} {}
 
   void run(int rounds) {
     for (int r = 0; r < rounds; ++r) {
-      const auto ops = pick(0, 6);
+      const auto ops = ties_ ? pick(0, 60) : pick(0, 6);
       for (std::int64_t i = 0; i < ops; ++i) randomOp();
       if (pick(0, 15) == 0) cancelBurst();
-      const TimePoint cut = sim_.now() + Duration::micros(pick(0, 40));
+      // Tied keys pile up while the clock mostly stays at its instant.
+      const std::int64_t step =
+          ties_ ? static_cast<std::int64_t>(pick(0, 63) == 0) : pick(0, 40);
+      const TimePoint cut = sim_.now() + Duration::micros(step);
       sim_.runUntil(cut);
       EXPECT_EQ(sim_.now(), cut);
       settleThrough(cut.asMicros());
@@ -305,6 +311,9 @@ class ReferenceOrderScript {
     EXPECT_GT(fires_, 1000u);
     EXPECT_GT(executed_, fires_) << "script never deferred";
     EXPECT_GT(sim_.cancelledEvents(), 1000u);
+    if (ties_) {
+      EXPECT_GT(sim_.maxPendingEvents(), 2000u);
+    }
     EXPECT_EQ(mismatches_, 0) << "pops out of (when, seq) order";
   }
 
@@ -331,12 +340,13 @@ class ReferenceOrderScript {
   /// Mostly the current instant or a handful of near ones, so equal
   /// timestamps are common; now and then a far one.
   TimePoint when() {
-    const std::int64_t d = pick(0, 9) == 0 ? pick(0, 100000) : pick(0, 4);
+    const std::int64_t d = pick(0, ties_ ? 99 : 9) == 0 ? pick(0, 100000)
+                                                         : pick(0, 4);
     return sim_.now() + Duration::micros(d);
   }
 
   Entry& anyEntry() {
-    if (pool_.empty() || pick(0, 7) == 0) {
+    if (pool_.empty() || pick(0, ties_ ? 1 : 7) == 0) {
       pool_.push_back(std::make_unique<Entry>(*this));
     }
     return *pool_[static_cast<std::size_t>(
@@ -479,6 +489,7 @@ class ReferenceOrderScript {
 
   Simulator sim_;
   Rng rng_;
+  bool ties_;
   std::map<Key, Entry*> model_;  ///< every live key and its timer
   std::vector<std::unique_ptr<Entry>> pool_;
   std::uint64_t nextSeq_ = 0;
@@ -493,6 +504,13 @@ TEST(Simulator, PopOrderMatchesReferenceModel) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(seed);
     ReferenceOrderScript{seed}.run(3000);
+  }
+}
+
+TEST(Simulator, PopOrderMatchesReferenceModelUnderTies) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE(seed);
+    ReferenceOrderScript{seed, /*ties=*/true}.run(2000);
   }
 }
 
