@@ -30,7 +30,7 @@ Dcf::Dcf(sim::Simulator& sim, phys::Medium& medium, topo::NodeId self,
       client_{client},
       params_{params},
       rng_{rng},
-      wakeTimer_{sim, sim::bind<&Dcf::onWake>(this)},
+      wakeTimer_{sim, sim::bind<&Dcf::refreshChannelState>(this)},
       accessTimer_{sim, sim::bind<&Dcf::accessGranted>(this)},
       cw_{params.cwMin},
       txEndTimer_{sim, sim::bind<&Dcf::onTxEndTimer>(this)},
@@ -67,31 +67,8 @@ void Dcf::accrueOccupancy(topo::NodeId nextHop, Duration airtime) {
 
 void Dcf::occupyChannel(Duration busyFor) {
   MAXMIN_CHECK(busyFor > Duration::zero());
-  const TimePoint end = sim_.now() + busyFor;
-  if (parked_) {
-    // A parked radio stays parked (DESIGN.md §16) unless its held wake is
-    // live and ends before the new reservation: a listening radio extends
-    // such a wake lazily, drawing its seq when the old wake fires, and a
-    // held timer cannot draw then. With no live wake, a listening radio
-    // arms one now, and armWakeTimer() on the held timer draws that same
-    // seq; a live wake that already covers the reservation needs nothing.
-    const bool live = wakeTimer_.heldLive();
-    if (!live || wakeTimer_.deadline() >= std::max(end, reservedUntil())) {
-      navEnd_ = std::max(navEnd_, end);
-      if (!live) armWakeTimer();
-      return;
-    }
-  }
-  // The lazy wake below relies on the wake timer being queued whenever a
-  // wake is due, which holds only while listening.
-  unpark();
-  navEnd_ = std::max(navEnd_, end);
-  // Lazy wake: if a wake is already pending it was armed for an earlier
-  // (or equal) deadline, and its callback chains armWakeTimer() to cover
-  // the extension — re-arming here would add one deferral hop per
-  // phantom burst per reached node, the dominant event-queue cost of
-  // hybrid runs.
-  if (!wakeTimer_.pending()) armWakeTimer();
+  navEnd_ = std::max(navEnd_, sim_.now() + busyFor);
+  armWakeTimer();
   refreshChannelState();
 }
 
@@ -119,18 +96,7 @@ void Dcf::refreshChannelState() {
 
 void Dcf::armWakeTimer() {
   const TimePoint wake = std::max(navEnd_, deferUntil_);
-  if (wake > sim_.now()) {
-    // The chained armWakeTimer() covers reservations extended while this
-    // wake was pending (occupyChannel's lazy path). When nothing was
-    // extended, wake == now at fire time and the chain no-ops, so
-    // non-hybrid runs schedule exactly the events they always did.
-    wakeTimer_.arm(wake - sim_.now());
-  }
-}
-
-void Dcf::onWake() {
-  refreshChannelState();
-  armWakeTimer();
+  if (wake > sim_.now()) wakeTimer_.arm(wake - sim_.now());
 }
 
 void Dcf::freezeBackoff() {
@@ -162,10 +128,6 @@ void Dcf::onChannelIdle() { refreshChannelState(); }
 
 void Dcf::parkIfIdle() {
   if (accessTimer_.pending() || client_.hasBacklog()) return;
-  // A wake extended lazily by occupyChannel() re-arms from its own
-  // callback, drawing a sequence number at that instant; a held timer
-  // cannot reproduce that, so such a radio stays listening.
-  if (wakeTimer_.pending() && wakeTimer_.deadline() < reservedUntil()) return;
   parked_ = true;
   medium_.setListening(self_, false);
   wakeTimer_.hold();  // armWakeTimer() now only moves the reservation

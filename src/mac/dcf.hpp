@@ -77,9 +77,10 @@ class Dcf final : public phys::RadioListener {
 
   /// Reserve the channel for `busyFor` from now, exactly as if a frame
   /// carrying that NAV had been overheard: transmissions defer and
-  /// backoff freezes until the reservation expires. The hybrid engine
-  /// radiates fluid background load through this (DESIGN.md §16); such
-  /// phantom reservations never count toward takeOccupancy().
+  /// backoff freezes until the reservation expires. The wake is armed as
+  /// for any overheard NAV, so a parked radio stays parked. The hybrid
+  /// engine radiates fluid background load through this (DESIGN.md §16);
+  /// such phantom reservations never count toward takeOccupancy().
   void occupyChannel(Duration busyFor);
 
   /// True while this node's physical or virtual carrier sense is busy.
@@ -112,8 +113,7 @@ class Dcf final : public phys::RadioListener {
   // --- channel state -----------------------------------------------------
   [[nodiscard]] bool virtuallyBusy() const;
   void refreshChannelState();   ///< maintain idleSince_ and freeze/resume
-  void armWakeTimer();          ///< wake at NAV/EIFS expiry
-  void onWake();
+  void armWakeTimer();          ///< refreshChannelState() at NAV/EIFS expiry
   void freezeBackoff();
 
   // --- parking (DESIGN.md §12) -------------------------------------------

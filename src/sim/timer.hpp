@@ -77,11 +77,6 @@ class Timer {
 
   /// Queued to fire (never while held).
   [[nodiscard]] bool pending() const { return slot_ != kNotQueued; }
-  /// Held, with a reservation that release() would still queue (the
-  /// event loop has not passed its position).
-  [[nodiscard]] bool heldLive() const {
-    return held_ && armed_ && !sim_->hasRun(deadline_, seq_);
-  }
   /// When the last arming fires (or fired).
   [[nodiscard]] TimePoint deadline() const { return deadline_; }
 

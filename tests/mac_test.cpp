@@ -539,9 +539,9 @@ std::vector<Injection> burstEpisodes(std::uint64_t seed) {
 }
 
 TEST(Dcf, ParkedRadiosMatchAlwaysListeningRadiosUnderBursts) {
-  // A parked radio that a burst reaches stays parked unless its held wake
-  // is live and ends before the burst; either way its frames, counters
-  // and every seq it draws must be the listening radio's.
+  // A parked radio that a burst reaches stays parked and only moves its
+  // held wake; its frames, counters and every seq it draws must be the
+  // listening radio's.
   const ParkRun quiet = runHiddenLine(false, {});
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
@@ -583,17 +583,21 @@ TEST(Dcf, PhantomBurstLeavesParkedIdleRadioParked) {
   EXPECT_EQ(f.sim.pendingEvents(), pending);
   EXPECT_FALSE(f.medium.isListening(0));
 
-  // Past the held wake: the radio listens again, its wake queued at
-  // 1300 us extends itself to 1500 us, and there the radio parks again.
+  // Beyond the held wake: the burst only moves the reservation to 1500 us.
+  // The radio stays parked, and no wake runs at 1300 or 1500 us.
   mac.occupyChannel(Duration::micros(400));
-  EXPECT_EQ(f.sim.pendingEvents(), pending + 1);
-  EXPECT_TRUE(f.medium.isListening(0));
+  EXPECT_EQ(f.sim.pendingEvents(), pending);
+  EXPECT_EQ(f.sim.scheduledEvents(), scheduled);
+  EXPECT_FALSE(f.medium.isListening(0));
+  EXPECT_EQ(mac.reservedUntil(), at(1500));
+  const std::uint64_t executed = f.sim.executedEvents();
   f.sim.runUntil(at(2000));
+  EXPECT_EQ(f.sim.executedEvents(), executed);
   EXPECT_FALSE(f.medium.isListening(0));
   EXPECT_EQ(f.sim.pendingEvents(), pending);
   EXPECT_FALSE(mac.channelBusy());
 
-  // The wake has fired, so nothing is live: again nothing queued.
+  // The reservation has passed: again nothing queued.
   mac.occupyChannel(Duration::micros(100));
   EXPECT_EQ(f.sim.pendingEvents(), pending);
   EXPECT_FALSE(f.medium.isListening(0));

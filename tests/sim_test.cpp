@@ -667,6 +667,36 @@ TEST(Timer, HeldTimerReleasesAtItsReservedPosition) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(Timer, DeferredThenHeldReleasesAtTheLastArming) {
+  // A parked radio's wake: armed, pushed out to a later deadline (a
+  // deferral), held, then released before either deadline. It fires at
+  // the seq the second arming reserved, never at the first deadline.
+  for (const std::int64_t releaseUs : {1, 5, 7}) {
+    Simulator s;
+    Posts ev{s};
+    std::vector<int> order;
+    LambdaTimer<> t{s, [&] { order.push_back(2); }};
+    t.timer.arm(Duration::micros(5));
+    ev.post(Duration::micros(10), [&] { order.push_back(1); });
+    const std::uint64_t queued = s.scheduledEvents();
+    t.timer.arm(Duration::micros(10));
+    EXPECT_EQ(s.scheduledEvents(), queued);  // deferred, not re-queued
+    ev.post(Duration::micros(10), [&] { order.push_back(3); });
+    t.timer.hold();
+    EXPECT_FALSE(t.timer.pending());
+    ev.post(Duration::micros(releaseUs), [&] {
+      t.timer.release();
+      EXPECT_TRUE(t.timer.pending());
+    });
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3})) << "release at "
+                                                  << releaseUs << " us";
+    // Three posts and one callback: no hop ran at 5 us.
+    EXPECT_EQ(s.executedEvents(), 4u);
+    EXPECT_EQ(s.pendingEvents(), 0u);
+  }
+}
+
 TEST(Timer, ReleasePastItsPositionDropsTheCallback) {
   for (const bool sameInstant : {false, true}) {
     Simulator s;

@@ -19,6 +19,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -93,7 +94,8 @@ struct Options {
       << "  --ge        Gilbert-Elliott bursty loss, pGoodToBad:pBadToGood:lossBad\n"
       << "  --impair-scope  all|control|data   frames hit by --per/--ge\n"
       << "  --trace FILE        write a structured JSONL trace of every GMP\n"
-      << "                      period (fixed seed => byte-identical file)\n"
+      << "                      period (fixed seed => byte-identical file;\n"
+      << "                      gmp only; under --sweep needs --jobs 1)\n"
       << "  --trace-level  period|event        trace granularity (default period)\n"
       << "  --fast-forward      iterate the fluid GMP fixed point before t=0\n"
       << "                      and start the packet run inside its basin\n"
@@ -152,10 +154,43 @@ std::vector<std::string> splitFields(const std::string& text, char sep) {
   return fields;
 }
 
+/// A flag that cannot take effect in the chosen mode is a usage error,
+/// not a silent no-op (as --foreground without --hybrid is).
+void rejectIneffectiveFlags(const Options& o,
+                            const std::vector<std::string>& given) {
+  const auto needs = [&given](std::initializer_list<const char*> flags,
+                              bool applies, const char* requirement) {
+    if (applies) return;
+    for (const char* flag : flags) {
+      if (std::ranges::find(given, flag) != given.end()) {
+        std::cerr << flag << " has no effect without " << requirement << '\n';
+        std::exit(2);
+      }
+    }
+  };
+  const bool generated = o.scenario == "mesh" || o.scenario == "dense";
+  needs({"--json", "--runs", "--jobs"}, o.sweep, "--sweep");
+  needs({"--chaos-horizon", "--chaos-heal", "--chaos-tail-ieq",
+         "--chaos-canary"},
+        o.chaos > 0, "--chaos");
+  needs({"--trace-level"}, !o.trace.empty(), "--trace");
+  needs({"--nodes", "--flows"}, generated, "--scenario mesh or dense");
+  needs({"--area"}, o.scenario == "mesh", "--scenario mesh");
+  // Only GMP writes trace records.
+  needs({"--trace"}, o.protocol == "gmp", "--protocol gmp");
+  if (!o.trace.empty() && o.sweep && o.jobs != 1) {
+    std::cerr << "--trace with --sweep needs --jobs 1: parallel runs would "
+                 "write one trace file at once\n";
+    std::exit(2);
+  }
+}
+
 Options parse(int argc, char** argv) {
   Options o;
+  std::vector<std::string> given;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    given.push_back(arg);
     auto value = [&]() -> std::string {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
@@ -241,6 +276,7 @@ Options parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  rejectIneffectiveFlags(o, given);
   return o;
 }
 
