@@ -147,7 +147,6 @@ class LinkStateDissemination final : public sim::FaultListener {
   /// that rebooted (and restarted at seq 0) re-enters the network
   /// despite receivers holding a higher stale seq.
   void setFreshnessTtl(Duration ttl) { freshnessTtl_ = ttl; }
-  [[nodiscard]] Duration freshnessTtl() const { return freshnessTtl_; }
 
   /// How long a cached link-state entry stays valid without being
   /// refreshed by a new announcement (the origin-death TTL).

@@ -18,6 +18,11 @@
 // given topology, and the tests verify it holds for every evaluation
 // scenario in the paper while quantifying how often it fails on sparse
 // random meshes.
+//
+// maxmin-lint: allow-file(test-only-header) no run needs it (the
+// controller takes cliques from the global enumeration), but its tests are
+// the evidence that per-node two-hop discovery matches that enumeration
+// on the paper's scenarios.
 #pragma once
 
 #include <vector>

@@ -46,9 +46,6 @@ struct MacParams {
     return sifs + ctsDuration() + sifs + dataDuration(payload) + sifs +
            ackDuration();
   }
-  [[nodiscard]] Duration ctsNav(DataSize payload) const {
-    return sifs + dataDuration(payload) + sifs + ackDuration();
-  }
   [[nodiscard]] Duration dataNav() const { return sifs + ackDuration(); }
 
   /// How long a sender waits for the expected response before declaring a

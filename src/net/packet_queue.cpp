@@ -1,6 +1,5 @@
 #include "net/packet_queue.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -14,7 +13,6 @@ PacketQueue::PacketQueue(int capacity, TimePoint now) : capacity_{capacity} {
 
 void PacketQueue::noteState(TimePoint now) {
   fullTime_.set(full(), now);
-  maxSizeSeen_ = std::max(maxSizeSeen_, static_cast<std::int64_t>(size()));
 }
 
 void PacketQueue::pushBack(PacketPtr p, TimePoint now) {

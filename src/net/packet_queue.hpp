@@ -9,7 +9,6 @@
 // and applies its protocol's drop/hold rule.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 
 #include "net/packet.hpp"
@@ -44,15 +43,12 @@ class PacketQueue {
   }
   void beginWindow(TimePoint now) { fullTime_.beginWindow(now); }
 
-  [[nodiscard]] std::int64_t maxSizeSeen() const { return maxSizeSeen_; }
-
  private:
   void noteState(TimePoint now);
 
   int capacity_;
   std::deque<PacketPtr> packets_;
   BusyTimeAccumulator fullTime_;
-  std::int64_t maxSizeSeen_ = 0;
 };
 
 }  // namespace maxmin::net

@@ -28,8 +28,6 @@ enum class FrameKind {
   kControl,  ///< broadcast control frame (no RTS/CTS, no ACK)
 };
 
-const char* frameKindName(FrameKind kind);
-
 /// Base class for payloads of kControl broadcast frames. Control-plane
 /// modules (e.g. GMP's link-state dissemination) derive their message
 /// types from this and downcast on reception.

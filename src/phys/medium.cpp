@@ -8,17 +8,6 @@
 
 namespace maxmin::phys {
 
-const char* frameKindName(FrameKind kind) {
-  switch (kind) {
-    case FrameKind::kRts: return "RTS";
-    case FrameKind::kCts: return "CTS";
-    case FrameKind::kData: return "DATA";
-    case FrameKind::kAck: return "ACK";
-    case FrameKind::kControl: return "CTRL";
-  }
-  return "?";
-}
-
 Medium::Medium(sim::Simulator& sim, const topo::Topology& topo)
     : sim_{sim}, topo_{topo} {
   const auto n = static_cast<std::size_t>(topo.numNodes());

@@ -46,8 +46,8 @@
 
 namespace maxmin::phys {
 
-/// Passive observer of everything that happens on the medium; the hook
-/// behind phys::FrameTrace. All callbacks are optional.
+/// Passive observer of everything that happens on the medium, for tests
+/// that log frames. All callbacks are optional.
 class MediumObserver {
  public:
   virtual ~MediumObserver() = default;

@@ -151,7 +151,6 @@ class FaultPlane {
   /// measurement-staleness machinery, which deliberately bridges short
   /// outages instead of quarantining them.
   [[nodiscard]] bool linkCut(std::int32_t a, std::int32_t b) const;
-  [[nodiscard]] std::size_t cutLinkCount() const { return cutLinks_.size(); }
   [[nodiscard]] Duration clockSkew(std::int32_t node) const;
   /// Largest skew across all nodes (the controller's assembly delay).
   [[nodiscard]] Duration maxClockSkew() const;

@@ -65,8 +65,6 @@ class BusyTimeAccumulator {
   /// state into it.
   void beginWindow(TimePoint now);
 
-  [[nodiscard]] bool isOn() const { return on_; }
-
  private:
   bool on_ = false;
   TimePoint onSince_;

@@ -25,7 +25,6 @@ class Table {
   /// our numeric content; commas in cells are replaced by semicolons).
   void printCsv(std::ostream& os) const;
 
-  std::size_t rowCount() const { return rows_.size(); }
   const std::vector<std::string>& row(std::size_t i) const { return rows_.at(i); }
 
  private:

@@ -30,12 +30,7 @@ class [[nodiscard]] DataSize {
 class [[nodiscard]] BitRate {
  public:
   constexpr BitRate() = default;
-  static constexpr BitRate bitsPerSecond(double bps) { return BitRate{bps}; }
-  static constexpr BitRate kiloBitsPerSecond(double kbps) { return BitRate{kbps * 1e3}; }
   static constexpr BitRate megaBitsPerSecond(double mbps) { return BitRate{mbps * 1e6}; }
-
-  constexpr double asBitsPerSecond() const { return bps_; }
-  constexpr double asMegaBitsPerSecond() const { return bps_ * 1e-6; }
 
   constexpr friend auto operator<=>(BitRate, BitRate) = default;
 

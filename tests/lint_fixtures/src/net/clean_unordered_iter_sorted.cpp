@@ -1,6 +1,6 @@
 // Fixture: the sanctioned patterns stay silent — collect-then-sort
-// snapshots (phys::FrameTrace::sortedLinkStats is the model) and writes
-// into ordered containers keyed by the loop key are order-independent.
+// snapshots and writes into ordered containers keyed by the loop key are
+// order-independent.
 #include <algorithm>
 #include <map>
 #include <ostream>

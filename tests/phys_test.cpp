@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "phys/frame_trace.hpp"
-
 #include "phys/medium.hpp"
 #include "sim/fault_plane.hpp"
 #include "sim/simulator.hpp"
@@ -566,10 +564,39 @@ TEST(Medium, MatchesBruteForceIntervalModel) {
   EXPECT_GT(cover.corrupted, 0);
 }
 
-TEST(FrameTrace, RecordsAllEventKindsAndLinkStats) {
+/// Logs what the medium reports through its observer hook.
+class ObserverLog final : public MediumObserver {
+ public:
+  struct Entry {
+    char what;  ///< 'S'tart, 'D'elivery, 'C'orruption
+    topo::NodeId transmitter;
+    topo::NodeId node;  ///< addressee ('S') or receiver
+  };
+
+  void onTransmissionStart(const Frame& f, TimePoint) override {
+    entries.push_back({'S', f.transmitter, f.addressee});
+  }
+  void onDelivery(const Frame& f, topo::NodeId r, TimePoint) override {
+    entries.push_back({'D', f.transmitter, r});
+  }
+  void onCorruption(const Frame& f, topo::NodeId r, TimePoint) override {
+    entries.push_back({'C', f.transmitter, r});
+  }
+
+  [[nodiscard]] int count(char what, topo::NodeId transmitter,
+                          topo::NodeId node) const {
+    return static_cast<int>(std::ranges::count_if(entries, [&](const Entry& e) {
+      return e.what == what && e.transmitter == transmitter && e.node == node;
+    }));
+  }
+
+  std::vector<Entry> entries;
+};
+
+TEST(Medium, ObserverSeesStartsDeliveriesAndCorruptions) {
   Fixture f{{{0, 0}, {200, 0}, {400, 0}}};
-  FrameTrace trace;
-  f.medium.setObserver(&trace);
+  ObserverLog log;
+  f.medium.setObserver(&log);
   // Clean delivery 0->1, then a collision at 1 (0 and 2 overlap).
   f.medium.startTransmission(makeFrame(0, 1, 100));
   f.sim.run();
@@ -577,66 +604,13 @@ TEST(FrameTrace, RecordsAllEventKindsAndLinkStats) {
   f.medium.startTransmission(makeFrame(2, 1, 100));
   f.sim.run();
 
-  int tx = 0;
-  int rx = 0;
-  int coll = 0;
-  for (const auto& e : trace.events()) {
-    switch (e.kind) {
-      case FrameTrace::EventKind::kTxStart: ++tx; break;
-      case FrameTrace::EventKind::kDelivery: ++rx; break;
-      case FrameTrace::EventKind::kCorruption: ++coll; break;
-    }
-  }
-  EXPECT_EQ(tx, 3);
-  EXPECT_GE(coll, 2);  // both overlapping frames corrupted at receivers
-  EXPECT_GE(rx, 1);
-
-  const auto& stats = trace.linkStats();
-  ASSERT_TRUE(stats.contains(topo::Link{0, 1}));
-  EXPECT_EQ(stats.at(topo::Link{0, 1}).delivered, 1);
-  EXPECT_EQ(stats.at(topo::Link{0, 1}).corrupted, 1);
-  EXPECT_DOUBLE_EQ(stats.at(topo::Link{0, 1}).corruptionRatio(), 0.5);
-}
-
-TEST(FrameTrace, NodeFilterRestrictsRecordedEvents) {
-  Fixture f{{{0, 0}, {200, 0}, {400, 0}}};
-  FrameTrace trace;
-  trace.filterNode(2);
-  f.medium.setObserver(&trace);
-  f.medium.startTransmission(makeFrame(0, 1, 100));
-  f.sim.run();
-  // Node 2 only appears as an overhearing receiver of the delivery.
-  for (const auto& e : trace.events()) {
-    EXPECT_TRUE(e.transmitter == 2 || e.addressee == 2 || e.receiver == 2);
-  }
-  EXPECT_EQ(trace.totalObserved(), trace.events().size());
-}
-
-TEST(FrameTrace, CapacityBoundsRetainedEvents) {
-  Fixture f{{{0, 0}, {200, 0}}};
-  FrameTrace trace{8};
-  f.medium.setObserver(&trace);
-  for (int i = 0; i < 20; ++i) {
-    f.medium.startTransmission(makeFrame(0, 1, 10));
-    f.sim.run();
-  }
-  EXPECT_LE(trace.events().size(), 8u + 4u);
-  EXPECT_EQ(trace.totalObserved(), 40u);  // 20 tx + 20 deliveries
-}
-
-TEST(FrameTrace, DumpFormatsEvents) {
-  Fixture f{{{0, 0}, {200, 0}}};
-  FrameTrace trace;
-  f.medium.setObserver(&trace);
-  f.medium.startTransmission(makeFrame(0, 1, 100));
-  f.sim.run();
-  std::ostringstream os;
-  trace.dump(os);
-  EXPECT_NE(os.str().find("TX   DATA 0>1"), std::string::npos);
-  EXPECT_NE(os.str().find("rx=1"), std::string::npos);
-  trace.clear();
-  EXPECT_TRUE(trace.events().empty());
-  EXPECT_EQ(trace.totalObserved(), 0u);
+  EXPECT_EQ(std::ranges::count(log.entries, 'S', &ObserverLog::Entry::what),
+            3);
+  EXPECT_EQ(log.count('S', 0, 1), 2);
+  EXPECT_EQ(log.count('S', 2, 1), 1);
+  EXPECT_EQ(log.count('D', 0, 1), 1);
+  EXPECT_EQ(log.count('C', 0, 1), 1);
+  EXPECT_EQ(log.count('C', 2, 1), 1);
 }
 
 }  // namespace

@@ -18,6 +18,12 @@ anywhere, including inside one module, is a finding). Violations:
       (would silently drop an edge from the graph)
     * include cycle — any cycle in the file-level graph
 
+The same include scan finds test-only headers: a src/ header that no
+file includes except its own .cpp and tests/ files (rule
+test-only-header). Includes count from src/, tools/, bench/, examples/
+and perfbench/. Such a module is code that no run uses; delete it with
+its tests, or keep it with an allow-file() pragma that says why.
+
 The checker also renders a machine-readable summary (module ranks, file
 counts, collapsed module-edge counts) that is committed as
 ``tools/lint/include_graph.json``; the repo sweep fails when the
@@ -35,7 +41,7 @@ from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
 import cpptok
-from rules import Finding, message_of
+from rules import Finding, collect_pragmas, message_of
 
 # Rank table. Equal ranks (the top set) may include each other; everyone
 # may include strictly lower ranks and itself.
@@ -164,6 +170,52 @@ def _find_cycles(includes: IncludeMap, known: Set[str], prefix: str,
     return findings
 
 
+# Directories whose includes make a src/ header used by a program.
+PROGRAM_DIRS = ("src", "tools", "bench", "examples", "perfbench")
+
+
+def check_test_only_headers(headers: Dict[str, Set[str]],
+                            program_includes: IncludeMap,
+                            prefix: str = "src/") -> List[Finding]:
+    """Pure check: `headers` maps each src/ header (relative to src/) to
+    the rules its allow-file() pragmas name; `program_includes` maps each
+    file under PROGRAM_DIRS (relative to the repo root) to its includes.
+    A header's own .cpp does not count as a user."""
+    users: Dict[str, Set[str]] = {}
+    for rel, edges in program_includes.items():
+        for _, target in edges:
+            users.setdefault(target, set()).add(rel)
+    findings = []
+    for header in sorted(headers):
+        if "test-only-header" in headers[header]:
+            continue
+        own = prefix + header.rsplit(".", 1)[0] + ".cpp"
+        if users.get(header, set()) - {own}:
+            continue
+        findings.append(Finding(
+            prefix + header, 1, "test-only-header",
+            message_of("test-only-header")))
+    return findings
+
+
+def check_tree_headers(root: Path) -> List[Finding]:
+    """check_test_only_headers over the tree at `root`."""
+    program_includes: IncludeMap = {}
+    for top in PROGRAM_DIRS:
+        if (root / top).is_dir():
+            includes, _ = scan_includes(root / top)
+            for rel, edges in includes.items():
+                program_includes[f"{top}/{rel}"] = edges
+    headers: Dict[str, Set[str]] = {}
+    src_root = root / "src"
+    for path in sorted(src_root.rglob("*.hpp")):
+        file_allows, _ = collect_pragmas(
+            path.read_text(encoding="utf-8", errors="replace").splitlines(),
+            lambda msg: None)
+        headers[path.relative_to(src_root).as_posix()] = file_allows
+    return check_test_only_headers(headers, program_includes)
+
+
 def build_summary(includes: IncludeMap, known: Set[str]) -> dict:
     """Deterministic, machine-readable dump of the module-level graph."""
     mod_files: Dict[str, int] = {}
@@ -211,6 +263,7 @@ def check_tree(root: Path) -> Tuple[List[Finding], dict]:
         return [], {}
     includes, known = scan_includes(src_root)
     findings = check_graph(includes, known)
+    findings.extend(check_tree_headers(root))
     summary = build_summary(includes, known)
     dump = root / GRAPH_DUMP
     if dump.exists():

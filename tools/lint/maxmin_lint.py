@@ -23,6 +23,8 @@ DESIGN.md §10):
     layering           src/ include graph conforms to the documented DAG
                        and is acyclic (layering.py; committed dump in
                        tools/lint/include_graph.json)
+    test-only-header   every src/ header is included by a program file,
+                       not only by its own .cpp and tests/ (layering.py)
     unordered-iter     no unordered-container iteration feeding ordered
                        output or float accumulators (determinism.py)
     shared-state       every mutable static/singleton is audited in
@@ -172,10 +174,17 @@ def lint_tree(root, explicit=None):
 # Fixture mode: trigger_<rule>* must fire exactly that rule, clean_* must
 # be silent. Fixtures mirror the repo layout under the fixture root so the
 # path-scoping logic is exercised too. Directories under
-# <fixtures>/layering/ hold synthetic src/ trees for the tree-wide
-# layering checks (trigger_* trees must yield layering findings, clean_*
-# trees none).
+# <fixtures>/<family>/ hold synthetic trees for the tree-wide include
+# checks (trigger_* trees must yield findings of the family's rule only,
+# clean_* trees none).
 # --------------------------------------------------------------------------
+
+# family directory -> (rule, check of one synthetic tree)
+TREE_FAMILIES = {
+    "layering": ("layering", lambda case: layering.check_graph(
+        *layering.scan_includes(case / "src"))),
+    "test_only_header": ("test-only-header", layering.check_tree_headers),
+}
 
 RULE_IDS_SORTED = sorted((r.rule_id for r in RULES), key=len, reverse=True)
 
@@ -193,8 +202,8 @@ def run_fixtures(fixture_root):
     manifest = shared_state.load_manifest(
         Path(__file__).resolve().parents[2])
     for path, rel in repo_files(fixture_root):
-        if rel.startswith("layering/"):
-            continue  # members of the synthetic layering trees below
+        if rel.split("/", 1)[0] in TREE_FAMILIES:
+            continue  # members of the synthetic trees below
         name = path.stem
         if name.startswith("trigger_"):
             expect = name[len("trigger_"):]
@@ -230,15 +239,16 @@ def run_fixtures(fixture_root):
         else:
             print(f"PASS {rel} ([{rule_id}] fired)")
 
-    layering_root = fixture_root / "layering"
-    if layering_root.is_dir():
-        for case in sorted(layering_root.iterdir()):
+    for family, (rule_id, check) in TREE_FAMILIES.items():
+        family_root = fixture_root / family
+        if not family_root.is_dir():
+            continue
+        for case in sorted(family_root.iterdir()):
             if not case.is_dir() or not (case / "src").is_dir():
                 continue
             cases += 1
-            includes, known = layering.scan_includes(case / "src")
-            findings = layering.check_graph(includes, known)
-            rel = f"layering/{case.name}"
+            findings = check(case)
+            rel = f"{family}/{case.name}"
             if case.name.startswith("clean_"):
                 if findings:
                     failures += 1
@@ -248,16 +258,16 @@ def run_fixtures(fixture_root):
                 else:
                     print(f"PASS {rel} (clean)")
             elif case.name.startswith("trigger_"):
-                bad = [f for f in findings if f.rule_id != "layering"]
+                bad = [f for f in findings if f.rule_id != rule_id]
                 if not findings:
                     failures += 1
-                    print(f"FAIL {rel}: expected [layering] to fire, "
+                    print(f"FAIL {rel}: expected [{rule_id}] to fire, "
                           "got nothing")
                 elif bad:
                     failures += 1
-                    print(f"FAIL {rel}: non-layering findings: {bad}")
+                    print(f"FAIL {rel}: findings of other rules: {bad}")
                 else:
-                    print(f"PASS {rel} ([layering] fired, "
+                    print(f"PASS {rel} ([{rule_id}] fired, "
                           f"{len(findings)} finding(s))")
 
     if cases == 0:

@@ -69,7 +69,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# The twelve rules. Pattern rules carry regexes (run against stripped
+# The thirteen rules. Pattern rules carry regexes (run against stripped
 # lines); structural rules carry an empty pattern list and are implemented
 # in check functions / sibling modules.
 # --------------------------------------------------------------------------
@@ -109,7 +109,7 @@ RULES = [
         "hot-map",
         "ordered node-based container in a hot-path header; use "
         "unordered_map/unordered_set and sort at report time "
-        "(phys::FrameTrace::sortedLinkStats is the model)",
+        "(net::NodeStack::closeMeasurementWindow is the model)",
         [
             r"\bstd::(?:multi)?map\s*<",
             r"\bstd::(?:multi)?set\s*<",
@@ -181,11 +181,18 @@ RULES = [
         lambda rel: rel.startswith("src/"),
     ),
     Rule(
+        "test-only-header",
+        "src/ header that only its own .cpp and tests/ include, so no "
+        "run uses it; delete the module with its tests, or keep it with "
+        "allow-file(test-only-header) and the reason",
+        [],  # structural: layering.check_tree_headers()
+        lambda rel: rel.startswith("src/") and is_header(rel),
+    ),
+    Rule(
         "unordered-iter",
         "iteration over an unordered container whose body writes ordered "
         "output (stream/trace/CSV) or a floating-point accumulator; "
-        "iterate a sorted snapshot (sortedLinkStats is the model) or "
-        "justify with allow(unordered-iter)",
+        "iterate a sorted snapshot or justify with allow(unordered-iter)",
         [],  # structural: determinism.check_file()
         lambda rel: rel.startswith(("src/", "tools/", "bench/", "examples/")),
     ),

@@ -135,6 +135,31 @@ class LayeringTest(unittest.TestCase):
         self.assertEqual(s1, s2)
 
 
+class TestOnlyHeaderTest(unittest.TestCase):
+    def _check(self, headers, program_includes):
+        return layering.check_test_only_headers(headers, program_includes)
+
+    def test_own_cpp_is_not_a_user(self):
+        findings = self._check(
+            {"net/probe.hpp": set()},
+            {"src/net/probe.cpp": [(1, "net/probe.hpp")]})
+        self.assertEqual([(f.rel, f.rule_id) for f in findings],
+                         [("src/net/probe.hpp", "test-only-header")])
+
+    def test_any_other_program_file_is_a_user(self):
+        for user in ("src/gmp/plan.cpp", "src/net/other.hpp",
+                     "tools/cli.cpp", "bench/b.cpp", "examples/e.cpp",
+                     "perfbench/sim.cpp"):
+            with self.subTest(user=user):
+                self.assertEqual(self._check(
+                    {"net/probe.hpp": set()},
+                    {user: [(3, "net/probe.hpp")]}), [])
+
+    def test_allow_file_pragma_keeps_a_header(self):
+        self.assertEqual(self._check(
+            {"gmp/neighborhood.hpp": {"test-only-header"}}, {}), [])
+
+
 class SharedStateTest(unittest.TestCase):
     def _statics(self, code):
         tokens = cpptok.scan(code).tokens
