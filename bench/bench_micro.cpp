@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <set>
 #include <vector>
 
 #include "analysis/maxmin_solver.hpp"
@@ -215,22 +216,45 @@ scenarios::Scenario meshScenario(int nodes) {
   return scenarios::randomMesh(99, nodes, 250.0 * nodes / 4, 4);
 }
 
-void BM_CliqueEnumeration(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  const auto sc = meshScenario(n);
+/// Arg 800: the pinned dense set of Cliques.DenseMeshAllFlowCliquesArePinned
+/// (every link on a route of denseMesh(1, 800, 100)'s flows; 673 links,
+/// 1,536 cliques). Other args: every link of a random mesh of that many
+/// nodes.
+std::vector<topo::Link> cliqueBenchLinks(const scenarios::Scenario& sc,
+                                         int n) {
   std::vector<topo::Link> links;
+  if (n == 800) {
+    std::set<topo::Link> onRoutes;
+    for (const auto& f : sc.flows) {
+      const auto path = topo::RoutingTree::shortestPaths(sc.topology, f.dst)
+                            .pathFrom(f.src);
+      for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+        onRoutes.insert(topo::Link{path[h], path[h + 1]});
+      }
+    }
+    links.assign(onRoutes.begin(), onRoutes.end());
+    return links;
+  }
   for (topo::NodeId a = 0; a < sc.topology.numNodes(); ++a) {
     for (topo::NodeId b : sc.topology.neighbors(a)) {
       if (a < b) links.push_back(topo::Link{a, b});
     }
   }
+  return links;
+}
+
+void BM_CliqueEnumeration(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  const auto sc =
+      n == 800 ? scenarios::denseMesh(1, 800, 100) : meshScenario(n);
+  const std::vector<topo::Link> links = cliqueBenchLinks(sc, n);
   const topo::ConflictGraph graph{sc.topology, links};
   for (auto _ : state) {
     benchmark::DoNotOptimize(topo::enumerateMaximalCliques(graph));
   }
   state.SetLabel(std::to_string(links.size()) + " links");
 }
-BENCHMARK(BM_CliqueEnumeration)->Arg(12)->Arg(20);
+BENCHMARK(BM_CliqueEnumeration)->Arg(12)->Arg(20)->Arg(800);
 
 void BM_DominatingSets(benchmark::State& state) {
   const auto sc = meshScenario(20);

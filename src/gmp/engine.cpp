@@ -230,15 +230,23 @@ void Engine::checkBandwidthCondition(const Snapshot& s, const Live& live,
                                      DecisionReport& report) const {
   const VirtualNetwork& vn = *s.vnet;
   const auto& cliques = contention_.cliques;
-  // Clique channel occupancies (sum over member links; masked links
-  // contribute no airtime).
+  // One pass over every clique: its channel occupancy (sum over member
+  // links; masked links contribute no airtime) and its largest live
+  // member normalized rate.
   std::vector<double> cliqueOccupancy(cliques.size(), 0.0);
+  std::vector<double> cliqueTopRate(cliques.size(), 0.0);
   for (std::size_t c = 0; c < cliques.size(); ++c) {
     for (const int li : cliques[c].linkIndices) {
       const auto l = static_cast<std::size_t>(li);
-      if (live.wlinks[l] != 0) cliqueOccupancy[c] += s.wlinks[l].occupancy;
+      if (live.wlinks[l] == 0) continue;
+      cliqueOccupancy[c] += s.wlinks[l].occupancy;
+      cliqueTopRate[c] = std::max(cliqueTopRate[c], s.wlinks[l].normRate);
     }
   }
+  // visitedBy[k] = the violating link whose members last included k, so
+  // each member is acted on once however many saturated cliques share it.
+  std::vector<std::size_t> visitedBy(contention_.links.size(),
+                                     contention_.links.size());
 
   for (std::size_t li = 0; li < contention_.links.size(); ++li) {
     // Smallest-mu bandwidth-saturated virtual link of this wireless link.
@@ -260,51 +268,53 @@ void Engine::checkBandwidthCondition(const Snapshot& s, const Live& live,
     for (int c : cliqueIdxs) {
       maxOcc = std::max(maxOcc, cliqueOccupancy[static_cast<std::size_t>(c)]);
     }
+    const auto saturatedClique = [&](int c) {
+      return cmp_.equal(cliqueOccupancy[static_cast<std::size_t>(c)], maxOcc);
+    };
 
     // Does the deprived virtual link top at least one saturated clique?
-    // Collect the member links of all saturated cliques on the way.
     bool satisfiedSomewhere = false;
     double l2 = 0.0;
-    std::vector<std::size_t> members;
     for (int c : cliqueIdxs) {
-      if (!cmp_.equal(cliqueOccupancy[static_cast<std::size_t>(c)], maxOcc))
-        continue;
-      double m = 0.0;
-      for (const int memberIdx :
-           cliques[static_cast<std::size_t>(c)].linkIndices) {
-        const auto member = static_cast<std::size_t>(memberIdx);
-        if (live.wlinks[member] != 0) {
-          m = std::max(m, s.wlinks[member].normRate);
-        }
-        members.push_back(member);
-      }
+      if (!saturatedClique(c)) continue;
+      const double m = cliqueTopRate[static_cast<std::size_t>(c)];
       l2 = std::max(l2, m);
-      if (!cmp_.smaller(deprived->normRate, m)) satisfiedSomewhere = true;
+      if (!cmp_.smaller(deprived->normRate, m)) {
+        satisfiedSomewhere = true;
+        break;
+      }
     }
     if (satisfiedSomewhere) continue;
     ++report.bandwidthViolations;
 
-    std::sort(members.begin(), members.end());
-    members.erase(std::unique(members.begin(), members.end()), members.end());
-    for (const std::size_t km : members) {
-      for (const std::size_t v : vn.linkVlinks.row(km)) {
-        const VLinkState& vl = s.vlinks[v];
-        if (live.vlinks[v] == 0) continue;
-        if (cmp_.equal(vl.normRate, l2)) {
-          forEachPrimary(s, live.flows, vl, [&](std::size_t i) {
-            requests[i].add(true,
-                            adjustBase(s.flows[i]) * (1.0 - params_.beta));
-            ++report.reduceRequests;
-          });
-        }
-        if (vl.type == LinkType::kBandwidthSaturated &&
-            cmp_.equal(vl.normRate, deprived->normRate)) {
-          forEachPrimary(s, live.flows, vl, [&](std::size_t i) {
-            if (!s.flows[i].limitPps.has_value()) return;
-            requests[i].add(false,
-                            adjustBase(s.flows[i]) * (1.0 + params_.beta));
-            ++report.increaseRequests;
-          });
+    // Requests fold by minimum and the counters count distinct members,
+    // so the visiting order does not show in the report.
+    for (int c : cliqueIdxs) {
+      if (!saturatedClique(c)) continue;
+      for (const int memberIdx :
+           cliques[static_cast<std::size_t>(c)].linkIndices) {
+        const auto km = static_cast<std::size_t>(memberIdx);
+        if (visitedBy[km] == li) continue;
+        visitedBy[km] = li;
+        for (const std::size_t v : vn.linkVlinks.row(km)) {
+          const VLinkState& vl = s.vlinks[v];
+          if (live.vlinks[v] == 0) continue;
+          if (cmp_.equal(vl.normRate, l2)) {
+            forEachPrimary(s, live.flows, vl, [&](std::size_t i) {
+              requests[i].add(true,
+                              adjustBase(s.flows[i]) * (1.0 - params_.beta));
+              ++report.reduceRequests;
+            });
+          }
+          if (vl.type == LinkType::kBandwidthSaturated &&
+              cmp_.equal(vl.normRate, deprived->normRate)) {
+            forEachPrimary(s, live.flows, vl, [&](std::size_t i) {
+              if (!s.flows[i].limitPps.has_value()) return;
+              requests[i].add(false,
+                              adjustBase(s.flows[i]) * (1.0 + params_.beta));
+              ++report.increaseRequests;
+            });
+          }
         }
       }
     }

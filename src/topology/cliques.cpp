@@ -10,6 +10,19 @@
 namespace maxmin::topo {
 namespace {
 
+/// Set bits of one word, as a SWAR sum: a few shifts, masks and one
+/// multiply. The build enables no popcnt instruction, so std::popcount
+/// would compile to a call into libgcc (__popcountdi2) on every
+/// intersection word; a ctest keeps that call out of the libraries.
+constexpr int popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+}
+static_assert(popcount64(0) == 0 && popcount64(~std::uint64_t{0}) == 64 &&
+              popcount64(0x8000000000000001ULL) == 2);
+
 /// Bron-Kerbosch with pivoting, run directly on the packed conflict rows.
 /// P and X are word arrays: recursion level d owns the d-th (P, X) pair of
 /// one arena sized up front. A clique has at most maxDegree + 1 members,
@@ -49,7 +62,7 @@ class BronKerbosch {
   [[nodiscard]] int countCommon(const std::uint64_t* a,
                                 const std::uint64_t* b) const {
     int n = 0;
-    for (std::size_t w = 0; w < words_; ++w) n += std::popcount(a[w] & b[w]);
+    for (std::size_t w = 0; w < words_; ++w) n += popcount64(a[w] & b[w]);
     return n;
   }
 

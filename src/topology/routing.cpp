@@ -1,6 +1,6 @@
 #include "topology/routing.hpp"
 
-#include <deque>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -17,10 +17,13 @@ RoutingTree RoutingTree::shortestPaths(const Topology& topo, NodeId dest) {
   // node becomes its next hop toward the destination.
   std::vector<int> dist(static_cast<std::size_t>(topo.numNodes()), -1);
   dist[static_cast<std::size_t>(dest)] = 0;
-  std::deque<NodeId> queue{dest};
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
+  // Each node is enqueued at most once, so a reserved vector with a read
+  // cursor is the FIFO.
+  std::vector<NodeId> queue;
+  queue.reserve(static_cast<std::size_t>(topo.numNodes()));
+  queue.push_back(dest);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
     for (NodeId v : topo.neighbors(u)) {
       auto vi = static_cast<std::size_t>(v);
       if (dist[vi] == -1) {

@@ -247,6 +247,50 @@ TEST_F(BandwidthConditionTest, TopLinkItselfIsSatisfied) {
   EXPECT_EQ(report.bandwidthViolations, 0);
 }
 
+TEST_F(BandwidthConditionTest, OverlappingSaturatedCliquesActOncePerMember) {
+  // Chain 0-..-5, one single-hop flow per link L0..L4. Links up to three
+  // apart contend, so the cliques are {L0..L3} and {L1..L4}: the deprived
+  // L2 sits in both, and so do L1 and L3. Node 5 is stale, so L4 is
+  // masked: its airtime does not count (both cliques are saturated) and
+  // its rate of 1000 must not become L2 (the live top is 300).
+  const ContentionStructure cs = ContentionStructure::build(
+      chainTopo(6), {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  ASSERT_EQ(cs.cliques.size(), 2u);
+  const Engine engine{cs, GmpParams{}};
+  Snapshot s;
+  s.flows = {flow(0, 0, 1, 200.0, 200.0), flow(1, 1, 2, 300.0, 300.0),
+             flow(2, 2, 3, 100.0, 100.0), flow(3, 3, 4, 300.0, 300.0),
+             flow(4, 4, 5, 1000.0, 1000.0)};
+  s.vlinks = {
+      vlink(0, 1, 1, LinkType::kUnsaturated, 200.0, {0}),
+      vlink(1, 2, 2, LinkType::kBandwidthSaturated, 300.0, {1}),
+      vlink(2, 3, 3, LinkType::kBandwidthSaturated, 100.0, {2}),
+      vlink(3, 4, 4, LinkType::kBandwidthSaturated, 300.0, {3}),
+      vlink(4, 5, 5, LinkType::kBandwidthSaturated, 1000.0, {4}),
+  };
+  s.wlinks = {{{0, 1}, 0.05, 200.0},
+              {{1, 2}, 0.3, 300.0},
+              {{2, 3}, 0.3, 100.0},
+              {{3, 4}, 0.3, 300.0},
+              {{4, 5}, 0.5, 1000.0}};
+  s.staleNodes = {5};
+  index(cs, s, {{1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  const auto report = engine.decide(s);
+
+  EXPECT_EQ(report.bandwidthViolations, 1);
+  EXPECT_EQ(report.reduceRequests, 2);    // L1 and L3, once each
+  EXPECT_EQ(report.increaseRequests, 1);  // L2 itself, once
+  const Command* l1 = findCommand(report, 1);
+  ASSERT_NE(l1, nullptr);
+  EXPECT_NEAR(l1->limitPps, 270.0, 1e-9);
+  const Command* l3 = findCommand(report, 3);
+  ASSERT_NE(l3, nullptr);
+  EXPECT_NEAR(l3->limitPps, 270.0, 1e-9);
+  const Command* l2 = findCommand(report, 2);
+  ASSERT_NE(l2, nullptr);
+  EXPECT_NEAR(l2->limitPps, 110.0, 1e-9);
+}
+
 TEST(EngineResolution, ReductionBeatsIncreaseAndLargestReductionWins) {
   // Flow E is primary on two virtual links at two saturated virtual
   // nodes with different gaps: one requests halving, the other a beta
