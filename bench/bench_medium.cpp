@@ -32,6 +32,7 @@ class CountingRadio final : public phys::RadioListener {
   void onChannelIdle() override {}
   void onFrameReceived(const phys::Frame&) override { ++received; }
   void onFrameCorrupted(const phys::Frame&) override { ++corrupted; }
+  void onTxEnd() override {}
   std::int64_t received = 0;
   std::int64_t corrupted = 0;
 };

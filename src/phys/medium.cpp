@@ -189,7 +189,13 @@ void Medium::finishTransmission(ActiveTx& tx) {
   releaseRxStorage(tx);
   freeSlots_.push_back(tx.slot);
 
-  if (silent) return;  // nothing was radiated
+  // The sender's own step at its frame end runs last, after every
+  // reception the frame caused, and also when nothing was radiated.
+  RadioListener* const own = radios_[static_cast<std::size_t>(sender)];
+  if (silent) {
+    own->onTxEnd();
+    return;
+  }
 
   const TimePoint now = sim_.now();
   std::size_t due = 0;  // edges_ entries whose idle edge is due
@@ -243,6 +249,7 @@ void Medium::finishTransmission(ActiveTx& tx) {
       radio->onFrameReceived(frame);
     }
   }
+  own->onTxEnd();
 }
 
 }  // namespace maxmin::phys

@@ -25,6 +25,11 @@ class RadioListener {
   /// A frame within decode range completed but was corrupted by overlap
   /// (collision / hidden terminal). Triggers EIFS deferral.
   virtual void onFrameCorrupted(const Frame& frame) = 0;
+
+  /// This radio's own frame left the air. The medium calls it last, after
+  /// the frame's deliveries, and also for a silent (crashed-sender)
+  /// transmission, so a frame end is one event (DESIGN.md §12).
+  virtual void onTxEnd() = 0;
 };
 
 }  // namespace maxmin::phys

@@ -611,6 +611,7 @@ class ScriptedRadio final : public phys::RadioListener {
   void onChannelIdle() override {}
   void onFrameReceived(const phys::Frame&) override {}
   void onFrameCorrupted(const phys::Frame&) override {}
+  void onTxEnd() override {}
 };
 
 /// The last thing that kept node P busy before it is given work.

@@ -68,6 +68,7 @@ class CountingRadio final : public RadioListener {
   void onChannelIdle() override {}
   void onFrameReceived(const Frame&) override { ++received; }
   void onFrameCorrupted(const Frame&) override { ++corrupted; }
+  void onTxEnd() override {}
   std::int64_t received = 0;
   std::int64_t corrupted = 0;
 };

@@ -25,8 +25,10 @@ class RecordingRadio final : public RadioListener {
   void onChannelIdle() override { ++idleTransitions; }
   void onFrameReceived(const Frame& f) override { received.push_back(f); }
   void onFrameCorrupted(const Frame& f) override { corrupted.push_back(f); }
+  void onTxEnd() override { ++txEnds; }
 
   int busyTransitions = 0;
+  int txEnds = 0;
   int idleTransitions = 0;
   std::vector<Frame> received;
   std::vector<Frame> corrupted;
@@ -67,6 +69,9 @@ TEST(Medium, DeliversFrameToAllNodesInTxRange) {
   EXPECT_TRUE(f.radios[3].received.empty());
   EXPECT_TRUE(f.radios[1].received.empty());  // no self-reception
   EXPECT_EQ(f.medium.framesDelivered(), 2u);
+  // Only the sender hears of the frame end.
+  EXPECT_EQ(f.radios[1].txEnds, 1);
+  EXPECT_EQ(f.radios[0].txEnds + f.radios[2].txEnds + f.radios[3].txEnds, 0);
 }
 
 TEST(Medium, BusyIdleTransitionsWithinCsRange) {
@@ -195,6 +200,7 @@ TEST(Medium, StartInsideBusyCallbackRejected) {
     void onChannelIdle() override {}
     void onFrameReceived(const Frame&) override {}
     void onFrameCorrupted(const Frame&) override {}
+    void onTxEnd() override {}
   };
   sim::Simulator sim;
   const auto topo = topo::Topology::fromPositions({{0, 0}, {200, 0}});
@@ -437,7 +443,11 @@ std::vector<std::string> runReferenceModel(const topo::Topology& topo,
       sending[static_cast<std::size_t>(tx.from)] = -1;
       if (lastStartUs == e.atUs) ++cover.startThenFinishSameInstant;
       lastFinishUs = e.atUs;
-      if (tx.silent) continue;
+      // The sender hears of its frame end last ('E'), silent or not.
+      if (tx.silent) {
+        log.push_back(logEntry(e.atUs, 'E', tx.from));
+        continue;
+      }
       for (const topo::NodeId v : topo.csNeighbors(tx.from)) {
         if (!parkedInReference(v) && senses(v) == 0) {
           log.push_back(logEntry(e.atUs, 'I', v));
@@ -460,6 +470,7 @@ std::vector<std::string> runReferenceModel(const topo::Topology& topo,
           }
         }
       }
+      log.push_back(logEntry(e.atUs, 'E', tx.from));
     }
   }
   return log;
@@ -479,6 +490,7 @@ class LoggingRadio final : public RadioListener {
   void onFrameCorrupted(const Frame& f) override {
     log_.push_back(logEntry(now(), 'C', self_, f.transmitter));
   }
+  void onTxEnd() override { log_.push_back(logEntry(now(), 'E', self_)); }
 
  private:
   std::int64_t now() const {
