@@ -150,70 +150,106 @@ TEST_F(ObsTest, FixedSeedTraceIsByteIdentical) {
   EXPECT_EQ(first, second) << "fixed-seed traces must be byte-identical";
 }
 
-TEST_F(ObsTest, JsonDoublesRoundTripThroughWriterAndReplay) {
-  // Satellite regression for locale-independent number text: doubles that
-  // exercise shortest-vs-17-digit formatting, subnormals, and huge
-  // magnitudes must read back from JsonWriter's text bit-exactly, and the
-  // emitted bytes must not change when the global locale uses a ','
-  // decimal separator (to_chars/from_chars ignore locale by definition).
-  const std::vector<double> rates = {0.1, 1.0 / 3.0, 12.5,
-                                     6.02214076e23, 5e-324};
-  const auto write = [&rates] {
-    obs::JsonWriter w;
+// Doubles that exercise shortest-vs-17-digit formatting, subnormals and
+// huge magnitudes, written as a trace period record.
+const std::vector<double> kRoundTripRates = {0.1, 1.0 / 3.0, 12.5,
+                                             6.02214076e23, 5e-324};
+
+std::string writeRateRecord() {
+  obs::JsonWriter w;
+  w.beginObject();
+  w.key("record").value("period");
+  w.key("period").value(0);
+  w.key("timeUs").value(std::int64_t{4000000});
+  w.key("flows").beginArray();
+  for (std::size_t i = 0; i < kRoundTripRates.size(); ++i) {
     w.beginObject();
-    w.key("record").value("period");
-    w.key("period").value(0);
-    w.key("timeUs").value(std::int64_t{4000000});
-    w.key("flows").beginArray();
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-      w.beginObject();
-      w.key("id").value(static_cast<int>(i));
-      w.key("hops").value(1);
-      w.key("ratePps").value(rates[i]);
-      w.endObject();
-    }
-    w.endArray().endObject();
-    return w.str();
-  };
-  // Every "ratePps" value in `text`, parsed with from_chars.
-  const auto readRates = [](const std::string& text) {
-    static constexpr std::string_view kKey = "\"ratePps\":";
-    std::vector<double> out;
-    for (auto at = text.find(kKey); at != std::string::npos;
-         at = text.find(kKey, at)) {
-      at += kKey.size();
-      double v = 0.0;
-      const auto [ptr, ec] =
-          std::from_chars(text.data() + at, text.data() + text.size(), v);
-      EXPECT_EQ(ec, std::errc{}) << text.substr(at);
-      EXPECT_EQ(*ptr, '}') << text.substr(at);
-      out.push_back(v);
-    }
-    return out;
-  };
+    w.key("id").value(static_cast<int>(i));
+    w.key("hops").value(1);
+    w.key("ratePps").value(kRoundTripRates[i]);
+    w.endObject();
+  }
+  w.endArray().endObject();
+  return w.str();
+}
 
-  const std::string text = write();
+/// Every "ratePps" value in `text`, parsed with from_chars.
+std::vector<double> readRates(const std::string& text) {
+  static constexpr std::string_view kKey = "\"ratePps\":";
+  std::vector<double> out;
+  for (auto at = text.find(kKey); at != std::string::npos;
+       at = text.find(kKey, at)) {
+    at += kKey.size();
+    double v = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data() + at, text.data() + text.size(), v);
+    EXPECT_EQ(ec, std::errc{}) << text.substr(at);
+    EXPECT_EQ(*ptr, '}') << text.substr(at);
+    out.push_back(v);
+  }
+  return out;
+}
+
+/// Sets the global C++ locale for its lifetime, then restores the old one.
+class GlobalLocale {
+ public:
+  explicit GlobalLocale(const std::locale& loc)
+      : saved_{std::locale::global(loc)} {}
+  ~GlobalLocale() { std::locale::global(saved_); }
+  GlobalLocale(const GlobalLocale&) = delete;
+  GlobalLocale& operator=(const GlobalLocale&) = delete;
+
+ private:
+  std::locale saved_;
+};
+
+/// ',' as the decimal point and '.' grouping thousands, as in de_DE.
+struct CommaDecimal final : std::numpunct<char> {
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST_F(ObsTest, JsonDoublesRoundTripThroughWriterAndReplay) {
+  // Locale-independent number text: the doubles read back from
+  // JsonWriter's text bit-exactly, and the bytes do not change under a
+  // global C++ locale with a ',' decimal point (to_chars/from_chars
+  // ignore locale by definition; a stream-based writer would not). The
+  // facet is built in, so this runs on every host.
+  const std::string text = writeRateRecord();
   const std::vector<double> read = readRates(text);
-  ASSERT_EQ(read.size(), rates.size());
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    EXPECT_EQ(read[i], rates[i]) << "rate " << i << " not bit-exact";
+  ASSERT_EQ(read.size(), kRoundTripRates.size());
+  for (std::size_t i = 0; i < kRoundTripRates.size(); ++i) {
+    EXPECT_EQ(read[i], kRoundTripRates[i]) << "rate " << i
+                                           << " not bit-exact";
   }
 
-  // Re-run the whole cycle under a comma-decimal locale when the host has
-  // one installed; skip silently otherwise (CI images vary).
-  const std::locale saved;
-  bool haveLocale = false;
+  std::string commaText;
+  {
+    const GlobalLocale comma{
+        std::locale{std::locale::classic(), new CommaDecimal}};
+    commaText = writeRateRecord();
+  }
+  EXPECT_EQ(commaText, text) << "writer bytes depend on the C++ locale";
+}
+
+TEST_F(ObsTest, JsonBytesIgnoreANamedCommaLocale) {
+  // A named locale also switches the C locale (printf-family formatting),
+  // which the built-in facet above does not reach. Needs de_DE.UTF-8.
+  std::locale german;
   try {
-    std::locale::global(std::locale{"de_DE.UTF-8"});
-    haveLocale = true;
+    german = std::locale{"de_DE.UTF-8"};
   } catch (const std::runtime_error&) {
+    GTEST_SKIP() << "locale de_DE.UTF-8 is not installed";
   }
-  if (haveLocale) {
-    const std::string localeText = write();
-    std::locale::global(saved);
-    EXPECT_EQ(localeText, text) << "writer bytes depend on the locale";
-    EXPECT_EQ(readRates(localeText), rates);
+  const std::string text = writeRateRecord();
+  std::string localeText;
+  {
+    const GlobalLocale named{german};
+    localeText = writeRateRecord();
   }
+  EXPECT_EQ(localeText, text) << "writer bytes depend on the locale";
+  EXPECT_EQ(readRates(localeText), kRoundTripRates);
 }
 
 // --- profiler ---------------------------------------------------------------
