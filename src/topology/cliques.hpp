@@ -5,6 +5,10 @@
 // airtime is bounded by the channel. We enumerate all maximal cliques with
 // Bron-Kerbosch (with pivoting) over the conflict graph's packed rows, so
 // every set intersection and pivot probe is a word-wise AND + popcount.
+// The popcount is an inline SWAR count (cliques.cpp), not std::popcount:
+// the build assumes no popcnt instruction (baseline x86-64, no -m flag),
+// so std::popcount is an out-of-line libgcc call per word, about 40 % of
+// a dense enumeration. The ctest no_libgcc_popcount keeps that call out.
 #pragma once
 
 #include <compare>
